@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
-	"repro/internal/kinetic"
 	"repro/internal/lm"
 	"repro/internal/mobility"
 	"repro/internal/par"
@@ -154,7 +153,8 @@ func newTickFixture(n int) *tickFixture {
 	for i, p := range f.pos0 {
 		f.grid.Insert(i, p)
 	}
-	f.g0 = topology.BuildUnitDisk(n, f.pos0, f.rtx, f.grid)
+	link := topology.NewUnitDisk(f.rtx)
+	f.g0 = link.BuildInto(nil, n, f.pos0, f.grid, nil, nil)
 	f.nodes = make([]int, n)
 	for i := range f.nodes {
 		f.nodes[i] = i
@@ -169,7 +169,7 @@ func newTickFixture(n int) *tickFixture {
 	for i, p := range f.pos1 {
 		f.grid.Update(i, p)
 	}
-	f.g1 = topology.BuildUnitDisk(n, f.pos1, f.rtx, f.grid)
+	f.g1 = link.BuildInto(nil, n, f.pos1, f.grid, nil, nil)
 	f.h1, f.ids1 = cluster.BuildWithIdentities(
 		f.g1, topology.GiantComponent(f.g1, f.nodes), f.cfg, f.h0, f.ids0, f.tracker, 1)
 	return f
@@ -179,17 +179,18 @@ const tickN = 512
 
 func BenchmarkTickGraphRebuild(b *testing.B) {
 	f := newTickFixture(tickN)
+	link := topology.NewUnitDisk(f.rtx)
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			topology.BuildUnitDisk(f.n, f.pos1, f.rtx, f.grid)
+			link.BuildInto(nil, f.n, f.pos1, f.grid, nil, nil)
 		}
 	})
 	b.Run("reuse", func(b *testing.B) {
 		var spare *topology.Graph
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			spare = topology.BuildUnitDiskInto(spare, f.n, f.pos1, f.rtx, f.grid)
+			spare = link.BuildInto(spare, f.n, f.pos1, f.grid, nil, nil)
 		}
 	})
 	// One worker per available core; on a single-core host this takes
@@ -201,7 +202,7 @@ func BenchmarkTickGraphRebuild(b *testing.B) {
 		var sc topology.BuildScratch
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			spare = topology.BuildUnitDiskIntoPar(spare, f.n, f.pos1, f.rtx, f.grid, p, &sc)
+			spare = link.BuildInto(spare, f.n, f.pos1, f.grid, p, &sc)
 		}
 	})
 }
@@ -291,7 +292,7 @@ func newMaintainWorld(n int, interval float64,
 		w.nodes[i] = i
 	}
 	w.mnt = mk(cluster.Config{ForceTopAt: 12}, cluster.NewIdentityTracker())
-	w.g = topology.BuildUnitDisk(n, w.pos, rtx, w.grid)
+	w.g = topology.NewUnitDisk(rtx).BuildInto(nil, n, w.pos, w.grid, nil, nil)
 	w.in = cluster.MaintainInput{G0: w.g, Nodes: w.giantScr.Giant(w.g, w.nodes)}
 	w.h, w.ids = w.mnt.Maintain(&w.in)
 	// Settle into steady state before measurement: the first ticks pay
@@ -315,7 +316,7 @@ func (w *maintainWorld) advance() {
 	for j, p := range w.pos {
 		w.grid.Update(j, p)
 	}
-	w.ng = topology.BuildUnitDiskInto(w.prevG, w.n, w.pos, w.rtx, w.grid)
+	w.ng = topology.NewUnitDisk(w.rtx).BuildInto(w.prevG, w.n, w.pos, w.grid, nil, nil)
 	w.events = w.ls.Diff(w.g, w.ng)
 	w.in = cluster.MaintainInput{
 		G0: w.ng, PrevG0: w.g, Nodes: w.giantScr.Giant(w.ng, w.nodes),
@@ -467,77 +468,6 @@ func BenchmarkTickLMUpdate(b *testing.B) {
 	b.Run("lowchurn/self", func(b *testing.B) {
 		runLowChurn(b, false, nil)
 	})
-}
-
-// BenchmarkTickLinkMaintain compares the two link engines' topology
-// maintenance: "scan" is the per-tick full grid rescan
-// (BuildUnitDiskInto), "kinetic" the event-driven tracker (advance +
-// event drain + graph materialization). The matrix varies the scan
-// interval at fixed mobility: the scan's cost per simulated second is
-// proportional to the tick rate (N work per tick regardless of what
-// changed), while the kinetic engine's cost tracks the link/cell/
-// segment event rate — per-event, not per-N×ticks — as its
-// events/tick metric shows. The µs/simsec metric is the comparable
-// figure across intervals; the engines cross over as the interval
-// shrinks.
-func BenchmarkTickLinkMaintain(b *testing.B) {
-	const rtx, mu = 100.0, 10.0
-	n := tickN
-	region := simnet.Config{N: n, Seed: 99}.Region()
-	for _, interval := range []float64{1.0, 0.2} {
-		b.Run(fmt.Sprintf("scan/interval=%v", interval), func(b *testing.B) {
-			model := mobility.NewWaypoint(region, mu, rng.NewRoot(99).Stream("mobility"))
-			pos := model.Init(n)
-			grid := spatial.NewGridForDisc(region, rtx, n)
-			for i, p := range pos {
-				grid.Insert(i, p)
-			}
-			var g *topology.Graph
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := float64(i+1) * interval
-				model.AdvanceTo(t, pos)
-				for j, p := range pos {
-					grid.Update(j, p)
-				}
-				g = topology.BuildUnitDiskInto(g, n, pos, rtx, grid)
-			}
-			b.StopTimer()
-			_ = g
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/(float64(b.N)*interval), "µs/simsec")
-		})
-		b.Run(fmt.Sprintf("kinetic/interval=%v", interval), func(b *testing.B) {
-			model := mobility.NewWaypoint(region, mu, rng.NewRoot(99).Stream("mobility"))
-			pos := model.Init(n)
-			grid := spatial.NewGridForDisc(region, rtx, n)
-			for i, p := range pos {
-				grid.Insert(i, p)
-			}
-			alive := make([]bool, n)
-			for i := range alive {
-				alive[i] = true
-			}
-			tr := kinetic.New(model, grid, pos, alive, rtx, interval)
-			tr.Seed(topology.BuildUnitDisk(n, pos, rtx, grid))
-			var g *topology.Graph
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := float64(i+1) * interval
-				model.AdvanceTo(t, pos)
-				tr.BeginTick(t)
-				tr.Advance(t)
-				g = tr.GraphInto(g)
-			}
-			b.StopTimer()
-			_ = g
-			st := tr.Stats
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/(float64(b.N)*interval), "µs/simsec")
-			b.ReportMetric(float64(st.Attention+st.Rechecks)/float64(b.N), "events/tick")
-			b.ReportMetric(float64(st.Exams)/float64(b.N), "exams/tick")
-		})
-	}
 }
 
 // BenchmarkBuildLinks compares the per-scan rebuild cost of the link

@@ -35,7 +35,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
 		manifest   = flag.String("manifest", "", "write a run manifest (scale, per-phase timings, cell stats) to this JSON file")
 		progress   = flag.Bool("progress", false, "report per-cell sweep progress on stderr")
-		engine     = flag.String("engine", "", "link engine for every run: scan (default) | kinetic (event-driven)")
 		maint      = flag.String("maintainer", "", "hierarchy maintenance for every run: oracle (default, full rebuild) | incremental (delta-patched)")
 		mob        = flag.String("mobility", "", "mobility model for every run (default waypoint; see lmsim -mobility)")
 		link       = flag.String("link", "", "link model for every run: unitdisk (default) | logshadow")
@@ -55,12 +54,12 @@ func main() {
 
 	// Profile teardown must run before exit, so the experiment body
 	// lives in its own function and errors exit from main.
-	if err := runExperiments(*run, *quick, *cpuprofile, *memprofile, *manifest, *progress, *engine, *maint, *mob, *link); err != nil {
+	if err := runExperiments(*run, *quick, *cpuprofile, *memprofile, *manifest, *progress, *maint, *mob, *link); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func runExperiments(run string, quick bool, cpuprofile, memprofile, manifest string, progress bool, engine, maintainer, mobility, link string) error {
+func runExperiments(run string, quick bool, cpuprofile, memprofile, manifest string, progress bool, maintainer, mobility, link string) error {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -91,7 +90,6 @@ func runExperiments(run string, quick bool, cpuprofile, memprofile, manifest str
 	if quick {
 		sc = manet.QuickScale()
 	}
-	sc.Engine = engine
 	sc.Maintainer = maintainer
 	sc.Mobility = mobility
 	sc.Link = link

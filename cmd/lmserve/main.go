@@ -37,7 +37,6 @@ func main() {
 		scan     = flag.Float64("scan", 0, "link scan interval, s (0 = auto)")
 		mob      = flag.String("mobility", "waypoint", "mobility model: waypoint|direction|static|group|gauss-markov|manhattan|hotspot")
 		link     = flag.String("link", "unitdisk", "link model: unitdisk|logshadow")
-		engine   = flag.String("engine", "scan", "link engine: scan|kinetic")
 		maint    = flag.String("maintainer", "oracle", "hierarchy maintenance: oracle|incremental")
 
 		rate     = flag.Float64("rate", 1000, "request arrival rate per wall second")
@@ -60,7 +59,7 @@ func main() {
 		N: *n, Seed: *seed,
 		Duration: *duration, Warmup: *warmup,
 		Mu: *mu, RTX: *rtx, Degree: *degree, ScanInterval: *scan,
-		Mobility: *mob, Link: *link, Engine: *engine, Maintainer: *maint,
+		Mobility: *mob, Link: *link, Maintainer: *maint,
 	}
 	reg := obs.NewRegistry()
 	cfg := serve.Config{
@@ -85,7 +84,7 @@ func main() {
 		man.Config = map[string]any{
 			"n": *n, "sim_seed": *seed, "duration_s": *duration,
 			"warmup_s": *warmup, "mu": *mu, "rtx": *rtx,
-			"mobility": *mob, "link": *link, "engine": *engine, "maintainer": *maint,
+			"mobility": *mob, "link": *link, "maintainer": *maint,
 			"rate": *rate, "query_fraction": *queryFr,
 			"diurnal": *diurnal, "diurnal_period_s": *diurnalP,
 			"shards": *shards, "queue_depth": *depth, "batch": *batch,

@@ -64,7 +64,6 @@ func main() {
 		plExp    = flag.Float64("pathloss-exp", 0, "logshadow path-loss exponent η (0 = default 3)")
 		shSigma  = flag.Float64("shadow-sigma", 0, "logshadow shadowing std dev, dB (0 = default 4; negative = none)")
 		linkMarg = flag.Float64("link-margin", 0, "logshadow make/break hysteresis margin, dB (0 = default 3; negative = none)")
-		engine   = flag.String("engine", "scan", "link engine: scan (per-tick rescan) | kinetic (event-driven)")
 		maint    = flag.String("maintainer", "oracle", "hierarchy maintenance: oracle (full rebuild) | incremental (delta-patched)")
 		groupSz  = flag.Int("group-size", 16, "RPGM nodes per group (mobility=group)")
 		groupRad = flag.Float64("group-radius", 0, "RPGM wander radius, m (0 = 2*rtx)")
@@ -99,7 +98,6 @@ func main() {
 	cfg.GroupRadius = *groupRad
 	cfg.ChurnRate = *churn / 3600
 	cfg.CheckLevel = *invarLvl
-	cfg.Engine = *engine
 	cfg.Maintainer = *maint
 	switch *elector {
 	case "lca":
@@ -140,8 +138,7 @@ func main() {
 			"mu": *mu, "rtx": *rtx, "degree": *degree, "scan": *scan,
 			"mobility": *mob, "link": *link, "hops": *hopM, "elector": *elector,
 			"hash": *hash, "churn_per_hour": *churn,
-			"invariants": *invarLvl, "engine": *engine,
-			"maintainer": *maint,
+			"invariants": *invarLvl, "maintainer": *maint,
 		}
 		cfg.Metrics = obs.NewRegistry()
 	}

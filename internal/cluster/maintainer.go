@@ -26,10 +26,9 @@ type MaintainInput struct {
 	Nodes []int
 	// Events is the level-0 link delta from PrevG0 to G0,
 	// deterministically ordered (downs then ups, each ascending by edge
-	// key) — the output order of topology.DiffScratch.Diff and
-	// kinetic.Tracker.AppendEvents. nil when no delta source exists
-	// (first tick, or a caller that never computed one); incremental
-	// maintenance then falls back to a full rebuild.
+	// key) — the output order of topology.DiffScratch.Diff. nil when no
+	// delta source exists (first tick, or a caller that never computed
+	// one); incremental maintenance then falls back to a full rebuild.
 	Events []topology.LinkEvent
 	// PrevH / PrevIDs are the previous snapshot (nil on first build).
 	PrevH   *Hierarchy

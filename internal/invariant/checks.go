@@ -77,11 +77,6 @@ func Checks() []Check {
 			Fn:     checkTableRebuild,
 		},
 		{
-			Name:   "kinetic-graph-equal",
-			Guards: "§1.2 unit-disk: the event-maintained link set equals a fresh full scan",
-			Fn:     checkKineticGraph,
-		},
-		{
 			Name:   "incremental-hierarchy-equal",
 			Guards: "§2, §4 determinism: delta-patched maintenance equals a fresh oracle rebuild",
 			Fn:     checkIncrementalHierarchy,
@@ -624,49 +619,6 @@ func checkTableRebuild(s *Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// checkKineticGraph is the kinetic-vs-scan differential: the level-0
-// graph maintained incrementally by the event engine (certificates +
-// pair rechecks) must carry exactly the edge set of a fresh full
-// unit-disk scan over the same positions. Only active under the
-// kinetic engine (Snapshot.Graph / Snapshot.KineticRef set by the
-// looper on checked ticks).
-func checkKineticGraph(s *Snapshot) error {
-	g, ref := s.Graph, s.KineticRef
-	if g == nil || ref == nil {
-		return nil
-	}
-	if g.Equal(ref) {
-		return nil
-	}
-	// Name the first divergent edge in either direction for triage.
-	var diverge topology.EdgeKey
-	missing := false
-	ref.ForEachEdge(func(e topology.EdgeKey) {
-		if missing || diverge != 0 {
-			return
-		}
-		if a, b := e.Nodes(); !g.HasEdge(a, b) {
-			diverge, missing = e, true
-		}
-	})
-	if !missing {
-		g.ForEachEdge(func(e topology.EdgeKey) {
-			if diverge != 0 {
-				return
-			}
-			if a, b := e.Nodes(); !ref.HasEdge(a, b) {
-				diverge = e
-			}
-		})
-	}
-	if missing {
-		return fmt.Errorf("kinetic graph missing edge %v present in full rescan (%d vs %d edges)",
-			diverge, g.EdgeCount(), ref.EdgeCount())
-	}
-	return fmt.Errorf("kinetic graph carries edge %v absent from full rescan (%d vs %d edges)",
-		diverge, g.EdgeCount(), ref.EdgeCount())
 }
 
 // checkIncrementalHierarchy is the maintenance differential: the

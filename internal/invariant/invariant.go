@@ -23,7 +23,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/lm"
 	"repro/internal/obs"
-	"repro/internal/topology"
 )
 
 // Level selects how often the checker runs.
@@ -118,14 +117,6 @@ type Snapshot struct {
 	// BuildTable. This is the check that catches buffer-reuse
 	// corruption in the zero-alloc incremental path.
 	Selector *lm.Selector
-
-	// Graph and KineticRef, when both set, enable the kinetic-graph
-	// differential (kinetic-graph-equal): the event-maintained level-0
-	// edge set must equal KineticRef, a fresh full scan over the same
-	// positions. Populated only under the kinetic engine on checked
-	// ticks; nil otherwise.
-	Graph      *topology.Graph
-	KineticRef *topology.Graph
 
 	// MaintainIn and MaintainTracker, when both set, enable the
 	// maintenance differential (incremental-hierarchy-equal): Next.Hier

@@ -18,7 +18,7 @@
 // A slice-element write with an index the analyzer cannot derive from
 // the worker/shard parameter is still accepted when an enclosing if
 // guards the index against a shard-derived bound — the row-range
-// ownership idiom of topology.BuildUnitDiskIntoPar.
+// ownership idiom of topology.buildLinksIntoPar.
 //
 // The analyzer also checks the callback's enclosing function for shard
 // slots that alias a shared backing array: assigning a two-index slice

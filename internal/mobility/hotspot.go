@@ -15,9 +15,8 @@ import (
 // clustering layer in the opposite direction from the uniform models:
 // dense stable clusters connected by sparse transit corridors.
 //
-// Motion is waypoint-style piecewise linear (pause legs have zero
-// velocity, travel legs constant velocity), so the model satisfies the
-// Kinetic contract with MaxSpeed = μ.
+// Motion is waypoint-style piecewise linear: pause legs have zero
+// velocity, travel legs constant velocity μ.
 type Hotspot struct {
 	Region     geom.Disc
 	Mu         float64 // travel speed, m/s
@@ -52,9 +51,6 @@ func NewHotspot(region geom.Disc, mu, meanPause float64, spots int, spotRadius f
 
 // Speed returns μ.
 func (h *Hotspot) Speed() float64 { return h.Mu }
-
-// MaxSpeed returns μ (pauses only go slower).
-func (h *Hotspot) MaxSpeed() float64 { return h.Mu }
 
 // Init places the hotspots and scatters nodes inside them. Hotspot
 // centers are sampled in the shrunk disc of radius R − r so every
@@ -130,20 +126,5 @@ func (h *Hotspot) AdvanceTo(t float64, pos []geom.Vec) {
 	h.now = t
 }
 
-// Segment returns node i's current linear piece: the dwell at the
-// origin (zero velocity until departure at t0) or the travel leg
-// toward the next hotspot (arriving at t1). Valid until the next
-// AdvanceTo.
-func (h *Hotspot) Segment(i int) Segment {
-	l := &h.legs[i]
-	if h.now < l.t0 {
-		return Segment{P: l.origin, T0: h.now, T1: l.t0}
-	}
-	v := l.dest.Sub(l.origin).Scale(1 / (l.t1 - l.t0))
-	return Segment{P: l.at(h.now), V: v, T0: h.now, T1: l.t1}
-}
-
 // Centers returns the hotspot centers (for tests and analysis).
 func (h *Hotspot) Centers() []geom.Vec { return h.centers }
-
-var _ Kinetic = (*Hotspot)(nil)

@@ -21,9 +21,8 @@ import (
 // K = max(1, round(side/Block)) blocks per axis (K+1 streets), so
 // corner streets may lie outside the disc proper; the spatial index
 // covers the full square, so this is purely a density statement.
-// Motion is exactly piecewise linear (legs run between adjacent
-// intersections), so the model satisfies the Kinetic contract, with
-// MaxSpeed = μ.
+// Motion is exactly piecewise linear: legs run between adjacent
+// intersections at constant speed μ.
 type Manhattan struct {
 	Region geom.Disc
 	Mu     float64 // node speed, m/s
@@ -89,9 +88,6 @@ func NewManhattan(region geom.Disc, mu, block float64, src *rng.Source) *Manhatt
 
 // Speed returns μ.
 func (m *Manhattan) Speed() float64 { return m.Mu }
-
-// MaxSpeed returns μ (constant street speed).
-func (m *Manhattan) MaxSpeed() float64 { return m.Mu }
 
 // intersection returns the exact position of intersection (ix, iy),
 // recomputed from indices so legs never accumulate float drift.
@@ -235,18 +231,5 @@ func (m *Manhattan) AdvanceTo(t float64, pos []geom.Vec) {
 	m.now = t
 }
 
-// Segment returns node i's current street leg, ending at the next
-// intersection. Valid until the next AdvanceTo.
-func (m *Manhattan) Segment(i int) Segment {
-	l := &m.legs[i]
-	return Segment{
-		P:  l.origin.Add(dirVec[l.dir].Scale(m.Mu * (m.now - l.t0))),
-		V:  dirVec[l.dir].Scale(m.Mu),
-		T0: m.now, T1: l.t1,
-	}
-}
-
 // Blocks reports the grid dimension K (blocks per axis), for tests.
 func (m *Manhattan) Blocks() int { return m.k }
-
-var _ Kinetic = (*Manhattan)(nil)

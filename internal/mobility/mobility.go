@@ -7,10 +7,8 @@
 // Models expose piecewise-linear kinematics: a node's position is an
 // analytic function of time between waypoint decisions, so the
 // simulator can advance all nodes to an arbitrary instant without
-// accumulating per-tick integration error. The Kinetic sub-interface
-// exposes that structure directly — each node's current linear segment
-// — which is what the event-driven engine (internal/kinetic) schedules
-// against.
+// accumulating per-tick integration error: a trajectory depends only on
+// the sequence of times passed to AdvanceTo, never on the step size.
 package mobility
 
 import (
@@ -30,39 +28,6 @@ type Model interface {
 	// Speed returns the configured node speed μ in m/s (mean speed for
 	// models with varying speed).
 	Speed() float64
-}
-
-// Segment is one linear piece of a node's trajectory: position P and
-// velocity V at anchor time T0, valid until T1 (the node moves as
-// P + V·(t-T0) for t in [T0, T1]). A paused node exposes a zero
-// velocity with T1 at the pause expiry; a stationary node exposes
-// T1 = +Inf.
-type Segment struct {
-	P      geom.Vec // position at T0
-	V      geom.Vec // velocity, m/s
-	T0, T1 float64  // validity interval
-}
-
-// At returns the position at time t (t should lie in [T0, T1]).
-func (s Segment) At(t float64) geom.Vec {
-	return s.P.Add(s.V.Scale(t - s.T0))
-}
-
-// Kinetic is the sub-interface of Model exposed by models whose motion
-// is exactly piecewise linear, which is what the event-driven engine
-// requires. Segment(i) is anchored at the model's current time and is
-// valid only until the next AdvanceTo call; the returned T1 is the
-// earliest future instant at which node i's velocity may change (a
-// waypoint arrival, pause expiry, heading change, or boundary
-// reflection). AdvanceTo must remain the only mutator, and all models
-// here draw randomness in node order inside AdvanceTo, so trajectories
-// depend only on the sequence of times passed to AdvanceTo — never on
-// who reads segments in between. MaxSpeed bounds |V| over every
-// segment the model can ever produce.
-type Kinetic interface {
-	Model
-	Segment(i int) Segment
-	MaxSpeed() float64
 }
 
 // leg is one linear segment of travel: from origin at time t0 toward
@@ -110,9 +75,6 @@ func NewWaypoint(region geom.Disc, mu float64, src *rng.Source) *Waypoint {
 // Speed returns μ.
 func (w *Waypoint) Speed() float64 { return w.Mu }
 
-// MaxSpeed returns μ (travel speed; pauses only go slower).
-func (w *Waypoint) MaxSpeed() float64 { return w.Mu }
-
 // Init samples n uniform initial positions and initial waypoints.
 //
 // Note: sampling the initial position uniformly (rather than from the
@@ -154,18 +116,6 @@ func (w *Waypoint) AdvanceTo(t float64, pos []geom.Vec) {
 		}
 	}
 	w.now = t
-}
-
-// Segment returns node i's current linear piece: the pause at the
-// origin waypoint (zero velocity until departure at t0) or the travel
-// leg toward dest (arriving at t1). Valid until the next AdvanceTo.
-func (w *Waypoint) Segment(i int) Segment {
-	l := &w.legs[i]
-	if w.now < l.t0 {
-		return Segment{P: l.origin, T0: w.now, T1: l.t0}
-	}
-	v := l.dest.Sub(l.origin).Scale(1 / (l.t1 - l.t0))
-	return Segment{P: l.at(w.now), V: v, T0: w.now, T1: l.t1}
 }
 
 // RandomDirection is the random direction model: each node travels in
@@ -216,9 +166,6 @@ func NewRandomDirection(region geom.Disc, mu, meanLegT float64, src *rng.Source)
 
 // Speed returns μ.
 func (r *RandomDirection) Speed() float64 { return r.Mu }
-
-// MaxSpeed returns μ.
-func (r *RandomDirection) MaxSpeed() float64 { return r.Mu }
 
 // Init places n nodes uniformly with random headings.
 func (r *RandomDirection) Init(n int) []geom.Vec {
@@ -292,14 +239,6 @@ func (r *RandomDirection) AdvanceTo(t float64, pos []geom.Vec) {
 	r.now = t
 }
 
-// Segment returns node i's current linear piece, ending at the next
-// heading change or boundary reflection. Valid until the next
-// AdvanceTo.
-func (r *RandomDirection) Segment(i int) Segment {
-	l := &r.legs[i]
-	return Segment{P: l.posAt(r.Mu, r.now), V: l.dir.Scale(r.Mu), T0: r.now, T1: l.t1}
-}
-
 // Stationary keeps all nodes fixed; useful for static-topology
 // experiments (hierarchy structure, hop-count scaling) and tests.
 type Stationary struct {
@@ -315,9 +254,6 @@ func NewStationary(region geom.Disc, src *rng.Source) *Stationary {
 
 // Speed returns 0.
 func (s *Stationary) Speed() float64 { return 0 }
-
-// MaxSpeed returns 0.
-func (s *Stationary) MaxSpeed() float64 { return 0 }
 
 // Init places n nodes uniformly.
 func (s *Stationary) Init(n int) []geom.Vec {
@@ -335,16 +271,15 @@ func (s *Stationary) AdvanceTo(t float64, pos []geom.Vec) {
 	copy(pos, s.fixed)
 }
 
-// Segment returns a zero-velocity segment that never expires.
-func (s *Stationary) Segment(i int) Segment {
-	return Segment{P: s.fixed[i], T1: math.Inf(1)}
-}
-
 // compile-time interface checks
 var (
-	_ Kinetic = (*Waypoint)(nil)
-	_ Kinetic = (*RandomDirection)(nil)
-	_ Kinetic = (*Stationary)(nil)
+	_ Model = (*Waypoint)(nil)
+	_ Model = (*RandomDirection)(nil)
+	_ Model = (*Stationary)(nil)
+	_ Model = (*GroupMobility)(nil)
+	_ Model = (*GaussMarkov)(nil)
+	_ Model = (*Manhattan)(nil)
+	_ Model = (*Hotspot)(nil)
 )
 
 // GroupMobility is the reference-point group mobility model (RPGM,
@@ -388,18 +323,12 @@ func NewGroupMobility(region geom.Disc, mu, groupRadius float64, groupSize int, 
 // Speed returns the reference-point speed μ.
 func (g *GroupMobility) Speed() float64 { return g.Mu }
 
-// MaxSpeed bounds a member's speed: reference speed plus wander speed
-// (a member position is the sum of two waypoint trajectories, and Init
-// sizes the regions so the boundary clamp never binds).
-func (g *GroupMobility) MaxSpeed() float64 { return g.Mu + g.memberMu }
-
 // Init places groups and members. The reference region and the wander
 // radius are sized so their sum never exceeds the region radius: the
 // wander radius is capped at R/2 and the reference region shrinks by
 // exactly that amount. Members therefore never clamp against the disc
 // boundary, which keeps per-step displacement bounded by
-// (Mu+MemberMu)·dt and member motion exactly piecewise linear (the
-// kinetic engine's bounded-velocity assumption).
+// (Mu+MemberMu)·dt and member motion exactly piecewise linear.
 func (g *GroupMobility) Init(n int) []geom.Vec {
 	g.n = n
 	groups := (n + g.GroupSize - 1) / g.GroupSize
@@ -438,20 +367,5 @@ func (g *GroupMobility) AdvanceTo(t float64, pos []geom.Vec) {
 	}
 }
 
-// Segment composes the reference point's segment with the member's
-// offset segment: positions and velocities add, and the composite is
-// valid until the earlier of the two expiries.
-func (g *GroupMobility) Segment(i int) Segment {
-	rs := g.refs.Segment(g.group[i])
-	os := g.offsets.Segment(i)
-	t1 := rs.T1
-	if os.T1 < t1 {
-		t1 = os.T1
-	}
-	return Segment{P: rs.P.Add(os.P), V: rs.V.Add(os.V), T0: rs.T0, T1: t1}
-}
-
 // GroupOf reports the group index of a node (for tests and analysis).
 func (g *GroupMobility) GroupOf(v int) int { return g.group[v] }
-
-var _ Kinetic = (*GroupMobility)(nil)

@@ -287,3 +287,193 @@ func TestGroupMobilityDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomDirectionBoundaryExactHeadingChange pins behavior when a
+// heading change lands exactly on an advance boundary: the node must
+// arrive at the expiry point under the old heading and depart it under
+// the new one, with no zero-step stall (regression for the dead
+// `continue` in the old step-granularity loop).
+func TestRandomDirectionBoundaryExactHeadingChange(t *testing.T) {
+	d := testDisc()
+	r := NewRandomDirection(d, 10, 5, rng.New(7))
+	pos := r.Init(3)
+	for k := 0; k < 200; k++ {
+		l := r.legs[0]
+		if l.t1 < l.until {
+			// This leg ends in a boundary reflection; consume it and
+			// keep looking for a heading expiry.
+			r.AdvanceTo(l.t1, pos)
+			continue
+		}
+		// l.t1 == l.until: a heading expiry. Advance EXACTLY onto it.
+		arrive := l.posAt(r.Mu, l.t1)
+		r.AdvanceTo(l.t1, pos)
+		if pos[0] != arrive {
+			t.Fatalf("position at exact expiry: got %v want %v", pos[0], arrive)
+		}
+		nl := r.legs[0]
+		if nl.t0 != l.t1 || nl.origin != arrive {
+			t.Fatalf("fresh leg must start at the expiry instant: t0=%v origin=%v (want %v at %v)",
+				nl.t0, nl.origin, arrive, l.t1)
+		}
+		if nl.dir == l.dir {
+			t.Fatalf("heading did not change at expiry")
+		}
+		// Departing the boundary instant must follow the NEW heading.
+		dt := math.Min(0.25, (nl.t1-nl.t0)/2)
+		if dt <= 0 {
+			t.Fatalf("fresh leg has no extent: t0=%v t1=%v", nl.t0, nl.t1)
+		}
+		r.AdvanceTo(l.t1+dt, pos)
+		want := arrive.Add(nl.dir.Scale(r.Mu * dt))
+		if pos[0].Dist(want) > 1e-9 {
+			t.Fatalf("position after exact-boundary heading change: got %v want %v", pos[0], want)
+		}
+		return
+	}
+	t.Fatalf("no heading expiry found in 200 legs")
+}
+
+// TestRandomDirectionGranularityIndependent asserts a node's
+// trajectory no longer depends on the advance step size (the old
+// integrator reflected at step ends, so finer stepping changed where
+// reflections landed). A single node is used so the shared stream's
+// draw order is the same under any stepping; multi-node runs draw in
+// (time-interleaved) call-pattern order by design.
+func TestRandomDirectionGranularityIndependent(t *testing.T) {
+	d := testDisc()
+	a := NewRandomDirection(d, 25, 3, rng.New(11))
+	b := NewRandomDirection(d, 25, 3, rng.New(11))
+	posA := a.Init(1)
+	posB := b.Init(1)
+	for step := 1; step <= 400; step++ {
+		a.AdvanceTo(float64(step)*0.25, posA)
+	}
+	b.AdvanceTo(100, posB)
+	if posA[0] != posB[0] {
+		t.Fatalf("stepped %v != jumped %v", posA[0], posB[0])
+	}
+}
+
+// TestGroupMobilityBoundedStep is the regression for the boundary
+// clamping bug: in a region smaller than 2·GroupRadius the reference
+// region used to keep its full radius, so members clamped against the
+// disc boundary every advance and apparent speeds exceeded Mu+MemberMu.
+func TestGroupMobilityBoundedStep(t *testing.T) {
+	d := geom.Disc{R: 150} // R < 2·GroupRadius: the old code never shrank
+	g := NewGroupMobility(d, 10, 200, 8, rng.New(3))
+	pos := g.Init(32)
+	prev := make([]geom.Vec, len(pos))
+	copy(prev, pos)
+	const dt = 1.0
+	bound := (g.Mu + g.MemberMu) * dt * (1 + 1e-9)
+	for step := 1; step <= 300; step++ {
+		g.AdvanceTo(float64(step)*dt, pos)
+		for i, p := range pos {
+			if moved := p.Dist(prev[i]); moved > bound {
+				t.Fatalf("step %d node %d moved %.6f > bound %.6f", step, i, moved, bound)
+			}
+			if !d.Contains(p) {
+				t.Fatalf("step %d node %d left the region: %v", step, i, p)
+			}
+			prev[i] = p
+		}
+	}
+}
+
+// TestWaypointPauseTable is the table-driven Pause > 0 coverage:
+// position during the pause window, rollover across multiple expired
+// legs in a single AdvanceTo, and AdvanceTo called twice at the same t.
+func TestWaypointPauseTable(t *testing.T) {
+	d := testDisc()
+	cases := []struct {
+		name      string
+		mu, pause float64
+		n         int
+	}{
+		{"short-pause", 20, 1.5, 16},
+		{"long-pause", 5, 40, 16},
+		{"pause-dominates-travel", 200, 10, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name+"/position-during-pause", func(t *testing.T) {
+			w := NewWaypoint(d, tc.mu, rng.New(5))
+			w.Pause = tc.pause
+			pos := w.Init(tc.n)
+			start := make([]geom.Vec, tc.n)
+			copy(start, pos)
+			// Initial legs depart at t = Pause: every instant before
+			// that must hold the initial position exactly.
+			for _, frac := range []float64{0.1, 0.5, 0.999} {
+				w.AdvanceTo(frac*tc.pause, pos)
+				for i, p := range pos {
+					if p != start[i] {
+						t.Fatalf("node %d moved during pause at t=%.3f: %v != %v",
+							i, frac*tc.pause, p, start[i])
+					}
+				}
+			}
+			// After departure the node must have left the waypoint.
+			w.AdvanceTo(tc.pause+0.5, pos)
+			moved := 0
+			for i, p := range pos {
+				if p != start[i] {
+					moved++
+				}
+			}
+			if moved == 0 {
+				t.Fatalf("no node departed after the pause expired")
+			}
+		})
+		t.Run(tc.name+"/multi-leg-rollover", func(t *testing.T) {
+			// One giant jump must cross many (leg+pause) cycles and
+			// land byte-identically to a finely stepped twin. A single
+			// node keeps the shared stream's draw order identical
+			// under both steppings (per-leg, in time order).
+			a := NewWaypoint(d, tc.mu, rng.New(9))
+			a.Pause = tc.pause
+			b := NewWaypoint(d, tc.mu, rng.New(9))
+			b.Pause = tc.pause
+			posA := a.Init(1)
+			posB := b.Init(1)
+			const horizon = 1000.0
+			a.AdvanceTo(horizon, posA)
+			for step := 1; step <= 2000; step++ {
+				b.AdvanceTo(float64(step)*horizon/2000, posB)
+			}
+			if posA[0] != posB[0] {
+				t.Fatalf("jumped %v != stepped %v", posA[0], posB[0])
+			}
+		})
+		t.Run(tc.name+"/advance-twice-same-t", func(t *testing.T) {
+			w := NewWaypoint(d, tc.mu, rng.New(13))
+			w.Pause = tc.pause
+			twin := NewWaypoint(d, tc.mu, rng.New(13))
+			twin.Pause = tc.pause
+			pos := w.Init(tc.n)
+			posT := twin.Init(tc.n)
+			// Land exactly on a leg boundary for node 0 so the repeat
+			// call exercises the just-rolled state.
+			tEdge := w.legs[0].t1
+			w.AdvanceTo(tEdge, pos)
+			first := make([]geom.Vec, tc.n)
+			copy(first, pos)
+			w.AdvanceTo(tEdge, pos)
+			for i := range pos {
+				if pos[i] != first[i] {
+					t.Fatalf("node %d drifted on repeated AdvanceTo(%v)", i, tEdge)
+				}
+			}
+			// The repeat call must not consume randomness: a twin that
+			// advanced once must stay in lockstep afterwards.
+			twin.AdvanceTo(tEdge, posT)
+			w.AdvanceTo(tEdge+123, pos)
+			twin.AdvanceTo(tEdge+123, posT)
+			for i := range pos {
+				if pos[i] != posT[i] {
+					t.Fatalf("node %d: repeated same-t advance perturbed the RNG", i)
+				}
+			}
+		})
+	}
+}

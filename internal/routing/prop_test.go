@@ -26,7 +26,7 @@ func TestHierPathPropertiesOnCorpus(t *testing.T) {
 		repro := repro
 		t.Run(name, func(t *testing.T) {
 			sc := repro.Scenario
-			cfg := sc.Config(0, "", "")
+			cfg := sc.Config(0, "")
 			cfg.CheckLevel = "" // invariant checking is prop's own test
 			src := rng.NewRoot(sc.Seed).Stream("routing-prop")
 			var router *routing.Router

@@ -26,10 +26,6 @@ type Scale struct {
 	Warmup   float64 `json:"warmup"`
 	BigN     int     `json:"big_n"` // node count for single-N experiments
 	Par      int     `json:"par"`   // worker-pool width (0 = GOMAXPROCS)
-	// Engine selects the link engine for every simulation the
-	// experiment launches ("" or "scan" = per-tick rescan, "kinetic" =
-	// event-driven; see simnet.Config.Engine).
-	Engine string `json:"engine,omitempty"`
 	// Maintainer selects the hierarchy-maintenance strategy for every
 	// simulation the experiment launches ("" or "oracle" = full ALCA
 	// rebuild per tick, "incremental" = delta-patched; see
@@ -154,8 +150,8 @@ func staticHierarchy(n int, seed uint64) (*cluster.Hierarchy, *topology.Graph) {
 func baseConfig(sc Scale) simnet.Config {
 	return simnet.Config{
 		Duration: sc.Duration, Warmup: sc.Warmup, Metrics: sc.Metrics,
-		Engine: sc.Engine, Maintainer: sc.Maintainer,
-		Mobility: sc.Mobility, Link: sc.Link,
+		Maintainer: sc.Maintainer,
+		Mobility:   sc.Mobility, Link: sc.Link,
 	}
 }
 

@@ -205,7 +205,8 @@ func runE19(w io.Writer, sc Scale) error {
 	ccfg := cluster.Config{ForceTopAt: 12}
 	sel := lm.NewSelector(nil)
 
-	graph := topology.BuildUnitDisk(n, pos, 100, grid)
+	link := topology.NewUnitDisk(100)
+	graph := link.BuildInto(nil, n, pos, grid, nil, nil)
 	h, ids := cluster.BuildWithIdentities(graph, topology.GiantComponent(graph, nodes), ccfg, nil, nil, tr, 0)
 	table := sel.BuildTable(h, ids)
 
@@ -221,7 +222,7 @@ func runE19(w io.Writer, sc Scale) error {
 		for i, p := range pos {
 			grid.Update(i, p)
 		}
-		g2 := topology.BuildUnitDisk(n, pos, 100, grid)
+		g2 := link.BuildInto(nil, n, pos, grid, nil, nil)
 		nw.Rebind(g2)
 		h2, ids2 := cluster.BuildWithIdentities(g2, topology.GiantComponent(g2, nodes), ccfg, h, ids, tr, now)
 		t2 := sel.UpdateTable(table, h, ids, h2, ids2)

@@ -42,7 +42,8 @@ func marshalResults(t *testing.T, r *simnet.Results) []byte {
 
 // TestServeDoesNotPerturbSim is the tentpole's determinism contract:
 // the embedded simulation's Results and trace must be byte-identical
-// with serving enabled vs disabled, serial and parallel.
+// with serving enabled vs disabled, serial, parallel and under
+// incremental maintenance.
 func TestServeDoesNotPerturbSim(t *testing.T) {
 	cases := []struct {
 		name string
@@ -52,9 +53,9 @@ func TestServeDoesNotPerturbSim(t *testing.T) {
 		{"parallel", simnet.Config{
 			N: 48, Seed: 5, Duration: 10, Warmup: 2, IntraTickParallelism: 3,
 		}},
-		{"kinetic-incremental", simnet.Config{
+		{"incremental", simnet.Config{
 			N: 48, Seed: 9, Duration: 10, Warmup: 2,
-			Engine: simnet.EngineKinetic, Maintainer: simnet.MaintainerIncremental,
+			Maintainer: simnet.MaintainerIncremental,
 		}},
 	}
 	for _, tc := range cases {

@@ -15,10 +15,7 @@ import (
 // the run's "mobility" stream.
 type mobilityCtor func(cfg Config, region geom.Disc, src *rng.Source) mobility.Model
 
-// mobilityRegistry maps Config.Mobility names to constructors. The
-// kinetic capability of each model is a property of the constructed
-// value (mobility.Kinetic type assertion), not of the registry entry:
-// every model here happens to be kinetic-capable.
+// mobilityRegistry maps Config.Mobility names to constructors.
 var mobilityRegistry = map[string]mobilityCtor{
 	MobilityWaypoint: func(cfg Config, region geom.Disc, src *rng.Source) mobility.Model {
 		return mobility.NewWaypoint(region, cfg.Mu, src)
@@ -64,31 +61,19 @@ func MobilityModels() []string {
 	return append([]string(nil), mobilityNames...)
 }
 
-// linkSpec is one link-model registry entry: whether the model honors
-// the kinetic-compatibility contract (topology.LinkModel.Kinetic,
-// duplicated here so Config validation needs no construction), and the
-// constructor. root supplies deterministic named streams (shadowing
-// seeds).
-type linkSpec struct {
-	kinetic bool
-	build   func(cfg Config, root *rng.Root) topology.LinkModel
-}
+// linkCtor builds a link model for a defaulted config. root supplies
+// deterministic named streams (shadowing seeds).
+type linkCtor func(cfg Config, root *rng.Root) topology.LinkModel
 
-// linkRegistry maps Config.Link names to their specs.
-var linkRegistry = map[string]linkSpec{
-	LinkUnitDisk: {
-		kinetic: true,
-		build: func(cfg Config, root *rng.Root) topology.LinkModel {
-			return topology.NewUnitDisk(cfg.RTX)
-		},
+// linkRegistry maps Config.Link names to constructors.
+var linkRegistry = map[string]linkCtor{
+	LinkUnitDisk: func(cfg Config, root *rng.Root) topology.LinkModel {
+		return topology.NewUnitDisk(cfg.RTX)
 	},
-	LinkLogShadow: {
-		kinetic: false,
-		build: func(cfg Config, root *rng.Root) topology.LinkModel {
-			return topology.NewLogShadow(
-				cfg.RTX, cfg.PathLossExp, cfg.ShadowSigma, cfg.LinkMargin,
-				root.Stream("linkshadow").Uint64())
-		},
+	LinkLogShadow: func(cfg Config, root *rng.Root) topology.LinkModel {
+		return topology.NewLogShadow(
+			cfg.RTX, cfg.PathLossExp, cfg.ShadowSigma, cfg.LinkMargin,
+			root.Stream("linkshadow").Uint64())
 	},
 }
 
@@ -99,11 +84,4 @@ var linkNames = []string{LinkUnitDisk, LinkLogShadow}
 // The returned slice is fresh; callers may keep it.
 func LinkModels() []string {
 	return append([]string(nil), linkNames...)
-}
-
-// LinkKinetic reports whether the named link model honors the
-// kinetic-compatibility contract (false for unknown names). Exposed so
-// test harnesses can gate engine matrices without constructing a run.
-func LinkKinetic(name string) bool {
-	return linkRegistry[name].kinetic
 }

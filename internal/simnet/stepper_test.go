@@ -11,16 +11,16 @@ import (
 
 // TestStepperMatchesRun pins the Stepper's contract: driving the run
 // tick-by-tick produces byte-identical Results and traces to Run(cfg),
-// across engines and maintainers.
+// serial, parallel and under incremental maintenance.
 func TestStepperMatchesRun(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  simnet.Config
 	}{
 		{"base", simnet.Config{N: 48, Seed: 7, Duration: 15, Warmup: 4}},
-		{"kinetic-incremental", simnet.Config{
+		{"incremental", simnet.Config{
 			N: 48, Seed: 9, Duration: 12, Warmup: 3,
-			Engine: simnet.EngineKinetic, Maintainer: simnet.MaintainerIncremental,
+			Maintainer: simnet.MaintainerIncremental,
 		}},
 		{"parallel", simnet.Config{
 			N: 48, Seed: 5, Duration: 12, Warmup: 3, IntraTickParallelism: 3,

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/geom"
 	"repro/internal/invariant"
-	"repro/internal/kinetic"
 	"repro/internal/lm"
 	"repro/internal/mobility"
 	"repro/internal/obs"
@@ -72,7 +71,7 @@ func newPhaseTimers(reg *obs.Registry) phaseTimers {
 // recycled. Concretely:
 //
 //   - spareGraph / spareTable hold the graph and LM table of tick t-2;
-//     BuildUnitDiskInto and UpdateTableInto overwrite them in place.
+//     LinkModel.BuildInto and UpdateTableIntoPar overwrite them in place.
 //   - retiredH / retiredIDs hold the t-2 hierarchy and identities;
 //     Arena.Recycle harvests them before the t build. The level-0
 //     graph inside retiredH is skipped — it is spareGraph, already
@@ -89,13 +88,10 @@ type looper struct {
 	cfg        Config
 	clusterCfg cluster.Config
 	model      mobility.Model
-	// link is the level-0 link model (Config.Link). The scan engine
-	// rebuilds through it every tick; the kinetic engine bypasses it
-	// (validation guarantees the kinetic engine only runs with the
-	// unit-disk model, whose predicate the tracker maintains).
+	// link is the level-0 link model (Config.Link); every tick
+	// rebuilds the graph through it with a grid scan.
 	link       topology.LinkModel
 	grid       *spatial.Grid
-	region     geom.Disc
 	pos        []geom.Vec
 	selector   *lm.Selector
 	tracker    *cluster.IdentityTracker
@@ -118,11 +114,10 @@ type looper struct {
 	// Hierarchy maintenance (Config.Maintainer): the maintainer owns
 	// the snapshot arena; Retire replaces the old direct Recycle call.
 	// useEvents marks maintainers that consume the tick's link-event
-	// delta (computed in the rebuild phase); evBuf is the kinetic
-	// event buffer and maintIn the reused Maintain input.
+	// delta (computed in the rebuild phase); maintIn is the reused
+	// Maintain input.
 	mnt       cluster.Maintainer
 	useEvents bool
-	evBuf     []topology.LinkEvent
 	maintIn   cluster.MaintainInput
 
 	diff        *cluster.Diff
@@ -138,18 +133,6 @@ type looper struct {
 	pool         *par.Pool
 	buildScratch topology.BuildScratch
 	updParScr    lm.UpdateParScratch
-
-	// Kinetic engine (Config.Engine == "kinetic"): the event-driven
-	// link tracker replaces the per-tick grid sweep and full rescan in
-	// the advance and rebuild phases; everything downstream (cluster
-	// maintain, diff, LM update, measurement) is shared with the scan
-	// engine. nil selects the scan engine.
-	kin *kinetic.Tracker
-	// Reference storage for the kinetic-graph invariant differential:
-	// a fresh full scan rebuilt on checked ticks and compared against
-	// the tracker's edge set. Lazily allocated.
-	refGrid  *spatial.Grid
-	refGraph *topology.Graph
 
 	// Invariant checker (Config.CheckLevel); nil checks nothing.
 	checker *invariant.Checker
@@ -180,9 +163,6 @@ func (lp *looper) step(now float64) {
 
 	spAdvance := lp.tm.advance.Start()
 	lp.model.AdvanceTo(now, lp.pos)
-	if lp.kin != nil {
-		lp.kin.BeginTick(now)
-	}
 	if cfg.ChurnRate > 0 {
 		pDeath := cfg.ChurnRate * cfg.ScanInterval
 		for i := range lp.alive {
@@ -190,11 +170,7 @@ func (lp *looper) step(now float64) {
 				if lp.churnSrc.Float64() < pDeath {
 					lp.alive[i] = false
 					lp.reviveAt[i] = now + lp.churnSrc.Exp(1/cfg.MeanDowntime)
-					if lp.kin != nil {
-						lp.kin.Kill(i)
-					} else {
-						lp.grid.Remove(i)
-					}
+					lp.grid.Remove(i)
 					if now > cfg.Warmup {
 						st.deaths++
 					}
@@ -205,46 +181,20 @@ func (lp *looper) step(now float64) {
 		}
 	}
 	lp.aliveNodes = lp.aliveNodes[:0]
-	if lp.kin != nil {
-		// Kinetic engine: the tracker owns grid cells (updated at
-		// attention events, not every tick); only churn rejoins need
-		// explicit insertion before the event drain.
-		for i := range lp.pos {
-			if lp.alive[i] {
-				if !lp.grid.Contains(i) {
-					lp.kin.Revive(i)
-				}
-				lp.aliveNodes = append(lp.aliveNodes, i)
-			}
-		}
-		lp.kin.Advance(now)
-	} else {
-		for i, p := range lp.pos {
-			if lp.alive[i] {
-				lp.grid.Update(i, p)
-				lp.aliveNodes = append(lp.aliveNodes, i)
-			}
+	for i, p := range lp.pos {
+		if lp.alive[i] {
+			lp.grid.Update(i, p)
+			lp.aliveNodes = append(lp.aliveNodes, i)
 		}
 	}
 	spAdvance.Stop()
 
 	spRebuild := lp.tm.rebuild.Start()
-	var newGraph *topology.Graph
+	newGraph := lp.link.BuildInto(
+		lp.spareGraph, cfg.N, lp.pos, lp.grid, lp.pool, &lp.buildScratch)
 	var events []topology.LinkEvent
-	if lp.kin != nil {
-		if lp.useEvents {
-			// AppendEvents must precede GraphInto, which consumes and
-			// clears the tracker's pending deltas.
-			lp.evBuf = lp.kin.AppendEvents(lp.evBuf[:0])
-			events = lp.evBuf
-		}
-		newGraph = lp.kin.GraphInto(lp.spareGraph)
-	} else {
-		newGraph = lp.link.BuildInto(
-			lp.spareGraph, cfg.N, lp.pos, lp.grid, lp.pool, &lp.buildScratch)
-		if lp.useEvents {
-			events = lp.linkScratch.Diff(lp.graph, newGraph)
-		}
+	if lp.useEvents {
+		events = lp.linkScratch.Diff(lp.graph, newGraph)
 	}
 	lp.spareGraph = nil
 	if lp.bfsHop != nil {
@@ -341,11 +291,6 @@ func (lp *looper) step(now float64) {
 
 	if lp.checker.ShouldCheck(lp.tick) {
 		spInv := lp.tm.invariant.Start()
-		var kineticRef *topology.Graph
-		if lp.kin != nil {
-			//lint:ignore hotpath periodic invariant check; interval-gated, off the steady tick
-			kineticRef = lp.rebuildReference()
-		}
 		//lint:ignore hotpath periodic invariant check; interval-gated, off the steady tick
 		lp.checker.CheckTick(&invariant.Snapshot{
 			Tick: lp.tick, Time: now, Seed: cfg.Seed,
@@ -355,8 +300,6 @@ func (lp *looper) step(now float64) {
 			Next:            &invariant.State{Hier: newHier, IDs: newIdents, Table: newTable},
 			Diff:            lp.diff,
 			Selector:        lp.selector,
-			Graph:           newGraph,
-			KineticRef:      kineticRef,
 			MaintainIn:      &lp.maintIn,
 			MaintainCfg:     refCfg,
 			MaintainTracker: refTracker,
@@ -379,25 +322,6 @@ func (lp *looper) step(now float64) {
 	lp.spareTable = lp.table
 	lp.graph, lp.hier, lp.idents, lp.table = newGraph, newHier, newIdents, newTable
 	spTick.Stop()
-}
-
-// rebuildReference runs a fresh full unit-disk scan over the current
-// positions into the looper's lazily allocated reference storage — the
-// ground truth for the kinetic-graph-equal invariant differential. The
-// reference grid is populated and drained per call so the tracker's
-// own grid (whose cells lag positions by design) is never touched.
-func (lp *looper) rebuildReference() *topology.Graph {
-	if lp.refGrid == nil {
-		lp.refGrid = spatial.NewGridForDisc(lp.region, lp.cfg.RTX, lp.cfg.N)
-	}
-	for _, i := range lp.aliveNodes {
-		lp.refGrid.Insert(i, lp.pos[i])
-	}
-	lp.refGraph = topology.BuildUnitDiskInto(lp.refGraph, lp.cfg.N, lp.pos, lp.cfg.RTX, lp.refGrid)
-	for _, i := range lp.aliveNodes {
-		lp.refGrid.Remove(i)
-	}
-	return lp.refGraph
 }
 
 // close releases the worker pool (a no-op for serial runs). The looper

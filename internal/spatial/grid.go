@@ -281,73 +281,6 @@ func (g *Grid) ForEachPairRows(r float64, rowLo, rowHi int, pos func(int) geom.V
 	}
 }
 
-// CellSide returns the cell side length.
-func (g *Grid) CellSide() float64 { return g.cell }
-
-// NextCrossing returns the earliest time at or after now at which a
-// point at p moving with constant velocity v enters a different cell,
-// or +Inf if it never does (zero velocity, or heading off the indexed
-// square — edge cells clamp, so leaving the square changes nothing).
-// The returned instant may equal now when p sits exactly on a cell
-// boundary; callers that schedule events must enforce strict progress
-// themselves.
-func (g *Grid) NextCrossing(p, v geom.Vec, now float64) float64 {
-	c := g.cellIndex(p)
-	cx := int(c) % g.cols
-	cy := int(c) / g.cols
-	next := math.Inf(1)
-	if v.X > 0 && cx < g.cols-1 {
-		if dt := (g.min.X + float64(cx+1)*g.cell - p.X) / v.X; dt >= 0 && now+dt < next {
-			next = now + dt
-		}
-	} else if v.X < 0 && cx > 0 {
-		if dt := (g.min.X + float64(cx)*g.cell - p.X) / v.X; dt >= 0 && now+dt < next {
-			next = now + dt
-		}
-	}
-	if v.Y > 0 && cy < g.rows-1 {
-		if dt := (g.min.Y + float64(cy+1)*g.cell - p.Y) / v.Y; dt >= 0 && now+dt < next {
-			next = now + dt
-		}
-	} else if v.Y < 0 && cy > 0 {
-		if dt := (g.min.Y + float64(cy)*g.cell - p.Y) / v.Y; dt >= 0 && now+dt < next {
-			next = now + dt
-		}
-	}
-	return next
-}
-
-// ForEachNearbyNode invokes fn for every indexed node other than id
-// whose cell lies within `rings` cells (Chebyshev distance) of id's
-// own cell. No distance filtering is applied — this is the raw
-// candidate enumeration for the kinetic tracker, which evaluates exact
-// distances itself. id must be indexed.
-func (g *Grid) ForEachNearbyNode(id, rings int, fn func(other int)) {
-	c := g.location[id]
-	if c == -1 {
-		panic(fmt.Sprintf("spatial: ForEachNearbyNode on unindexed node %d", id))
-	}
-	cx := int(c) % g.cols
-	cy := int(c) / g.cols
-	for dy := -rings; dy <= rings; dy++ {
-		y := cy + dy
-		if y < 0 || y >= g.rows {
-			continue
-		}
-		for dx := -rings; dx <= rings; dx++ {
-			x := cx + dx
-			if x < 0 || x >= g.cols {
-				continue
-			}
-			for _, other := range g.cells[y*g.cols+x] {
-				if o := int(other); o != id {
-					fn(o)
-				}
-			}
-		}
-	}
-}
-
 // Len reports the number of indexed nodes.
 func (g *Grid) Len() int {
 	n := 0

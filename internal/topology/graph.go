@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/spatial"
 )
 
 // EdgeKey packs an unordered node pair (a < b) into a map key.
@@ -61,7 +60,7 @@ func NewGraph(n int) *Graph {
 
 // Reset empties the graph for reuse over id space [0, n), retaining
 // all allocated storage (adjacency slices, edge list, hash buckets).
-// Together with BuildUnitDiskInto this lets the simulation loop
+// Together with LinkModel.BuildInto this lets the simulation loop
 // double-buffer graphs instead of reallocating one per scan.
 //
 //manet:hotpath
@@ -191,31 +190,8 @@ func (g *Graph) MeanDegree(vertices []int) float64 {
 	return float64(total) / float64(len(vertices))
 }
 
-// BuildUnitDisk constructs the unit-disk graph over positions: an edge
-// joins every pair within rtx of each other. idx must be built with
-// cell side >= rtx and already contain every node.
-func BuildUnitDisk(n int, pos []geom.Vec, rtx float64, idx *spatial.Grid) *Graph {
-	return BuildUnitDiskInto(nil, n, pos, rtx, idx)
-}
-
-// BuildUnitDiskInto is BuildUnitDisk with caller-owned storage: when g
-// is non-nil it is Reset and refilled in place, so a loop that keeps
-// two graphs alive (previous and current scan) allocates nothing in
-// steady state. A nil g allocates a fresh graph.
-//
-// The build takes the bulk path: the grid emits each in-range pair
-// exactly once, so edges bypass the dedup hash set — adjacency lists
-// grow in grid emission order (row-major over owner cells) and the
-// edge keys are collected and sorted once at the end. It is the
-// predicate-free instance of the generalized link build (see link.go).
-//
-//manet:hotpath
-func BuildUnitDiskInto(g *Graph, n int, pos []geom.Vec, rtx float64, idx *spatial.Grid) *Graph {
-	return buildLinksInto(g, n, pos, rtx, idx, nil)
-}
-
 // BuildFromSortedEdgesInto materializes a graph from an ascending edge
-// key list (the kinetic tracker's incrementally maintained edge set):
+// key list (the incremental maintainer's per-level edge set):
 // g is Reset (or allocated when nil), the keys are copied into the
 // bulk store, and adjacency lists are filled in key order. The caller
 // must pass keys sorted ascending with no duplicates.

@@ -48,6 +48,12 @@ func buildFixture(n int, rtx float64, seed uint64) ([]geom.Vec, *spatial.Grid) {
 	return pos, idx
 }
 
+// buildUnitDisk is the fresh serial unit-disk build the parallel and
+// reuse paths are checked against.
+func buildUnitDisk(n int, pos []geom.Vec, rtx float64, idx *spatial.Grid) *Graph {
+	return NewUnitDisk(rtx).BuildInto(nil, n, pos, idx, nil, nil)
+}
+
 // TestBuildUnitDiskParMatchesSerial is the ordered-merge contract for
 // the parallel graph build: for every (n, workers) combination —
 // including n smaller than the worker count and node/row counts that
@@ -56,10 +62,10 @@ func buildFixture(n int, rtx float64, seed uint64) ([]geom.Vec, *spatial.Grid) {
 func TestBuildUnitDiskParMatchesSerial(t *testing.T) {
 	for _, n := range []int{2, 3, 17, 100, 401} {
 		pos, idx := buildFixture(n, 90, uint64(n))
-		serial := BuildUnitDisk(n, pos, 90, idx)
+		serial := buildUnitDisk(n, pos, 90, idx)
 		for _, workers := range []int{1, 2, 3, 5, 8, 32} {
 			p := par.NewPool(workers)
-			parg := BuildUnitDiskIntoPar(nil, n, pos, 90, idx, p, nil)
+			parg := NewUnitDisk(90).BuildInto(nil, n, pos, idx, p, nil)
 			p.Close()
 			graphsIdentical(t, serial, parg)
 		}
@@ -83,8 +89,8 @@ func TestBuildUnitDiskParReuse(t *testing.T) {
 			pos[i].Y += src.Range(-20, 20)
 			idx.Update(i, pos[i])
 		}
-		serial := BuildUnitDisk(n, pos, rtx, idx)
-		spare = BuildUnitDiskIntoPar(spare, n, pos, rtx, idx, p, &sc)
+		serial := buildUnitDisk(n, pos, rtx, idx)
+		spare = NewUnitDisk(rtx).BuildInto(spare, n, pos, idx, p, &sc)
 		graphsIdentical(t, serial, spare)
 	}
 }
@@ -92,8 +98,8 @@ func TestBuildUnitDiskParReuse(t *testing.T) {
 // TestBuildUnitDiskParNilPool verifies the nil-pool fallback.
 func TestBuildUnitDiskParNilPool(t *testing.T) {
 	pos, idx := buildFixture(50, 90, 3)
-	serial := BuildUnitDisk(50, pos, 90, idx)
-	parg := BuildUnitDiskIntoPar(nil, 50, pos, 90, idx, nil, nil)
+	serial := buildUnitDisk(50, pos, 90, idx)
+	parg := NewUnitDisk(90).BuildInto(nil, 50, pos, idx, nil, nil)
 	graphsIdentical(t, serial, parg)
 }
 
@@ -102,7 +108,7 @@ func TestBuildUnitDiskParNilPool(t *testing.T) {
 // and stay visible through every accessor.
 func TestAddEdgeAfterBulkBuild(t *testing.T) {
 	pos, idx := buildFixture(30, 90, 5)
-	g := BuildUnitDisk(30, pos, 90, idx)
+	g := buildUnitDisk(30, pos, 90, idx)
 	edges := g.Edges()
 	if len(edges) == 0 {
 		t.Fatal("fixture produced no edges")

@@ -16,15 +16,6 @@ import (
 // unit-disk model of the paper's §1.2 is one implementation; lossy
 // radio models (path loss + shadowing with hysteresis) are another.
 //
-// Kinetic-compatibility contract: Kinetic() reports whether the model
-// is exactly the memoryless unit-disk predicate dist(a,b) <= Radius(),
-// evaluated with the same float operations as a grid scan. Only then
-// may the event-driven engine (internal/kinetic) maintain the edge set
-// from motion certificates — its correctness rests on the link state
-// being a pure threshold on current squared distance. Models that keep
-// per-pair state (hysteresis) or use any other predicate must return
-// false, and Config validation falls back to the scan engine.
-//
 // Determinism contract: BuildInto must produce byte-identical graphs
 // (adjacency order and sorted edge list) for the same positions across
 // serial and parallel builds, and across fresh and reused destination
@@ -34,9 +25,6 @@ import (
 type LinkModel interface {
 	// Name returns the registry key of the model (e.g. "unitdisk").
 	Name() string
-	// Kinetic reports event-driven-engine compatibility (see the
-	// kinetic-compatibility contract above).
-	Kinetic() bool
 	// Radius returns the maximum distance at which the model can ever
 	// report a link: the grid candidate-scan radius. Pairs farther
 	// apart are never examined.
@@ -53,7 +41,7 @@ type LinkModel interface {
 // grid emits each unordered pair within radius exactly once (row-major
 // over owner cells); pairs passing keep (nil = all) land in adjacency
 // lists in emission order and in the bulk edge list, sorted once at
-// the end. BuildUnitDiskInto is this with keep == nil.
+// the end. UnitDisk builds are this with keep == nil.
 //
 //manet:hotpath
 func buildLinksInto(g *Graph, n int, pos []geom.Vec, radius float64, idx *spatial.Grid, keep func(a, b int) bool) *Graph {
@@ -78,12 +66,25 @@ func buildLinksInto(g *Graph, n int, pos []geom.Vec, radius float64, idx *spatia
 	return g
 }
 
-// buildLinksIntoPar is buildLinksInto fanned out over pool p, sharded
-// by grid row ranges exactly like BuildUnitDiskIntoPar (which is this
-// with keep == nil): per-shard enumeration, ordered concat reproducing
-// the serial emission order, parallel adjacency fill by node range.
-// keep may be invoked concurrently from shard workers and must be safe
-// for concurrent calls (read-only state).
+// BuildScratch holds the reusable per-shard edge buffers of a sharded
+// link build. Not safe for concurrent use by two builds.
+type BuildScratch struct {
+	shards [][]EdgeKey
+}
+
+// buildLinksIntoPar is buildLinksInto fanned out over pool p. The scan
+// is sharded by grid row ranges: each shard enumerates the pairs owned
+// by its rows into its own edge buffer (spatial.Grid.ForEachPairRows
+// guarantees every pair lands in exactly one shard, in scan order), the
+// buffers are concatenated in shard order — reproducing the serial
+// emission order exactly — and the adjacency lists are then filled from
+// that sequence by node-range workers writing disjoint rows. The graph
+// is byte-identical to the serial build. A nil or single-worker pool
+// falls back to the serial build; sc (nil = allocate fresh) supplies
+// the per-shard buffers, and reusing one across ticks makes the
+// steady-state build allocation-free. keep may be invoked concurrently
+// from shard workers and must be safe for concurrent calls (read-only
+// state).
 //
 //manet:hotpath
 func buildLinksIntoPar(
@@ -157,8 +158,7 @@ func buildLinksIntoPar(
 }
 
 // UnitDisk is the paper's link model: a link exists iff the pair is
-// within RTX. Memoryless and threshold-exact, so it is the one model
-// the event-driven kinetic engine can maintain.
+// within RTX.
 type UnitDisk struct {
 	RTX float64 // transmission radius, m
 }
@@ -173,9 +173,6 @@ func NewUnitDisk(rtx float64) UnitDisk {
 
 // Name returns "unitdisk".
 func (u UnitDisk) Name() string { return "unitdisk" }
-
-// Kinetic reports true: the predicate is exactly dist <= RTX.
-func (u UnitDisk) Kinetic() bool { return true }
 
 // Radius returns RTX.
 func (u UnitDisk) Radius() float64 { return u.RTX }
@@ -210,9 +207,7 @@ const shadowGamma = 0x9E3779B97F4A7C15
 // in the dead band keeps its previous state and a threshold-straddling
 // RSSI cannot flap the link on and off every scan.
 //
-// The model keeps per-pair link state, so it declares itself
-// non-kinetic: Config validation rejects the event-driven engine and
-// runs it under the scan engine only. State is updated only from the
+// The model keeps per-pair link state, updated only from the
 // finished edge set of each build, never during one, so serial and
 // parallel builds (which may evaluate pairs in different orders and on
 // different goroutines) read an identical, frozen snapshot.
@@ -258,10 +253,6 @@ func NewLogShadow(rtx, eta, sigmaDB, marginDB float64, seed uint64) *LogShadow {
 
 // Name returns "logshadow".
 func (m *LogShadow) Name() string { return "logshadow" }
-
-// Kinetic reports false: hysteresis keeps per-pair state, which the
-// certificate-driven engine cannot maintain.
-func (m *LogShadow) Kinetic() bool { return false }
 
 // Radius returns the largest possible break distance — RTX scaled by
 // the most favorable clamped shadow plus the upper hysteresis margin.

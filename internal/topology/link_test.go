@@ -69,7 +69,7 @@ func TestLogShadowZeroMarginZeroSigmaIsUnitDisk(t *testing.T) {
 		t.Fatalf("degenerate radius %v, want %v", m.Radius(), rtx)
 	}
 	got := m.BuildInto(nil, n, pos, idx, nil, nil)
-	want := BuildUnitDisk(n, pos, rtx, idx)
+	want := buildUnitDisk(n, pos, rtx, idx)
 	graphsIdentical(t, want, got)
 }
 

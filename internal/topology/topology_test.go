@@ -87,7 +87,7 @@ func TestUnitDiskGridMatchesBrute(t *testing.T) {
 	for i, p := range pos {
 		idx.Insert(i, p)
 	}
-	fast := BuildUnitDisk(n, pos, rtx, idx)
+	fast := buildUnitDisk(n, pos, rtx, idx)
 	slow := BuildUnitDiskBrute(pos, rtx)
 	if fast.EdgeCount() != slow.EdgeCount() {
 		t.Fatalf("edge counts differ: %d vs %d", fast.EdgeCount(), slow.EdgeCount())
@@ -350,7 +350,7 @@ func BenchmarkBuildUnitDisk1000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = BuildUnitDisk(n, pos, rtx, idx)
+		_ = buildUnitDisk(n, pos, rtx, idx)
 	}
 }
 
