@@ -7,8 +7,7 @@
 #
 # Only the Tick* and BuildLinks sub-benchmarks are recorded: they
 # isolate the scan tick's hot stages (graph rebuild, diff, hierarchy,
-# LM update, and the scan-vs-kinetic link maintenance matrix) in fresh
-# vs reuse vs par variants, plus the per-link-model build cost
+# LM update) in fresh vs reuse vs par variants, plus the per-link-model build cost
 # (unitdisk vs logshadow µs/simsec, serial and par), which is the
 # comparison worth tracking. The
 # ClusterMaintain matrix (oracle-vs-incremental hierarchy maintenance
@@ -36,7 +35,7 @@ raw="$(mktemp)"
 entry="$(mktemp)"
 trap 'rm -f "$raw" "$entry"' EXIT
 
-go test -run '^$' -bench 'Benchmark(Tick(GraphRebuild|Diff|Hierarchy|LMUpdate|LinkMaintain|ClusterMaintain)|BuildLinks)' \
+go test -run '^$' -bench 'Benchmark(Tick(GraphRebuild|Diff|Hierarchy|LMUpdate|ClusterMaintain)|BuildLinks)' \
 	-benchmem -benchtime=20x -count="$count" . >"$raw"
 
 awk -v date="$date" -v time="$time" -v commit="$commit" '
@@ -47,7 +46,7 @@ BEGIN { cpu = "unknown"; n = 0 }
 /^Benchmark/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	# Locate metrics by unit label: custom ReportMetric columns
-	# (events/tick, us/simsec) shift the field positions.
+	# (fastpath, us/simsec) shift the field positions.
 	ns = ""; bytes = ""; allocs = ""; uss = ""
 	for (i = 3; i < NF; i++) {
 		if ($(i + 1) == "ns/op") ns = $i
@@ -84,21 +83,18 @@ END {
 }' "$raw" >"$entry"
 
 # Merge a wall-clock phase breakdown (graph rebuild / cluster / diff /
-# LM update shares of the tick) from a short instrumented run of EACH
-# link engine, so the JSON records not just per-stage microbenchmarks
-# but how the stages divide a real tick under both the scan and the
-# kinetic engine. Needs jq; silently skipped without it.
+# LM update shares of the tick) from a short instrumented run, so the
+# JSON records not just per-stage microbenchmarks but how the stages
+# divide a real tick. Needs jq; silently skipped without it.
 if command -v jq >/dev/null 2>&1; then
-	for eng in scan kinetic; do
-		phases="$(mktemp)"
-		if go run ./cmd/lmsim -n 256 -duration 30 -warmup 10 -engine "$eng" \
-			-manifest "$phases" >/dev/null 2>&1; then
-			jq --slurpfile m "$phases" --arg eng "$eng" \
-				'.phases[$eng] = $m[0].metrics.phases' "$entry" >"$entry.tmp"
-			mv "$entry.tmp" "$entry"
-		fi
-		rm -f "$phases"
-	done
+	phases="$(mktemp)"
+	if go run ./cmd/lmsim -n 256 -duration 30 -warmup 10 \
+		-manifest "$phases" >/dev/null 2>&1; then
+		jq --slurpfile m "$phases" \
+			'.phases.scan = $m[0].metrics.phases' "$entry" >"$entry.tmp"
+		mv "$entry.tmp" "$entry"
+	fi
+	rm -f "$phases"
 
 	# Serve mode: a short lmserve run records online throughput and
 	# query-latency quantiles, so qps/p99 regressions in the serving

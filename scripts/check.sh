@@ -49,29 +49,22 @@ fi
 echo "== parallel equivalence (GOMAXPROCS=4)"
 GOMAXPROCS=4 go test -run TestParallelMatchesSerial -count=1 ./internal/simnet || fail=1
 
-echo "== engine equivalence (scan vs kinetic)"
-# The matrix differential (byte-identical Results and trace for every
-# scenario/mobility/parallelism combination) plus the regression-corpus
-# replay, whose property battery runs every corpus scenario under both
-# engines with every-tick invariant checks.
-go test -run TestKineticMatchesScan -count=1 ./internal/simnet || fail=1
-go test -run TestRegressionCorpusReplays -count=1 ./internal/invariant/prop || fail=1
-
 echo "== maintainer equivalence (oracle vs incremental)"
 # The maintenance differential: delta-patched hierarchy maintenance
 # plus dirty-owner LM updates must be byte-identical to the full
-# per-tick rebuild across the scenario matrix (the corpus replay above
-# already runs every scenario under both maintainers).
+# per-tick rebuild across the scenario matrix, and the regression-corpus
+# replay runs every corpus scenario under both maintainers with
+# every-tick invariant checks.
 go test -run TestIncrementalMatchesOracle -count=1 ./internal/simnet || fail=1
+go test -run TestRegressionCorpusReplays -count=1 ./internal/invariant/prop || fail=1
 
 echo "== model zoo (cross-model differential matrix, race)"
 # Mirrors the CI modelzoo job: every mobility model keeps the
-# scan/kinetic and oracle/incremental equivalences byte-identical, the
-# scan-only lossy link model passes the every-tick battery and is
-# rejected by the kinetic engine, and the zoo unit suites hold.
-go test -race -run 'TestZoo|TestGaussMarkov|TestManhattan|TestHotspot|TestSegmentMatchesAdvance' -count=1 ./internal/mobility || fail=1
+# oracle/incremental equivalence byte-identical, the lossy link model
+# passes the every-tick battery, and the zoo unit suites hold.
+go test -race -run 'TestZoo|TestGaussMarkov|TestManhattan|TestHotspot' -count=1 ./internal/mobility || fail=1
 go test -race -run 'TestLogShadow' -count=1 ./internal/topology || fail=1
-go test -race -run 'TestLogShadow|TestKineticRejectsScanOnlyLink|TestLinkConfigValidation' -count=1 ./internal/simnet || fail=1
+go test -race -run 'TestLogShadow|TestLinkConfigValidation' -count=1 ./internal/simnet || fail=1
 
 echo "== race tests (measurement pipeline + serving path)"
 go test -race ./internal/obs ./internal/trace ./internal/stats ./internal/runner ./internal/serve || fail=1
