@@ -334,14 +334,13 @@ func runA1(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "A1 (ablation): election hysteresis ladder — the paper's memoryless LCA,")
 	fmt.Fprintln(w, "LCC-style sticky elections, and debounced elections with level-scaled grace.")
 	tw := NewTable("N", "elector", "φ", "γ", "total", "L̄")
+	electors := []cluster.Elector{
+		cluster.MemorylessLCA{},
+		cluster.StickyLCA{},
+		&cluster.DebouncedLCA{Grace: 10, LevelScale: 1.9},
+	}
 	for _, n := range sc.Ns {
-		electors := []func() cluster.Elector{
-			func() cluster.Elector { return cluster.MemorylessLCA{} },
-			func() cluster.Elector { return cluster.StickyLCA{} },
-			func() cluster.Elector { return &cluster.DebouncedLCA{Grace: 10, LevelScale: 1.9} },
-		}
-		for _, mk := range electors {
-			el := mk() // fresh elector state per run
+		for _, el := range electors {
 			cfg := baseConfig(sc)
 			cfg.N = n
 			cfg.Seed = uint64(2100 + n)
