@@ -39,6 +39,7 @@ type Arena struct {
 	carrier   map[uint64]int
 	headSet   map[int]bool
 	headBuf   []int
+	edgeBuf   []topology.EdgeKey
 }
 
 type chainSpan struct {
@@ -237,6 +238,24 @@ func (a *Arena) getHeadBuf() []int {
 func (a *Arena) putHeadBuf(s []int) {
 	if a != nil {
 		a.headBuf = s
+	}
+}
+
+// getEdgeBuf returns the reusable lifted-edge buffer of liftGraph; hand
+// the (possibly grown) slice back via putEdgeBuf.
+//
+//manet:hotpath
+func (a *Arena) getEdgeBuf() []topology.EdgeKey {
+	if a == nil {
+		return nil
+	}
+	return a.edgeBuf[:0]
+}
+
+//manet:hotpath
+func (a *Arena) putEdgeBuf(s []topology.EdgeKey) {
+	if a != nil {
+		a.edgeBuf = s
 	}
 }
 

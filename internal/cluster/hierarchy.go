@@ -234,18 +234,23 @@ func elect(lvl *Level, heads []int, a *Arena) {
 
 // liftGraph builds the level-(k+1) topology: clusters X and Y are
 // adjacent iff some level-k edge joins a member of X to a member of Y.
-// Arena a (nil-safe) supplies a recycled graph.
+// The lifted edge keys are sorted and deduplicated before the graph is
+// built, so its adjacency lists come out in key order whatever order
+// g yields its edges in; routing's BFS, and so the experiments, depend
+// on that order. Arena a (nil-safe) supplies a recycled graph and the
+// key buffer.
 func liftGraph(g *topology.Graph, lvl *Level, idSpace int, a *Arena) *topology.Graph {
-	up := a.getGraph(idSpace)
-	// AddEdge builds a set; the result is order-free, so the
-	// unspecified traversal order of incremental edges is fine.
+	keys := a.getEdgeBuf()
 	g.ForEachEdge(func(k topology.EdgeKey) {
-		a, b := k.Nodes()
-		ca, cb := lvl.Member[a], lvl.Member[b]
-		if ca != cb {
-			up.AddEdge(ca, cb)
+		x, y := k.Nodes()
+		if cx, cy := lvl.Member[x], lvl.Member[y]; cx != cy {
+			keys = append(keys, topology.MakeEdgeKey(cx, cy))
 		}
 	})
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	up := topology.BuildFromSortedEdgesInto(a.getGraph(idSpace), idSpace, keys)
+	a.putEdgeBuf(keys)
 	return up
 }
 

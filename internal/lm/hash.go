@@ -45,20 +45,36 @@ type Rendezvous struct {
 // Name implements HashFamily.
 func (r Rendezvous) Name() string { return "rendezvous" }
 
-// Select implements HashFamily.
+// Select implements HashFamily. The weight of a candidate is
+// FNV-1a(owner, level, key, salt) plus the finalizer, but FNV-1a is a
+// left fold over bytes, so the (owner, level) prefix state is folded
+// once per call and each candidate only folds its key and the salt
+// (see foldWord). The weights are bit-identical to folding all 32
+// bytes one at a time.
 func (r Rendezvous) Select(owner uint64, level int, keys []uint64) int {
 	if len(keys) == 0 {
 		panic("lm: Select with no candidates")
 	}
+	prefix := foldWord(foldWord(fnvOffset, owner, 0), uint64(level), 0)
 	best := 0
-	bestW := hash4(owner, uint64(level), keys[0], r.Salt)
+	bestW := r.weight(prefix, keys[0])
 	for i := 1; i < len(keys); i++ {
-		w := hash4(owner, uint64(level), keys[i], r.Salt)
+		w := r.weight(prefix, keys[i])
 		if w < bestW || (w == bestW && keys[i] < keys[best]) {
 			best, bestW = i, w
 		}
 	}
 	return best
+}
+
+// weight folds key and the salt into the (owner, level) prefix state
+// and finalizes it. A zero salt is eight zero bytes, which fold into
+// the key's trailing multiply.
+func (r Rendezvous) weight(prefix, key uint64) uint64 {
+	if r.Salt == 0 {
+		return finalize(foldWord(prefix, key, 8))
+	}
+	return finalize(foldWord(foldWord(prefix, key, 0), r.Salt, 0))
 }
 
 // Successor is the GLS rule of Eq. (5): choose the candidate z
@@ -94,21 +110,38 @@ func (s Successor) Select(owner uint64, level int, keys []uint64) int {
 	return best
 }
 
-// hash4 mixes four words with FNV-1a over their bytes followed by a
-// finalizer, giving a uniform 64-bit weight.
-func hash4(a, b, c, d uint64) uint64 {
-	const (
-		offset = 0xCBF29CE484222325
-		prime  = 0x00000100000001B3
-	)
-	h := uint64(offset)
-	for _, w := range [4]uint64{a, b, c, d} {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xFF
-			h *= prime
-		}
+// FNV-1a parameters (64-bit).
+const (
+	fnvOffset = 0xCBF29CE484222325
+	fnvPrime  = 0x00000100000001B3
+)
+
+// primePow[k] is fnvPrime^k mod 2^64.
+var primePow = func() (p [17]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
 	}
-	// Final avalanche (splitmix64 mixer).
+	return p
+}()
+
+// foldWord runs FNV-1a over w's eight bytes, least significant first,
+// followed by pad zero bytes (pad is 0 or 8). A zero byte does
+// h ^= 0; h *= prime, so the word's high zero bytes and the padding
+// fold into one multiply by prime^k; only the bytes up to the highest
+// nonzero one are folded one by one.
+func foldWord(h, w uint64, pad int) uint64 {
+	n := 0
+	for ; w != 0; w >>= 8 {
+		h ^= w & 0xFF
+		h *= fnvPrime
+		n++
+	}
+	return h * primePow[8-n+pad]
+}
+
+// finalize is the splitmix64 mixer, the avalanche step after FNV-1a.
+func finalize(h uint64) uint64 {
 	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
 	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
 	return h ^ (h >> 31)

@@ -193,9 +193,9 @@ func appendMemberKeys(dst []uint64, ids *cluster.Identities, level int, members 
 
 // serverForBuf is ServerFor with a caller-owned key buffer and no
 // intermediate allocations; it returns the server and the (possibly
-// grown) buffer.
+// grown) buffer, and counts its Selects into w.
 func (s *Selector) serverForBuf(
-	h *cluster.Hierarchy, ids *cluster.Identities, owner, k int, buf, path []uint64,
+	h *cluster.Hierarchy, ids *cluster.Identities, owner, k int, buf, path []uint64, w *hashWork,
 ) (int, []uint64) {
 	cur := owner
 	for j := 0; j < k; j++ {
@@ -205,14 +205,14 @@ func (s *Selector) serverForBuf(
 		}
 		cur = m
 	}
-	return s.descendFrom(h, ids, owner, cur, k, buf, path)
+	return s.descendFrom(h, ids, owner, cur, k, buf, path, w)
 }
 
 // descendFrom runs the hash descent from the level-`level` cluster cur
 // down to a level-0 node, recording the winner key of every step into
 // path (nil = don't record).
 func (s *Selector) descendFrom(
-	h *cluster.Hierarchy, ids *cluster.Identities, owner, cur, level int, buf, path []uint64,
+	h *cluster.Hierarchy, ids *cluster.Identities, owner, cur, level int, buf, path []uint64, w *hashWork,
 ) (int, []uint64) {
 	j := 0
 	for ; level >= 1; level-- {
@@ -222,6 +222,7 @@ func (s *Selector) descendFrom(
 			panic(fmt.Sprintf("lm: level-%d cluster %d has no members", level, cur))
 		}
 		buf = appendMemberKeys(buf[:0], ids, level, members)
+		w.count(buf)
 		idx := s.Hash.Select(uint64(owner), level, buf)
 		if path != nil {
 			path[j] = buf[idx]
@@ -247,23 +248,24 @@ func (s *Selector) descendFrom(
 // remaining step pays its Select. The new path is written to pathDst
 // (len k). rev/revKeys are the buildRev index; a key missing from it
 // (an untracked identity) aborts the re-trace into a full recompute.
+// Selects are counted into w.
 //
 //manet:hotpath
 func (s *Selector) serverForBufIncr(
 	h *cluster.Hierarchy, ids *cluster.Identities, owner, k, prevSrv int,
 	anc uint64, stored, pathDst []uint64,
-	rev []map[uint64]revEntry, revKeys []uint64, buf []uint64,
+	rev []map[uint64]revEntry, revKeys []uint64, buf []uint64, w *hashWork,
 ) (int, []uint64) {
 	q := anc
 	tracking := true
 	for level := k; level >= 1; level-- {
 		j := k - level
 		if level >= len(rev) {
-			return s.serverForBuf(h, ids, owner, k, buf, pathDst)
+			return s.serverForBuf(h, ids, owner, k, buf, pathDst, w)
 		}
 		e, ok := rev[level][q]
 		if !ok {
-			return s.serverForBuf(h, ids, owner, k, buf, pathDst)
+			return s.serverForBuf(h, ids, owner, k, buf, pathDst, w)
 		}
 		if tracking {
 			if !e.sub {
@@ -281,6 +283,7 @@ func (s *Selector) serverForBufIncr(
 			}
 		}
 		keys := revKeys[e.start:e.end]
+		w.count(keys)
 		idx := s.Hash.Select(uint64(owner), level, keys)
 		wk := keys[idx]
 		pathDst[j] = wk
@@ -303,6 +306,7 @@ func (s *Selector) BuildTable(h *cluster.Hierarchy, ids *cluster.Identities) *Ta
 		paths:   make([][]uint64, len(owners)),
 	}
 	var buf []uint64
+	var w hashWork
 	for row, v := range owners {
 		t.index[v] = row
 		chain := ids.ChainOf(h, v)
@@ -312,7 +316,7 @@ func (s *Selector) BuildTable(h *cluster.Hierarchy, ids *cluster.Identities) *Ta
 		for i := range chain {
 			k := i + 1
 			var sv int
-			sv, buf = s.serverForBuf(h, ids, v, k, buf, path[pathOff(k):pathOff(k)+k])
+			sv, buf = s.serverForBuf(h, ids, v, k, buf, path[pathOff(k):pathOff(k)+k], &w)
 			srv[i] = int32(sv)
 		}
 		t.servers[row] = srv
@@ -350,6 +354,13 @@ type UpdateScratch struct {
 	keyBuf         []uint64
 	rowEnd         []int
 
+	// Logical ID -> head of one level of the previous and next
+	// snapshot, refilled for each level dirtySubtrees propagates from.
+	prevHead, nextHead map[uint64]int
+
+	// The last update's hash work (see Work).
+	work hashWork
+
 	// Per-tick reverse identity index (buildRev): for each level, live
 	// logical ID -> cached member-key span into revKeys plus the
 	// cluster's own/sub dirtiness, so each descent re-trace step costs
@@ -364,6 +375,24 @@ type UpdateScratch struct {
 	affBits      []bool
 	affRows      []int
 	walkN, walkL []int
+}
+
+// Work returns the hash work of the last update that used sc: the
+// Select calls of its hash descents and the candidate keys they hashed.
+func (sc *UpdateScratch) Work() (selects, hashes int) {
+	return sc.work.selects, sc.work.hashes
+}
+
+// hashWork counts hash-descent work: Select calls and the candidate
+// keys they hashed.
+type hashWork struct {
+	selects, hashes int
+}
+
+// count records one Select over keys.
+func (w *hashWork) count(keys []uint64) {
+	w.selects++
+	w.hashes += len(keys)
 }
 
 type keySpan struct {
@@ -421,6 +450,7 @@ func (s *Selector) UpdateTableInto(
 	}
 	rev := sc.buildRev(nextH, nextIDs, dirty, own)
 	useAff := sc.affectedOwners(dirty, prev, prevH, prevIDs, nextH)
+	sc.work = hashWork{}
 	owners := nextH.LevelNodes(0)
 	dst.owners = owners
 	if dst.index == nil {
@@ -449,7 +479,7 @@ func (s *Selector) UpdateTableInto(
 		}
 		dst.chainBack, dst.srvBack, dst.pathBack, sc.keyBuf = s.appendRow(
 			v, dirty, rev, sc.revKeys, prev, nextH, nextIDs,
-			dst.chainBack, dst.srvBack, dst.pathBack, sc.keyBuf)
+			dst.chainBack, dst.srvBack, dst.pathBack, sc.keyBuf, &sc.work)
 		sc.rowEnd = append(sc.rowEnd, len(dst.chainBack))
 	}
 	// Fix up the row views only after both backings stopped growing.
@@ -571,14 +601,14 @@ func (sc *UpdateScratch) affectedOwners(
 // reusing prev's assignment wherever the logical ancestor is unchanged
 // and its subtree is clean, and re-tracing the previous descent
 // (serverForBufIncr) when the ancestor is unchanged but its subtree
-// was touched. It returns the four (possibly grown) buffers. The
-// function only reads the snapshots, the dirty sets, rev, and prev, so
-// disjoint owner ranges may run concurrently as long as each
-// invocation owns its buffers.
+// was touched. It returns the four (possibly grown) buffers and counts
+// its Selects into w. The function only reads the snapshots, the dirty
+// sets, rev, and prev, so disjoint owner ranges may run concurrently as
+// long as each invocation owns its buffers and its w.
 func (s *Selector) appendRow(
 	v int, dirty dirtySet, rev []map[uint64]revEntry, revKeys []uint64, prev *Table,
 	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
-	chainBack []uint64, srvBack []int32, pathBack, keyBuf []uint64,
+	chainBack []uint64, srvBack []int32, pathBack, keyBuf []uint64, w *hashWork,
 ) ([]uint64, []int32, []uint64, []uint64) {
 	start := len(chainBack)
 	chainBack = nextIDs.AppendChainOf(nextH, v, chainBack)
@@ -612,7 +642,7 @@ func (s *Selector) appendRow(
 			}
 			var srv int
 			srv, keyBuf = s.serverForBufIncr(
-				nextH, nextIDs, v, k, int(prevSrv[i]), c, pcol, col, rev, revKeys, keyBuf)
+				nextH, nextIDs, v, k, int(prevSrv[i]), c, pcol, col, rev, revKeys, keyBuf, w)
 			if srv < 0 {
 				clear(col)
 			}
@@ -620,7 +650,7 @@ func (s *Selector) appendRow(
 			continue
 		}
 		var srv int
-		srv, keyBuf = s.serverForBuf(nextH, nextIDs, v, k, keyBuf, col)
+		srv, keyBuf = s.serverForBuf(nextH, nextIDs, v, k, keyBuf, col, w)
 		if srv < 0 {
 			clear(col)
 		}
@@ -767,20 +797,51 @@ func (sc *UpdateScratch) dirtySubtrees(
 	}
 	// Propagate upward in both snapshots: a descent from an ancestor
 	// may pass through a dirty cluster. Snapshot the level's IDs in
-	// sorted order first — propagateUp mutates the dirty set while we
-	// walk it, and ranging over a map under mutation is unspecified.
+	// sorted order first — markAncestors mutates the dirty set while
+	// we walk it, and ranging over a map under mutation is unspecified.
+	if sc.prevHead == nil {
+		//lint:ignore hotpath warm-up: the first call builds the reused head indexes
+		sc.prevHead = map[uint64]int{}
+		//lint:ignore hotpath warm-up: the first call builds the reused head indexes
+		sc.nextHead = map[uint64]int{}
+	}
 	for k := 1; k <= maxL; k++ {
 		sc.idsBuf = sc.idsBuf[:0]
 		for id := range dirty[k] {
 			sc.idsBuf = append(sc.idsBuf, id)
 		}
+		if len(sc.idsBuf) == 0 {
+			continue
+		}
 		slices.Sort(sc.idsBuf)
+		prevHead := fillHeadIndex(sc.prevHead, prevH, prevIDs, k)
+		nextHead := fillHeadIndex(sc.nextHead, nextH, nextIDs, k)
 		for _, id := range sc.idsBuf {
-			propagateUp(prevH, prevIDs, k, id, dirty)
-			propagateUp(nextH, nextIDs, k, id, dirty)
+			if hd, ok := prevHead[id]; ok {
+				markAncestors(prevH, prevIDs, k, hd, dirty)
+			}
+			if hd, ok := nextHead[id]; ok {
+				markAncestors(nextH, nextIDs, k, hd, dirty)
+			}
 		}
 	}
 	return dirty
+}
+
+// fillHeadIndex fills idx (cleared first) with the logical ID -> head
+// map of h's level k. Should two heads carry one ID, the first in
+// LevelNodes order is kept, which is the head a scan of the level
+// finds first.
+func fillHeadIndex(idx map[uint64]int, h *cluster.Hierarchy, ids *cluster.Identities, k int) map[uint64]int {
+	clear(idx)
+	for _, hd := range h.LevelNodes(k) {
+		if id, ok := ids.Logical(k, hd); ok {
+			if _, dup := idx[id]; !dup {
+				idx[id] = hd
+			}
+		}
+	}
+	return idx
 }
 
 // fillMemberKeySets fills out (cleared first) with each live logical
@@ -819,20 +880,9 @@ func fillMemberKeySets(
 	return out, back
 }
 
-// propagateUp marks the ancestors of the level-k cluster with the
-// given logical ID dirty, within one snapshot.
-func propagateUp(h *cluster.Hierarchy, ids *cluster.Identities, k int, id uint64, dirty dirtySet) {
-	// Find the physical head carrying this logical ID.
-	head := -1
-	for _, hd := range h.LevelNodes(k) {
-		if lid, ok := ids.Logical(k, hd); ok && lid == id {
-			head = hd
-			break
-		}
-	}
-	if head < 0 {
-		return
-	}
+// markAncestors marks the ancestors of the level-k cluster headed by
+// head dirty, within one snapshot.
+func markAncestors(h *cluster.Hierarchy, ids *cluster.Identities, k, head int, dirty dirtySet) {
 	cur := head
 	for j := k; j < h.L(); j++ {
 		lvl := h.Level(j)

@@ -26,6 +26,7 @@ type updateShardBuf struct {
 	path   []uint64
 	rowEnd []int // per-row end offset within this shard's buffers
 	keyBuf []uint64
+	work   hashWork
 }
 
 // UpdateTableIntoPar is UpdateTableInto fanned out over pool p. A nil
@@ -141,6 +142,7 @@ func (s *Selector) UpdateTableIntoPar(
 		b.srv = b.srv[:0]
 		b.path = b.path[:0]
 		b.rowEnd = b.rowEnd[:0]
+		b.work = hashWork{}
 		for _, v := range owners[lo:hi] {
 			if useAff && !sc.affBits[v] {
 				if r, ok := prev.index[v]; ok {
@@ -152,7 +154,7 @@ func (s *Selector) UpdateTableIntoPar(
 				}
 			}
 			b.chain, b.srv, b.path, b.keyBuf = s.appendRow(
-				v, dirty, rev, sc.revKeys, prev, nextH, nextIDs, b.chain, b.srv, b.path, b.keyBuf)
+				v, dirty, rev, sc.revKeys, prev, nextH, nextIDs, b.chain, b.srv, b.path, b.keyBuf, &b.work)
 			b.rowEnd = append(b.rowEnd, len(b.chain))
 		}
 	})
@@ -166,8 +168,11 @@ func (s *Selector) UpdateTableIntoPar(
 	dst.chainBack = dst.chainBack[:0]
 	dst.pathBack = dst.pathBack[:0]
 	sc.rowEnd = sc.rowEnd[:0]
+	sc.work = hashWork{}
 	for sh := 0; sh < shards; sh++ {
 		b := &psc.shards[sh]
+		sc.work.selects += b.work.selects
+		sc.work.hashes += b.work.hashes
 		base := len(dst.chainBack)
 		dst.chainBack = append(dst.chainBack, b.chain...)
 		dst.srvBack = append(dst.srvBack, b.srv...)

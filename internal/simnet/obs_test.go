@@ -125,3 +125,28 @@ func TestPhaseTimersCoverTick(t *testing.T) {
 		t.Errorf("sim.levels gauge = %v", snap.Gauges["sim.levels"])
 	}
 }
+
+// TestLMWorkCounters checks the LM update's work counters: every tick
+// hashes at least one candidate per Select, and the parallel update
+// reports the same work as the serial one.
+func TestLMWorkCounters(t *testing.T) {
+	counts := func(workers int) (selects, hashes int64) {
+		reg := obs.NewRegistry()
+		cfg := simnet.Config{
+			N: 96, Seed: 5, Duration: 10, Warmup: 2,
+			IntraTickParallelism: workers, Metrics: reg,
+		}
+		if _, err := simnet.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		return snap.Counters["lm.selects"], snap.Counters["lm.hashes"]
+	}
+	selects, hashes := counts(1)
+	if selects <= 0 || hashes < selects {
+		t.Fatalf("lm.selects = %d, lm.hashes = %d", selects, hashes)
+	}
+	if ps, ph := counts(3); ps != selects || ph != hashes {
+		t.Errorf("parallel run counted (%d, %d), serial (%d, %d)", ps, ph, selects, hashes)
+	}
+}

@@ -37,6 +37,11 @@ type phaseTimers struct {
 	measuredTicks *obs.Counter
 	transfers     *obs.Counter
 	levels        *obs.Gauge
+
+	// LM update work: hash-descent Selects and the candidate keys
+	// they hashed.
+	selects *obs.Counter
+	hashes  *obs.Counter
 }
 
 func newPhaseTimers(reg *obs.Registry) phaseTimers {
@@ -60,6 +65,9 @@ func newPhaseTimers(reg *obs.Registry) phaseTimers {
 		measuredTicks: reg.Counter("sim.measured_ticks"),
 		transfers:     reg.Counter("sim.transfers"),
 		levels:        reg.Gauge("sim.levels"),
+
+		selects: reg.Counter("lm.selects"),
+		hashes:  reg.Counter("lm.hashes"),
 	}
 }
 
@@ -253,6 +261,9 @@ func (lp *looper) step(now float64) {
 		lp.mnt.DirtyClusters(), lp.pool)
 	lp.spareTable = nil
 	spLM.Stop()
+	selects, hashes := lp.updScratch.Work()
+	lp.tm.selects.Add(int64(selects))
+	lp.tm.hashes.Add(int64(hashes))
 
 	// Fault injection (Config.Fault): corrupt the fresh table before
 	// anything downstream — accounting, observer, and the invariant

@@ -40,12 +40,12 @@ func (k EdgeKey) String() string {
 // the level-0 IDs of clusterheads, which remain < n).
 //
 // Edges live in one of two stores: `edges`, a hash set fed by AddEdge
-// (the incremental path used by cluster lifting and tests), and
-// `bulk`, a sorted key slice filled by the bulk unit-disk builders —
-// which skip the hash set entirely so the hot link scan does no map
-// work and the parallel builder can assemble the graph from per-shard
-// buffers. All read accessors consult both stores, so mixing AddEdge
-// into a bulk-built graph remains correct.
+// (used by BuildUnitDiskBrute and tests), and `bulk`, a sorted key
+// slice filled by the bulk builders (the unit-disk scans and the
+// cluster level graphs), which skip the hash set entirely so the hot
+// link scan does no map work and the parallel builder can assemble the
+// graph from per-shard buffers. All read accessors consult both
+// stores, so mixing AddEdge into a bulk-built graph remains correct.
 type Graph struct {
 	n     int
 	adj   [][]int // node ID -> neighbor IDs, in insertion order
@@ -191,7 +191,8 @@ func (g *Graph) MeanDegree(vertices []int) float64 {
 }
 
 // BuildFromSortedEdgesInto materializes a graph from an ascending edge
-// key list (the incremental maintainer's per-level edge set):
+// key list (a cluster level's lifted edges, or the incremental
+// maintainer's per-level edge set):
 // g is Reset (or allocated when nil), the keys are copied into the
 // bulk store, and adjacency lists are filled in key order. The caller
 // must pass keys sorted ascending with no duplicates.

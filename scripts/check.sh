@@ -111,6 +111,25 @@ else
 fi
 rm -f "$serve_tmp"
 
+echo "== bench reference digests"
+# Mirrors the CI benchref job: the bench module's tests, then one short
+# run of every workload, each of which checks its seed-1 Results digest
+# against bench/digests.json.
+(cd bench && go test ./...) || fail=1
+ref_tmp=$(mktemp)
+if bash bench/run.sh --workload all --seed 1 --seconds 1 --trace 0 --out "$ref_tmp" >/dev/null; then
+    if command -v jq >/dev/null 2>&1; then
+        jq -s -e 'length == 4 and all(.[]; .correct and .failed == 0)' "$ref_tmp" >/dev/null ||
+            { echo "bench reference: a workload was incorrect or failed" >&2; fail=1; }
+    else
+        echo "bench reference: jq not found, skipping the digest assertion" >&2
+    fi
+else
+    echo "bench reference: bench run failed" >&2
+    fail=1
+fi
+rm -f "$ref_tmp"
+
 if [ "$fail" -ne 0 ]; then
     echo "check: FAILED" >&2
     exit 1
