@@ -67,7 +67,7 @@ go test -race -run 'TestLogShadow' -count=1 ./internal/topology || fail=1
 go test -race -run 'TestLogShadow|TestLinkConfigValidation' -count=1 ./internal/simnet || fail=1
 
 echo "== race tests (measurement pipeline + serving path)"
-go test -race ./internal/obs ./internal/trace ./internal/stats ./internal/runner ./internal/serve || fail=1
+go test -race -short ./internal/obs ./internal/trace ./internal/stats ./internal/runner ./internal/serve || fail=1
 
 echo "== manifest smoke"
 manifest_tmp=$(mktemp)
