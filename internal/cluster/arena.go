@@ -1,51 +1,49 @@
 package cluster
 
-import (
-	"slices"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // Arena recycles the storage of retired hierarchy snapshots so that
 // steady-state rebuilds allocate (almost) nothing. The simulation loop
 // keeps two snapshots alive — the one being built and its predecessor,
 // which feeds identity matching and diffing — so the snapshot from two
-// ticks ago is provably dead and its levels, graphs, identity maps and
+// ticks ago is provably dead and its levels, graphs, identity rows and
 // node slices can be cannibalized. Usage:
 //
 //	arena.Recycle(retiredH, retiredIDs) // snapshot from tick t-2
 //	h, ids := BuildWithIdentitiesArena(arena, ...)
 //
-// An Arena is not safe for concurrent use. All methods are nil-safe:
-// a nil *Arena degrades to fresh allocation everywhere.
+// An Arena is not safe for concurrent use. Recycle and the storage
+// getters are nil-safe, a nil *Arena degrading to fresh allocation; a
+// build handed a nil arena runs on a fresh one.
 type Arena struct {
 	levels []*Level
 	graphs []*topology.Graph
-	idMaps []map[int]uint64
+	idRows [][]uint64
 	ints   [][]int
 	hiers  []*Hierarchy
 	idents []*Identities
 
-	// Per-build scratch, reset at the start of each build.
-	prevLog   map[int][]uint64
+	// Per-build scratch, indexed by level-0 node ID. prevLog[v] spans
+	// v's previous logical chain in chainBack and anc[v] is v's deepest
+	// known ancestor in the snapshot under construction (-1 when it has
+	// none). Each build writes the entries of its own level-0 nodes
+	// before reading any, so neither needs a reset.
+	idSpace   int
+	prevLog   []chainSpan
 	chainBack []uint64
-	chainSpan []chainSpan
+	anc       []int32
 	electMaps []map[uint64]uint64
 	electUsed int
-	anc       map[int]int
 	counts    map[matchPair]int
 	pairs     []matchPair
 	usedPrev  map[uint64]bool
 	carrier   map[uint64]int
-	headSet   map[int]bool
 	headBuf   []int
 	edgeBuf   []topology.EdgeKey
 }
 
-type chainSpan struct {
-	v          int
-	start, end int
-}
+// chainSpan locates one node's logical chain in Arena.chainBack.
+type chainSpan struct{ start, end int32 }
 
 type matchPair struct {
 	prev uint64
@@ -56,17 +54,54 @@ type matchPair struct {
 func NewArena() *Arena { return &Arena{} }
 
 // Recycle harvests the storage of a retired snapshot. The snapshot
-// must no longer be referenced by anyone: its maps are cleared and its
-// slices will be overwritten by the next build. The level-0 graph is
-// NOT harvested — it is owned by the caller's graph double-buffer.
+// must no longer be referenced by anyone: its dense entries are reset
+// and its slices will be overwritten by the next build. Only the
+// entries the snapshot's node lists name are reset, so the cost tracks
+// the snapshot, not the ID space. The level-0 graph is NOT harvested —
+// it is owned by the caller's graph double-buffer.
 //
 //manet:hotpath
 func (a *Arena) Recycle(h *Hierarchy, ids *Identities) {
+	a.recycle(h, ids, false)
+}
+
+// discard is Recycle for a snapshot whose dense entries may not match
+// its node lists (torn by an aborted patch): every entry is reset.
+func (a *Arena) discard(h *Hierarchy, ids *Identities) {
+	a.recycle(h, ids, true)
+}
+
+//manet:hotpath
+func (a *Arena) recycle(h *Hierarchy, ids *Identities, torn bool) {
 	if a == nil {
 		return
 	}
+	if ids != nil {
+		// Identity rows hold entries for exactly the level-k nodes of
+		// the paired snapshot.
+		paired := !torn && h != nil && len(h.Levels) == len(ids.byLevel)+1
+		for k, row := range ids.byLevel {
+			if paired {
+				for _, hd := range h.Levels[k+1].Nodes {
+					row[hd] = noLogical
+				}
+			} else {
+				for i := range row {
+					row[i] = noLogical
+				}
+			}
+			a.idRows = append(a.idRows, row[:0])
+		}
+		ids.byLevel = ids.byLevel[:0]
+		a.idents = append(a.idents, ids)
+	}
 	if h != nil {
 		for k, lvl := range h.Levels {
+			if torn {
+				lvl.clearElection(a)
+			} else if k+1 < len(h.Levels) {
+				lvl.resetElection(h.Levels[k+1].Nodes, a)
+			}
 			if lvl.Nodes != nil {
 				a.ints = append(a.ints, lvl.Nodes)
 				lvl.Nodes = nil
@@ -75,56 +110,54 @@ func (a *Arena) Recycle(h *Hierarchy, ids *Identities) {
 				a.graphs = append(a.graphs, lvl.Graph)
 			}
 			lvl.Graph = nil
-			if lvl.Head != nil {
-				clear(lvl.Head)
-			}
-			if lvl.Members != nil {
-				//lint:ignore maprange slice harvesting; only pooled capacity depends on order
-				for _, s := range lvl.Members {
-					a.ints = append(a.ints, s)
-				}
-				clear(lvl.Members)
-			}
-			if lvl.Member != nil {
-				clear(lvl.Member)
-			}
-			if lvl.State != nil {
-				clear(lvl.State)
-			}
 			a.levels = append(a.levels, lvl)
 		}
 		h.Levels = h.Levels[:0]
 		h.ForcedTop = false
 		a.hiers = append(a.hiers, h)
 	}
-	if ids != nil {
-		for _, m := range ids.byLevel {
-			clear(m)
-			a.idMaps = append(a.idMaps, m)
-		}
-		ids.byLevel = ids.byLevel[:0]
-		a.idents = append(a.idents, ids)
+}
+
+// beginBuild resets the per-build scratch and sizes the node-indexed
+// scratch for IDs below idSpace.
+func (a *Arena) beginBuild(idSpace int) {
+	a.idSpace = idSpace
+	a.chainBack = a.chainBack[:0]
+	a.electUsed = 0
+	if len(a.prevLog) < idSpace {
+		a.prevLog = make([]chainSpan, idSpace)
+		a.anc = make([]int32, idSpace)
 	}
 }
 
-// beginBuild resets the per-build scratch.
-func (a *Arena) beginBuild() {
-	if a == nil {
+// fillPrevLog records, for every level-0 node of the snapshot under
+// construction (base), its logical ancestor chain in the previous
+// snapshot (empty for nodes it did not cover).
+func (a *Arena) fillPrevLog(base []int, prevH *Hierarchy, prevIDs *Identities) {
+	for _, v := range base {
+		a.prevLog[v] = chainSpan{}
+	}
+	if prevH == nil || prevIDs == nil {
 		return
 	}
-	if a.prevLog == nil {
-		a.prevLog = map[int][]uint64{}
-	} else {
-		clear(a.prevLog)
+	for _, v := range prevH.LevelNodes(0) {
+		if v >= len(a.prevLog) {
+			continue // outside the current ID space: never read
+		}
+		start := len(a.chainBack)
+		a.chainBack = prevIDs.AppendChainOf(prevH, v, a.chainBack)
+		a.prevLog[v] = chainSpan{start: int32(start), end: int32(len(a.chainBack))}
 	}
-	a.chainBack = a.chainBack[:0]
-	a.chainSpan = a.chainSpan[:0]
-	a.electUsed = 0
-	if a.anc == nil {
-		a.anc = map[int]int{}
-	} else {
-		clear(a.anc)
+}
+
+// prevLogical returns the logical ID of v's level-k cluster in the
+// previous snapshot, as recorded by fillPrevLog.
+func (a *Arena) prevLogical(v, k int) (uint64, bool) {
+	sp := a.prevLog[v]
+	if int(sp.end-sp.start) < k {
+		return 0, false
 	}
+	return a.chainBack[int(sp.start)+k-1], true
 }
 
 func (a *Arena) getHier() *Hierarchy {
@@ -183,13 +216,15 @@ func (a *Arena) putInts(s []int) {
 	a.ints = append(a.ints, s)
 }
 
-func (a *Arena) getIDMap(sizeHint int) map[int]uint64 {
-	if a == nil || len(a.idMaps) == 0 {
-		return make(map[int]uint64, sizeHint)
+// getIDRow returns an identity row covering IDs below n with every
+// entry reading as absent.
+func (a *Arena) getIDRow(n int) []uint64 {
+	var row []uint64
+	if a != nil && len(a.idRows) > 0 {
+		row = a.idRows[len(a.idRows)-1]
+		a.idRows = a.idRows[:len(a.idRows)-1]
 	}
-	m := a.idMaps[len(a.idMaps)-1]
-	a.idMaps = a.idMaps[:len(a.idMaps)-1]
-	return m
+	return growFilled(row, n, noLogical)
 }
 
 func (a *Arena) getElectMap() map[uint64]uint64 {
@@ -206,21 +241,6 @@ func (a *Arena) getElectMap() map[uint64]uint64 {
 	a.electMaps = append(a.electMaps, m)
 	a.electUsed++
 	return m
-}
-
-//manet:hotpath
-func (a *Arena) getHeadSet(sizeHint int) map[int]bool {
-	if a == nil {
-		//lint:ignore hotpath arena-less builds are the cold, allocate-fresh path
-		return make(map[int]bool, sizeHint)
-	}
-	if a.headSet == nil {
-		//lint:ignore hotpath warm-up: the head set is allocated once and reused
-		a.headSet = make(map[int]bool, sizeHint)
-	} else {
-		clear(a.headSet)
-	}
-	return a.headSet
 }
 
 // getHeadBuf returns the reusable positional-heads buffer electors
@@ -284,13 +304,4 @@ func (a *Arena) matchScratch() (map[matchPair]int, []matchPair, map[uint64]bool)
 	}
 	a.pairs = a.pairs[:0]
 	return a.counts, a.pairs, a.usedPrev
-}
-
-// appendKeysSorted appends m's keys to dst in ascending order.
-func appendKeysSorted(dst []int, m map[int][]int) []int {
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
 }

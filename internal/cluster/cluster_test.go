@@ -94,7 +94,7 @@ func TestIsolatedNodesSelfCluster(t *testing.T) {
 	if h.L() != 0 {
 		t.Fatalf("L = %d for edgeless graph", h.L())
 	}
-	if h.Level(0).Head != nil {
+	if h.Level(0).Elected() {
 		t.Fatal("trivial level kept election data")
 	}
 }
@@ -154,10 +154,10 @@ func TestHeadIsMaxOfSomeonesNeighborhood(t *testing.T) {
 	g := topology.BuildUnitDiskBrute(pos, 100)
 	h := Build(g, nodesUpTo(120), Config{}, nil)
 	lvl0 := h.Level(0)
-	if lvl0.Head == nil {
+	if !lvl0.Elected() {
 		t.Skip("trivial clustering")
 	}
-	for head := range lvl0.Members {
+	for _, head := range h.LevelNodes(1) {
 		found := false
 		for _, u := range lvl0.Nodes {
 			best := u

@@ -58,12 +58,11 @@ func ComputeDiff(prev, next *Hierarchy) *Diff {
 // edge-diff scratch, ancestor-chain buffers, and pools for the
 // per-level event slices harvested from recycled Diffs.
 type DiffScratch struct {
-	edges    topology.DiffScratch
-	pc, nc   []int
-	ints     [][]int
-	evs      [][]topology.LinkEvent
-	stateIDs []int
-	emptyG   *topology.Graph
+	edges  topology.DiffScratch
+	pc, nc []int
+	ints   [][]int
+	evs    [][]topology.LinkEvent
+	emptyG *topology.Graph
 }
 
 func (s *DiffScratch) getInts() []int {
@@ -242,24 +241,21 @@ func ComputeDiffInto(d *Diff, prev, next *Hierarchy, s *DiffScratch) *Diff {
 		return a.Node - b.Node
 	})
 
-	// ALCA state deltas for heads persisting across snapshots.
+	// ALCA state deltas for heads persisting across snapshots, in
+	// ascending head order (the previous level-(k+1) nodes are sorted).
 	for k := 0; k+1 < len(prev.Levels) && k+1 < len(next.Levels); k++ {
 		pl, nl := prev.Levels[k], next.Levels[k]
-		if pl.State == nil || nl.State == nil {
+		if !pl.Elected() || !nl.Elected() {
 			continue
 		}
-		s.stateIDs = s.stateIDs[:0]
-		for id := range pl.State {
-			s.stateIDs = append(s.stateIDs, id)
-		}
-		slices.Sort(s.stateIDs)
-		for _, id := range s.stateIDs {
-			if _, ok := nl.State[id]; !ok {
+		for _, id := range prev.Levels[k+1].Nodes {
+			ns := nl.StateOf(id)
+			if ns < 0 {
 				continue
 			}
-			if pl.State[id] != nl.State[id] {
+			if ps := pl.StateOf(id); ps != ns {
 				d.StateDeltas = append(d.StateDeltas, StateDelta{
-					Level: k, Node: id, Old: pl.State[id], New: nl.State[id],
+					Level: k, Node: id, Old: ps, New: ns,
 				})
 			}
 		}

@@ -16,23 +16,143 @@ import (
 // level-k topology (E_k), and the election data describes how level-k
 // nodes grouped into level-(k+1) clusters — present only when a level
 // k+1 exists.
+//
+// The election data is stored densely: every slice is indexed by a
+// level-0 node ID (all IDs lie below the level-0 graph's IDSpace), and
+// -1 (nil for Members) marks an absent entry. Head and Member hold an
+// entry for exactly the IDs in Nodes, State and Members for exactly the
+// level-(k+1) nodes. On the top level the slices are empty. Read them
+// through HeadOf, MemberOf, StateOf and MembersOf, which also accept
+// IDs beyond the slices.
 type Level struct {
 	K     int
 	Nodes []int           // sorted level-k node IDs
 	Graph *topology.Graph // level-k topology over Nodes
 
 	// Election results at this level (grouping level-k nodes into
-	// level-(k+1) clusters). Empty maps on the top level.
-	Head    map[int]int   // level-k node -> elected clusterhead
-	Member  map[int]int   // level-k node -> level-(k+1) cluster it belongs to
-	State   map[int]int   // level-(k+1) node -> # level-k *neighbors* electing it (ALCA state, Fig. 3)
-	Members map[int][]int // level-(k+1) cluster -> sorted level-k members
+	// level-(k+1) clusters).
+	Head    []int32 // level-k node -> elected clusterhead
+	Member  []int32 // level-k node -> level-(k+1) cluster it belongs to
+	State   []int32 // level-(k+1) node -> # level-k *neighbors* electing it (ALCA state, Fig. 3)
+	Members [][]int // level-(k+1) cluster -> sorted level-k members
 }
 
 // IsNode reports whether id is a level-k node at this level.
 func (l *Level) IsNode(id int) bool {
 	i := sort.SearchInts(l.Nodes, id)
 	return i < len(l.Nodes) && l.Nodes[i] == id
+}
+
+// Elected reports whether the level carries election data (every
+// level but the top one).
+func (l *Level) Elected() bool { return len(l.Member) > 0 }
+
+// HeadOf returns the clusterhead level-k node u elected, or -1.
+func (l *Level) HeadOf(u int) int {
+	if uint(u) >= uint(len(l.Head)) {
+		return -1
+	}
+	return int(l.Head[u])
+}
+
+// MemberOf returns the level-(k+1) cluster level-k node u belongs to,
+// or -1.
+func (l *Level) MemberOf(u int) int {
+	if uint(u) >= uint(len(l.Member)) {
+		return -1
+	}
+	return int(l.Member[u])
+}
+
+// StateOf returns the ALCA state of level-(k+1) node c (the number of
+// level-k neighbors electing it), or -1 when c heads no cluster here.
+func (l *Level) StateOf(c int) int {
+	if uint(c) >= uint(len(l.State)) {
+		return -1
+	}
+	return int(l.State[c])
+}
+
+// MembersOf returns the sorted level-k members of cluster c (shared
+// slice; do not mutate), or nil.
+func (l *Level) MembersOf(c int) []int {
+	if uint(c) >= uint(len(l.Members)) {
+		return nil
+	}
+	return l.Members[c]
+}
+
+// sizeElection extends the election slices to cover IDs below n. New
+// entries read as absent; entries already there are kept. Pooled
+// levels rely on every entry within capacity having been reset.
+//
+//manet:hotpath
+func (l *Level) sizeElection(n int) {
+	l.Head = growFilled(l.Head, n, -1)
+	l.Member = growFilled(l.Member, n, -1)
+	l.State = growFilled(l.State, n, -1)
+	l.Members = growFilled(l.Members, n, nil)
+}
+
+// growFilled extends s to length n, filling new entries with absent;
+// the capacity beyond len(s) must already hold absent.
+//
+//manet:hotpath
+func growFilled[T any](s []T, n int, absent T) []T {
+	if len(s) >= n {
+		return s
+	}
+	if cap(s) >= n {
+		return s[:n]
+	}
+	old := len(s)
+	//lint:ignore hotpath warm-up: dense storage grows once per ID space
+	s = append(s, make([]T, n-old)...)
+	for i := old; i < n; i++ {
+		s[i] = absent
+	}
+	return s
+}
+
+// resetElection removes the election data of a level whose entries
+// are named by its Nodes (Head, Member) and by clusters (State,
+// Members), returning member slices to arena a (nil-safe). The slices
+// keep their capacity, all of it reset.
+func (l *Level) resetElection(clusters []int, a *Arena) {
+	if !l.Elected() {
+		return
+	}
+	for _, u := range l.Nodes {
+		l.Head[u], l.Member[u] = -1, -1
+	}
+	for _, c := range clusters {
+		l.State[c] = -1
+		a.putInts(l.Members[c])
+		l.Members[c] = nil
+	}
+	l.Head, l.Member, l.State, l.Members = l.Head[:0], l.Member[:0], l.State[:0], l.Members[:0]
+}
+
+// clearElection is resetElection for a level whose entries are not
+// known to match its node lists (a snapshot torn by an aborted patch):
+// it resets the slices' whole length.
+func (l *Level) clearElection(a *Arena) {
+	for i := range l.Head {
+		l.Head[i] = -1
+	}
+	for i := range l.Member {
+		l.Member[i] = -1
+	}
+	for i := range l.State {
+		l.State[i] = -1
+	}
+	for i, s := range l.Members {
+		if s != nil {
+			a.putInts(s)
+			l.Members[i] = nil
+		}
+	}
+	l.Head, l.Member, l.State, l.Members = l.Head[:0], l.Member[:0], l.State[:0], l.Members[:0]
 }
 
 // Hierarchy is a full clustered-hierarchy snapshot. Levels[0] is the
@@ -54,6 +174,21 @@ type Hierarchy struct {
 // level-k clusters exist. A hierarchy with Levels = [level0, level1]
 // has L = 1.
 func (h *Hierarchy) L() int { return len(h.Levels) - 1 }
+
+// idSpace returns an exclusive bound on the hierarchy's node IDs: the
+// level-0 graph's ID space, widened to cover every level-0 node.
+func (h *Hierarchy) idSpace() int {
+	n := 0
+	if l0 := h.Level(0); l0 != nil {
+		if l0.Graph != nil {
+			n = l0.Graph.IDSpace()
+		}
+		if len(l0.Nodes) > 0 {
+			n = max(n, l0.Nodes[len(l0.Nodes)-1]+1)
+		}
+	}
+	return n
+}
 
 // Level returns the level-k stratum, or nil when k is out of range.
 func (h *Hierarchy) Level(k int) *Level {
@@ -109,6 +244,7 @@ func Build(g0 *topology.Graph, nodes []int, cfg Config, prev *Hierarchy) *Hierar
 	sort.Ints(base)
 
 	h := &Hierarchy{Reach: cfg.Reach}
+	idSpace := g0.IDSpace()
 	curNodes := base
 	curGraph := g0
 	for k := 0; ; k++ {
@@ -119,36 +255,28 @@ func Build(g0 *topology.Graph, nodes []int, cfg Config, prev *Hierarchy) *Hierar
 			break
 		}
 		if cfg.ForceTopAt > 0 && k >= 1 && len(curNodes) <= cfg.ForceTopAt {
-			forceTop(h, lvl, curNodes, g0.IDSpace(), nil)
+			forceTop(h, lvl, idSpace, nil)
 			break
 		}
 
 		prevHead := func(int) int { return -1 }
 		if prev != nil {
-			if pl := prev.Level(k); pl != nil && pl.Head != nil {
-				heads := pl.Head
-				prevHead = func(u int) int {
-					if hd, ok := heads[u]; ok {
-						return hd
-					}
-					return -1
-				}
+			if pl := prev.Level(k); pl != nil && pl.Elected() {
+				prevHead = pl.HeadOf
 			}
 		}
 
 		heads := cfg.Elector.Elect(nil, curNodes, curGraph, prevHead)
-		elect(lvl, heads, nil)
-
-		nextNodes := keysSorted(lvl.Members)
+		nextNodes := elect(lvl, heads, idSpace, nil)
 		if len(nextNodes) == len(curNodes) {
 			// No compression. This happens exactly when the level has
 			// no edges (every node self-elects), so clustering has
 			// converged; drop the trivial election data to keep the
 			// invariant that only non-top levels carry it.
-			lvl.Head, lvl.Member, lvl.Members, lvl.State = nil, nil, nil, nil
+			lvl.resetElection(nextNodes, nil)
 			break
 		}
-		curGraph = liftGraph(curGraph, lvl, g0.IDSpace(), nil)
+		curGraph = liftGraph(curGraph, lvl, idSpace, nil)
 		curNodes = nextNodes
 	}
 	return h
@@ -157,79 +285,61 @@ func Build(g0 *topology.Graph, nodes []int, cfg Config, prev *Hierarchy) *Hierar
 // forceTop groups every node of lvl into a single cluster headed by
 // the maximum ID and appends the resulting one-node top level. Arena a
 // (nil-safe) supplies recycled storage.
-func forceTop(h *Hierarchy, lvl *Level, curNodes []int, idSpace int, a *Arena) {
-	root := curNodes[len(curNodes)-1] // curNodes is sorted ascending
+func forceTop(h *Hierarchy, lvl *Level, idSpace int, a *Arena) {
+	root := lvl.Nodes[len(lvl.Nodes)-1] // Nodes is sorted ascending
 	heads := a.getHeadBuf()
-	for range curNodes {
+	for range lvl.Nodes {
 		heads = append(heads, root)
 	}
-	elect(lvl, heads, a)
-	a.putHeadBuf(heads)
 	top := a.getLevel()
 	top.K = lvl.K + 1
-	top.Nodes = append(a.getInts(), root)
+	top.Nodes = elect(lvl, heads, idSpace, a)
+	a.putHeadBuf(heads)
 	top.Graph = a.getGraph(idSpace)
 	h.Levels = append(h.Levels, top)
 	h.ForcedTop = true
 }
 
 // elect fills the election-derived fields of lvl from the positional
-// heads slice (heads[i] is the head elected by lvl.Nodes[i]). Arena a
-// (nil-safe) supplies recycled maps and member slices; pooled levels
-// arrive with cleared non-nil maps.
+// heads slice (heads[i] is the head elected by lvl.Nodes[i]) and
+// returns the sorted level-(k+1) node list. lvl must carry no election
+// entries (fresh, or reset by Arena.Recycle). Arena a (nil-safe)
+// supplies recycled member slices and the returned list.
 //
 //manet:hotpath
-func elect(lvl *Level, heads []int, a *Arena) {
-	if lvl.Head == nil {
-		//lint:ignore hotpath warm-up: pooled levels reuse the cleared maps
-		lvl.Head = make(map[int]int, len(lvl.Nodes))
-	}
-	if lvl.Member == nil {
-		//lint:ignore hotpath warm-up: pooled levels reuse the cleared maps
-		lvl.Member = make(map[int]int, len(lvl.Nodes))
-		//lint:ignore hotpath warm-up: pooled levels reuse the cleared maps
-		lvl.Members = make(map[int][]int)
-		//lint:ignore hotpath warm-up: pooled levels reuse the cleared maps
-		lvl.State = make(map[int]int)
-	}
-
-	headSet := a.getHeadSet(len(lvl.Nodes))
+func elect(lvl *Level, heads []int, idSpace int, a *Arena) []int {
+	lvl.sizeElection(idSpace)
+	clusters := a.getInts()
+	// ALCA state: electors among *neighbors* (self-election excluded),
+	// matching the paper's Fig. 3 state variable. Heads with only a
+	// self-election have state 0.
 	for i, u := range lvl.Nodes {
-		lvl.Head[u] = heads[i]
-		headSet[heads[i]] = true
+		hd := heads[i]
+		lvl.Head[u] = int32(hd)
+		if lvl.State[hd] < 0 {
+			lvl.State[hd] = 0
+			clusters = append(clusters, hd)
+		}
+		if hd != u {
+			lvl.State[hd]++
+		}
 	}
-	for i, u := range lvl.Nodes {
-		m := heads[i]
-		if headSet[u] {
+	slices.Sort(clusters)
+	for _, c := range clusters {
+		lvl.Members[c] = a.getInts()
+	}
+	// Nodes ascend, so every member list is built sorted.
+	for _, u := range lvl.Nodes {
+		m := int(lvl.Head[u])
+		if lvl.State[u] >= 0 {
 			// A clusterhead belongs to its own cluster even if it
 			// elected a higher-ID neighbor.
 			m = u
 		}
-		lvl.Member[u] = m
-		s, ok := lvl.Members[m]
-		if !ok {
-			s = a.getInts()
-		}
-		lvl.Members[m] = append(s, u)
+		lvl.Member[u] = int32(m)
+		lvl.Members[m] = append(lvl.Members[m], u)
 	}
-	//lint:ignore maprange each member slice is sorted independently; order cannot escape
-	for _, members := range lvl.Members {
-		slices.Sort(members)
-	}
-	// ALCA state: electors among *neighbors* (self-election excluded),
-	// matching the paper's Fig. 3 state variable.
-	for i, u := range lvl.Nodes {
-		if hd := heads[i]; hd != u {
-			lvl.State[hd]++
-		}
-	}
-	// Heads with only a self-election have state 0.
-	//lint:ignore maprange writes disjoint map entries; order cannot escape
-	for hd := range lvl.Members {
-		if _, ok := lvl.State[hd]; !ok {
-			lvl.State[hd] = 0
-		}
-	}
+	return clusters
 }
 
 // liftGraph builds the level-(k+1) topology: clusters X and Y are
@@ -244,7 +354,7 @@ func liftGraph(g *topology.Graph, lvl *Level, idSpace int, a *Arena) *topology.G
 	g.ForEachEdge(func(k topology.EdgeKey) {
 		x, y := k.Nodes()
 		if cx, cy := lvl.Member[x], lvl.Member[y]; cx != cy {
-			keys = append(keys, topology.MakeEdgeKey(cx, cy))
+			keys = append(keys, topology.MakeEdgeKey(int(cx), int(cy)))
 		}
 	})
 	slices.Sort(keys)
@@ -254,36 +364,14 @@ func liftGraph(g *topology.Graph, lvl *Level, idSpace int, a *Arena) *topology.G
 	return up
 }
 
-// keysSorted returns the keys of m in ascending order: the only way
-// map contents may enter an order-sensitive computation.
-func keysSorted[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // AncestorChain returns the cluster IDs containing level-0 node v at
 // levels 1..L: chain[0] is v's level-1 cluster, chain[len-1] its
 // top-level cluster. Nodes absent from the hierarchy return nil.
 func (h *Hierarchy) AncestorChain(v int) []int {
-	lvl0 := h.Levels[0]
-	if _, ok := lvl0.Member[v]; !ok && len(h.Levels) > 1 {
+	if len(h.Levels) > 1 && h.Levels[0].MemberOf(v) < 0 {
 		return nil
 	}
-	var chain []int
-	cur := v
-	for k := 0; k+1 < len(h.Levels); k++ {
-		m, ok := h.Levels[k].Member[cur]
-		if !ok {
-			break
-		}
-		chain = append(chain, m)
-		cur = m
-	}
-	return chain
+	return h.AppendAncestorChain(v, nil)
 }
 
 // AppendAncestorChain appends v's ancestor chain (see AncestorChain)
@@ -292,8 +380,8 @@ func (h *Hierarchy) AncestorChain(v int) []int {
 func (h *Hierarchy) AppendAncestorChain(v int, dst []int) []int {
 	cur := v
 	for k := 0; k+1 < len(h.Levels); k++ {
-		m, ok := h.Levels[k].Member[cur]
-		if !ok {
+		m := h.Levels[k].MemberOf(cur)
+		if m < 0 {
 			break
 		}
 		dst = append(dst, m)
@@ -326,7 +414,7 @@ func (h *Hierarchy) Descendants(k, cluster int) []int {
 	for lvl := k - 1; lvl >= 0; lvl-- {
 		var next []int
 		for _, c := range cur {
-			next = append(next, h.Levels[lvl].Members[c]...)
+			next = append(next, h.Levels[lvl].MembersOf(c)...)
 		}
 		cur = next
 	}
@@ -340,7 +428,7 @@ func (h *Hierarchy) MembersAt(k, cluster int) []int {
 	if k < 1 || k > len(h.Levels) {
 		return nil
 	}
-	return h.Levels[k-1].Members[cluster]
+	return h.Levels[k-1].MembersOf(cluster)
 }
 
 // LevelNodes returns the sorted level-k node IDs.
@@ -377,13 +465,13 @@ func (h *Hierarchy) Validate() error {
 	for k := 0; k+1 < len(h.Levels); k++ {
 		lvl := h.Levels[k]
 		up := h.Levels[k+1]
-		if lvl.Member == nil {
+		if !lvl.Elected() {
 			return fmt.Errorf("cluster: level %d missing election data", k)
 		}
 		// Every node has a member cluster that is a level-(k+1) node.
 		for _, u := range lvl.Nodes {
-			m, ok := lvl.Member[u]
-			if !ok {
+			m := lvl.MemberOf(u)
+			if m < 0 {
 				return fmt.Errorf("cluster: level %d node %d has no cluster", k, u)
 			}
 			if !up.IsNode(m) {
@@ -404,16 +492,19 @@ func (h *Hierarchy) Validate() error {
 				}
 			}
 		}
-		// Members lists partition the level's nodes. Iterate sorted so
-		// the first violation reported is deterministic.
+		// Members lists partition the level's nodes. Walk the dense
+		// index in ascending ID order so the first violation reported
+		// is deterministic.
 		count := 0
-		for _, c := range keysSorted(lvl.Members) {
-			members := lvl.Members[c]
+		for c, members := range lvl.Members {
+			if len(members) == 0 && lvl.StateOf(c) < 0 {
+				continue
+			}
 			if !up.IsNode(c) {
 				return fmt.Errorf("cluster: members list for non-node %d", c)
 			}
 			for _, u := range members {
-				if lvl.Member[u] != c {
+				if lvl.MemberOf(u) != c {
 					return fmt.Errorf("cluster: member list mismatch for %d in %d", u, c)
 				}
 			}
@@ -424,7 +515,7 @@ func (h *Hierarchy) Validate() error {
 		}
 		// A head leads its own cluster.
 		for _, c := range up.Nodes {
-			if lvl.Member[c] != c {
+			if lvl.MemberOf(c) != c {
 				return fmt.Errorf("cluster: head %d at level %d not in own cluster", c, k)
 			}
 		}

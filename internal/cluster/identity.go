@@ -26,9 +26,14 @@ import "repro/internal/topology"
 // snapshot to stable logical IDs, per level.
 type Identities struct {
 	// byLevel[k-1][head] is the logical ID of the level-k cluster led
-	// by head in this snapshot.
-	byLevel []map[int]uint64
+	// by head in this snapshot: one dense row per level, indexed by
+	// head ID, with noLogical for IDs that head no level-k cluster.
+	byLevel [][]uint64
 }
+
+// noLogical marks an identity-row entry with no cluster. Logical IDs
+// are counter values (or head IDs under Passthrough), never this.
+const noLogical = ^uint64(0)
 
 // Logical returns the logical ID of the level-k cluster led by head,
 // and whether it exists.
@@ -36,8 +41,12 @@ func (ids *Identities) Logical(k, head int) (uint64, bool) {
 	if ids == nil || k < 1 || k > len(ids.byLevel) {
 		return 0, false
 	}
-	id, ok := ids.byLevel[k-1][head]
-	return id, ok
+	row := ids.byLevel[k-1]
+	if uint(head) >= uint(len(row)) {
+		return 0, false
+	}
+	id := row[head]
+	return id, id != noLogical
 }
 
 // Levels reports the number of cluster levels covered.
@@ -69,8 +78,8 @@ func (ids *Identities) ChainOf(h *Hierarchy, v int) []uint64 {
 func (ids *Identities) AppendChainOf(h *Hierarchy, v int, dst []uint64) []uint64 {
 	cur := v
 	for k := 0; k+1 < len(h.Levels); k++ {
-		m, ok := h.Levels[k].Member[cur]
-		if !ok {
+		m := h.Levels[k].MemberOf(cur)
+		if m < 0 {
 			break
 		}
 		id, ok := ids.Logical(k+1, m)
@@ -111,8 +120,7 @@ func LogicalEdgesInto(dst map[LogicalEdge]struct{}, h *Hierarchy, ids *Identitie
 	if lvl == nil || k < 1 {
 		return out
 	}
-	// Set-to-set transform; the result is order-free, so the
-	// unspecified traversal order of incremental edges is fine.
+	// Set-to-set transform; the result is order-free.
 	//lint:ignore hotpath per-call edge visitor closure, counted in the tick alloc budget
 	lvl.Graph.ForEachEdge(func(e topology.EdgeKey) {
 		pa, pb := e.Nodes()
@@ -155,11 +163,12 @@ func (t *IdentityTracker) Clone() *IdentityTracker {
 func (t *IdentityTracker) Init(h *Hierarchy) *Identities {
 	ids := &Identities{}
 	for k := 1; k <= h.L(); k++ {
-		m := map[int]uint64{}
-		for _, head := range h.LevelNodes(k) {
-			m[head] = t.alloc(head)
+		heads := h.LevelNodes(k)
+		row := growFilled(nil, heads[len(heads)-1]+1, noLogical)
+		for _, head := range heads {
+			row[head] = t.alloc(head)
 		}
-		ids.byLevel = append(ids.byLevel, m)
+		ids.byLevel = append(ids.byLevel, row)
 	}
 	return ids
 }
@@ -183,26 +192,17 @@ func (t *IdentityTracker) Track(prevH *Hierarchy, prevIDs *Identities, nextH *Hi
 	if t.Passthrough {
 		return t.Init(nextH)
 	}
-	prevLog := map[int][]uint64{}
-	for _, v := range prevH.LevelNodes(0) {
-		if c := prevIDs.ChainOf(prevH, v); c != nil {
-			prevLog[v] = c
-		}
-	}
-	nextChains := map[int][]int{}
-	for _, v := range nextH.LevelNodes(0) {
-		nextChains[v] = nextH.AncestorChain(v)
+	a := NewArena()
+	base := nextH.LevelNodes(0)
+	a.beginBuild(nextH.idSpace())
+	a.fillPrevLog(base, prevH, prevIDs)
+	for _, v := range base {
+		a.anc[v] = int32(v)
 	}
 	ids := &Identities{}
 	for k := 1; k <= nextH.L(); k++ {
-		newAnc := map[int]int{}
-		//lint:ignore maprange map-to-map projection; the result is order-free
-		for v, chain := range nextChains {
-			if len(chain) >= k {
-				newAnc[v] = chain[k-1]
-			}
-		}
-		ids.byLevel = append(ids.byLevel, matchLevel(nil, t, k, nextH.LevelNodes(k), newAnc, prevLog))
+		a.advanceAnc(base, nextH.Levels[k-1])
+		ids.byLevel = append(ids.byLevel, matchLevel(a, t, k, nextH.LevelNodes(k), base))
 	}
 	return ids
 }

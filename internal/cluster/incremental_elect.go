@@ -72,10 +72,8 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 			if w, ok := lv.carrier[q]; ok && w == ph {
 				continue
 			}
-			if ms, ok := plvl.Members[ph]; ok {
-				for _, v := range ms {
-					add(v)
-				}
+			for _, v := range plvl.MembersOf(ph) {
+				add(v)
 			}
 			for _, v := range plvl.Graph.Neighbors(ph) {
 				add(v)
@@ -146,11 +144,12 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 	}
 	for i, u := range dirty {
 		nh := heads[i]
-		oh, had := blvl.Head[u]
+		oh := blvl.HeadOf(u)
+		had := oh >= 0
 		if had && oh == nh {
 			continue
 		}
-		blvl.Head[u] = nh
+		blvl.Head[u] = int32(nh)
 		tl.nodes = append(tl.nodes, u)
 		uAdd(u)
 		if had {
@@ -165,11 +164,11 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 		cand(nh)
 	}
 	for _, u := range lv.rems {
-		oh, had := blvl.Head[u]
-		if !had {
+		oh := blvl.HeadOf(u)
+		if oh < 0 {
 			continue
 		}
-		delete(blvl.Head, u)
+		blvl.Head[u] = -1
 		tl.nodes = append(tl.nodes, u)
 		uAdd(u)
 		if oh != u {
@@ -182,19 +181,18 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 	// iff it has a non-self elector (state > 0) or elects itself.
 	deaths := st.deathBuf[:0]
 	for _, c := range cands {
-		_, before := blvl.Members[c]
-		oldState := blvl.State[c]
+		oldState := blvl.StateOf(c)
+		before := oldState >= 0
+		oldState = max(oldState, 0)
 		after := oldState+st.deltaState[c] > 0
-		if !after && containsSortedInt(blvl.Nodes, c) {
-			if hd, ok := blvl.Head[c]; ok && hd == c {
-				after = true
-			}
+		if !after && containsSortedInt(blvl.Nodes, c) && blvl.HeadOf(c) == c {
+			after = true
 		}
 		st.aliveOv[c] = after
 		switch {
 		case after && !before: // birth
 			blvl.Members[c] = m.arena.getInts()
-			blvl.State[c] = oldState + st.deltaState[c]
+			blvl.State[c] = int32(oldState + st.deltaState[c])
 			tl.clusters = append(tl.clusters, c)
 			lvUp.adds = append(lvUp.adds, c)
 			uAdd(c)
@@ -203,7 +201,7 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 				if ns < 0 {
 					return false // elector count corrupted
 				}
-				blvl.State[c] = ns
+				blvl.State[c] = int32(ns)
 				tl.clusters = append(tl.clusters, c)
 			}
 		case before: // death (cleanup deferred until members moved out)
@@ -219,19 +217,20 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 	st.uList = uList
 	moves := st.moveBuf[:0]
 	for _, u := range uList {
-		oldMem, hadOld := blvl.Member[u]
+		oldMem := blvl.MemberOf(u)
+		hadOld := oldMem >= 0
 		newMem, hasNew := -1, false
 		if containsSortedInt(blvl.Nodes, u) {
 			headNow := false
 			if ov, isCand := st.aliveOv[u]; isCand {
 				headNow = ov
 			} else {
-				_, headNow = blvl.Members[u]
+				headNow = blvl.StateOf(u) >= 0
 			}
 			if headNow {
 				newMem = u
 			} else {
-				newMem = blvl.Head[u]
+				newMem = blvl.HeadOf(u)
 			}
 			hasNew = true
 		}
@@ -243,11 +242,11 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 			tl.clusters = append(tl.clusters, oldMem)
 		}
 		if hasNew {
-			blvl.Member[u] = newMem
+			blvl.Member[u] = int32(newMem)
 			blvl.Members[newMem] = insertSortedInt(blvl.Members[newMem], u)
 			tl.clusters = append(tl.clusters, newMem)
 		} else {
-			delete(blvl.Member, u)
+			blvl.Member[u] = -1
 		}
 		tl.nodes = append(tl.nodes, u)
 		from, to := -1, -1
@@ -265,14 +264,16 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 			return false // a dead cluster's members must all have moved
 		}
 		m.arena.putInts(s)
-		delete(blvl.Members, c)
-		delete(blvl.State, c)
+		blvl.Members[c] = nil
+		blvl.State[c] = -1
 		tl.clusters = append(tl.clusters, c)
 		lvUp.rems = append(lvUp.rems, c)
 	}
 	slices.Sort(lvUp.adds)
 	slices.Sort(lvUp.rems)
-	if len(blvl.Members) == len(blvl.Nodes) {
+	// The level's clusters before the patch were the previous level-
+	// (k+1) nodes; births and deaths moved that count.
+	if len(in.PrevH.Levels[k+1].Nodes)+len(lvUp.adds)-len(lvUp.rems) == len(blvl.Nodes) {
 		return false // no compression: the level would become terminal
 	}
 
@@ -295,29 +296,29 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 	for _, mv := range moves {
 		if mv.from >= 0 {
 			ddP(mv.from)
-			if _, alive := blvl.Members[mv.from]; alive {
+			if blvl.StateOf(mv.from) >= 0 {
 				ddN(mv.from)
 			}
 		}
 		if mv.to >= 0 {
 			ddN(mv.to)
-			if _, existed := plvl.Members[mv.to]; existed {
+			if plvl.StateOf(mv.to) >= 0 {
 				ddP(mv.to)
 			}
 		}
 	}
 	for _, c := range lv.ddNextL {
-		if pb, ok := blvl.Member[c]; ok {
+		if pb := blvl.MemberOf(c); pb >= 0 {
 			ddN(pb)
-			if _, existed := plvl.Members[pb]; existed {
+			if plvl.StateOf(pb) >= 0 {
 				ddP(pb)
 			}
 		}
 	}
 	for _, pc := range lv.ddPrevL {
-		if pp, ok := plvl.Member[pc]; ok {
+		if pp := plvl.MemberOf(pc); pp >= 0 {
 			ddP(pp)
-			if _, alive := blvl.Members[pp]; alive {
+			if blvl.StateOf(pp) >= 0 {
 				ddN(pp)
 			}
 		}
@@ -343,19 +344,15 @@ func (m *IncrementalMaintainer) electPatch(in *MaintainInput, k int, lv *incLeve
 	pairs := st.pairCand[:0]
 	for _, e := range ec {
 		a, b := e.Nodes()
-		if pma, ok := plvl.Member[a]; ok {
-			if pmb, ok2 := plvl.Member[b]; ok2 && pma != pmb && plvl.Graph.HasEdge(a, b) {
-				pk := topology.MakeEdgeKey(pma, pmb)
-				lvUp.witness[pk]--
-				pairs = append(pairs, pk)
-			}
+		if pma, pmb := plvl.MemberOf(a), plvl.MemberOf(b); pma >= 0 && pmb >= 0 && pma != pmb && plvl.Graph.HasEdge(a, b) {
+			pk := topology.MakeEdgeKey(pma, pmb)
+			lvUp.witness[pk]--
+			pairs = append(pairs, pk)
 		}
-		if bma, ok := blvl.Member[a]; ok {
-			if bmb, ok2 := blvl.Member[b]; ok2 && bma != bmb && blvl.Graph.HasEdge(a, b) {
-				pk := topology.MakeEdgeKey(bma, bmb)
-				lvUp.witness[pk]++
-				pairs = append(pairs, pk)
-			}
+		if bma, bmb := blvl.MemberOf(a), blvl.MemberOf(b); bma >= 0 && bmb >= 0 && bma != bmb && blvl.Graph.HasEdge(a, b) {
+			pk := topology.MakeEdgeKey(bma, bmb)
+			lvUp.witness[pk]++
+			pairs = append(pairs, pk)
 		}
 	}
 	slices.Sort(pairs)
@@ -398,20 +395,19 @@ func (m *IncrementalMaintainer) buildPatchPrevHead(k int, lv *incLevel, blvl *Le
 	baseIDs := m.inc.baseIDs
 	if k == 0 {
 		plvl := prevH.Level(0)
-		if plvl == nil || plvl.Head == nil {
+		if plvl == nil || !plvl.Elected() {
 			return func(int) int { return -1 }
 		}
-		heads := plvl.Head
 		cur := blvl.Nodes
 		return func(u int) int {
-			if hd, ok := heads[u]; ok && containsSortedInt(cur, hd) {
+			if hd := plvl.HeadOf(u); hd >= 0 && containsSortedInt(cur, hd) {
 				return hd
 			}
 			return -1
 		}
 	}
 	plvl := prevH.Level(k)
-	if plvl == nil || plvl.Head == nil {
+	if plvl == nil || !plvl.Elected() {
 		return func(int) int { return -1 }
 	}
 	return func(u int) int {
@@ -430,8 +426,8 @@ func (m *IncrementalMaintainer) buildPatchPrevHead(k int, lv *incLevel, blvl *Le
 		if pu < 0 {
 			return -1
 		}
-		pw, ok := plvl.Head[pu]
-		if !ok {
+		pw := plvl.HeadOf(pu)
+		if pw < 0 {
 			return -1
 		}
 		lw, ok := prevIDs.Logical(k, pw)

@@ -161,35 +161,32 @@ func (m *IncrementalMaintainer) patchForcedTop(in *MaintainInput, lv *incLevel, 
 
 	if changed := root != prevRoot || len(lv.adds) > 0 || len(lv.rems) > 0; changed {
 		for _, u := range lv.rems {
-			delete(blvl.Head, u)
-			delete(blvl.Member, u)
+			blvl.Head[u], blvl.Member[u] = -1, -1
 			tl.nodes = append(tl.nodes, u)
 		}
 		if root != prevRoot {
 			for _, u := range blvl.Nodes {
-				blvl.Head[u] = root
-				blvl.Member[u] = root
+				blvl.Head[u], blvl.Member[u] = int32(root), int32(root)
 				tl.nodes = append(tl.nodes, u)
 			}
-			if s, ok := blvl.Members[prevRoot]; ok {
-				m.arena.putInts(s)
-				delete(blvl.Members, prevRoot)
+			if blvl.StateOf(prevRoot) >= 0 {
+				m.arena.putInts(blvl.Members[prevRoot])
+				blvl.Members[prevRoot] = nil
+				blvl.State[prevRoot] = -1
 			}
-			delete(blvl.State, prevRoot)
 			tl.clusters = append(tl.clusters, prevRoot)
 		} else {
 			for _, u := range lv.adds {
-				blvl.Head[u] = root
-				blvl.Member[u] = root
+				blvl.Head[u], blvl.Member[u] = int32(root), int32(root)
 				tl.nodes = append(tl.nodes, u)
 			}
 		}
-		s, ok := blvl.Members[root]
-		if !ok {
+		s := blvl.Members[root]
+		if s == nil {
 			s = m.arena.getInts()
 		}
 		blvl.Members[root] = append(s[:0], blvl.Nodes...)
-		blvl.State[root] = n - 1
+		blvl.State[root] = int32(n - 1)
 		tl.clusters = append(tl.clusters, root)
 
 		lvTop.ddNext[root] = true

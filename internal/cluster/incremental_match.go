@@ -50,8 +50,8 @@ func (m *IncrementalMaintainer) matchPatch(k int, lv *incLevel, tl *touchLevel, 
 
 	// Dead clusters first: their identity rows disappear.
 	for _, pc := range lv.rems {
-		if _, ok := idm[pc]; ok {
-			delete(idm, pc)
+		if idm[pc] != noLogical {
+			idm[pc] = noLogical
 			tl.ids = append(tl.ids, pc)
 		}
 		if q, ok := prevIDs.Logical(k, pc); ok {
@@ -70,7 +70,8 @@ func (m *IncrementalMaintainer) matchPatch(k int, lv *incLevel, tl *touchLevel, 
 			if !ok {
 				return false
 			}
-			oldq, had := idm[h]
+			oldq := idm[h]
+			had := oldq != noLogical
 			if !had || oldq != newq {
 				idm[h] = newq
 				tl.ids = append(tl.ids, h)
@@ -194,7 +195,7 @@ func (m *IncrementalMaintainer) countOverlap(k, h int, in *MaintainInput, counts
 			}
 			continue
 		}
-		for _, c := range base.Levels[j-1].Members[u] {
+		for _, c := range base.Levels[j-1].MembersOf(u) {
 			nodes = append(nodes, c)
 			lvls = append(lvls, j-1)
 		}
@@ -222,7 +223,7 @@ func (m *IncrementalMaintainer) hasPrevWitness(k, h int, q uint64, in *MaintainI
 			}
 			continue
 		}
-		for _, c := range base.Levels[j-1].Members[u] {
+		for _, c := range base.Levels[j-1].MembersOf(u) {
 			nodes = append(nodes, c)
 			lvls = append(lvls, j-1)
 		}
@@ -236,11 +237,10 @@ func (m *IncrementalMaintainer) hasPrevWitness(k, h int, q uint64, in *MaintainI
 func prevLogicalAt(in *MaintainInput, v, k int) (uint64, bool) {
 	cur := v
 	for j := 0; j < k; j++ {
-		nxt, ok := in.PrevH.Levels[j].Member[cur]
-		if !ok {
+		cur = in.PrevH.Levels[j].MemberOf(cur)
+		if cur < 0 {
 			return 0, false
 		}
-		cur = nxt
 	}
 	return in.PrevIDs.Logical(k, cur)
 }

@@ -132,7 +132,7 @@ func (m *IncrementalMaintainer) maintainIncremental(in *MaintainInput) (*Hierarc
 		st.valid = false
 	}
 	if !st.valid {
-		if !st.resync(m.arena, in.PrevH, in.PrevIDs) {
+		if !st.resync(m.arena, in.PrevH, in.PrevIDs, in.G0.IDSpace()) {
 			m.arena.Recycle(st.base, st.baseIDs)
 			st.base, st.baseIDs = nil, nil
 			return nil, nil, false
@@ -151,7 +151,7 @@ func (m *IncrementalMaintainer) maintainIncremental(in *MaintainInput) (*Hierarc
 		if elSnap != nil {
 			m.elRestore.RestoreElector(elSnap)
 		}
-		m.arena.Recycle(st.base, st.baseIDs)
+		m.arena.discard(st.base, st.baseIDs)
 		st.base, st.baseIDs = nil, nil
 		return nil, nil, false
 	}
@@ -197,40 +197,29 @@ func (st *incState) replay(a *Arena, prevH *Hierarchy, prevIDs *Identities) bool
 		blvl.Nodes = append(blvl.Nodes[:0], plvl.Nodes...)
 		tl := &log[k]
 		for _, u := range tl.nodes {
-			if v, ok := plvl.Head[u]; ok {
-				blvl.Head[u] = v
-			} else {
-				delete(blvl.Head, u)
-			}
-			if v, ok := plvl.Member[u]; ok {
-				blvl.Member[u] = v
-			} else {
-				delete(blvl.Member, u)
-			}
+			blvl.Head[u] = int32(plvl.HeadOf(u))
+			blvl.Member[u] = int32(plvl.MemberOf(u))
 		}
 		for _, c := range tl.clusters {
-			if s, ok := plvl.Members[c]; ok {
-				dst, had := blvl.Members[c]
-				if !had {
+			if ps := plvl.StateOf(c); ps >= 0 {
+				dst := blvl.Members[c]
+				if dst == nil {
 					dst = a.getInts()
 				}
-				blvl.Members[c] = append(dst[:0], s...)
-				blvl.State[c] = plvl.State[c]
+				blvl.Members[c] = append(dst[:0], plvl.Members[c]...)
+				blvl.State[c] = int32(ps)
 			} else {
-				if s, had := blvl.Members[c]; had {
-					a.putInts(s)
-					delete(blvl.Members, c)
-				}
-				delete(blvl.State, c)
+				a.putInts(blvl.Members[c])
+				blvl.Members[c] = nil
+				blvl.State[c] = -1
 			}
 		}
 		if k >= 1 {
-			bm, pm := baseIDs.byLevel[k-1], prevIDs.byLevel[k-1]
+			bm := baseIDs.byLevel[k-1]
 			for _, hd := range tl.ids {
-				if id, ok := pm[hd]; ok {
+				bm[hd] = noLogical
+				if id, ok := prevIDs.Logical(k, hd); ok {
 					bm[hd] = id
-				} else {
-					delete(bm, hd)
 				}
 			}
 		}
@@ -243,7 +232,7 @@ func (st *incState) replay(a *Arena, prevH *Hierarchy, prevIDs *Identities) bool
 // and recomputes the per-level edge lists, witness counts and carrier
 // maps from scratch. Run whenever the previous tick was not a fast
 // path. Returns false when prevH carries no snapshot to copy.
-func (st *incState) resync(a *Arena, prevH *Hierarchy, prevIDs *Identities) bool {
+func (st *incState) resync(a *Arena, prevH *Hierarchy, prevIDs *Identities, idSpace int) bool {
 	if len(prevH.Levels) == 0 {
 		return false
 	}
@@ -257,55 +246,27 @@ func (st *incState) resync(a *Arena, prevH *Hierarchy, prevIDs *Identities) bool
 		lvl.K = k
 		lvl.Nodes = append(a.getInts(), plvl.Nodes...)
 		lvl.Graph = nil // rebuilt by the patch (level 0 uses in.G0)
-		if plvl.Head != nil {
-			if lvl.Head == nil {
-				lvl.Head = make(map[int]int, len(plvl.Head))
-				lvl.Member = make(map[int]int, len(plvl.Member))
-				lvl.Members = make(map[int][]int, len(plvl.Members))
-				lvl.State = make(map[int]int, len(plvl.State))
+		if plvl.Elected() {
+			// Pooled levels arrive with every entry reset.
+			lvl.sizeElection(idSpace)
+			for _, u := range plvl.Nodes {
+				lvl.Head[u], lvl.Member[u] = plvl.Head[u], plvl.Member[u]
 			}
-			//lint:ignore maprange map-to-map copy; the result is order-free
-			for u, v := range plvl.Head {
-				lvl.Head[u] = v
-			}
-			//lint:ignore maprange map-to-map copy; the result is order-free
-			for u, v := range plvl.Member {
-				lvl.Member[u] = v
-			}
-			//lint:ignore maprange map-to-map copy; the result is order-free
-			for c, v := range plvl.State {
-				lvl.State[c] = v
-			}
-			//lint:ignore maprange map-to-map copy; each value slice is copied whole
-			for c, s := range plvl.Members {
-				lvl.Members[c] = append(a.getInts(), s...)
-			}
-		} else {
-			// Terminal level: no election data. Pooled maps may exist
-			// (cleared); content equality is what matters, and Recycle
-			// clears rather than nils, so empty maps are fine.
-			if lvl.Head != nil {
-				clear(lvl.Head)
-				clear(lvl.Member)
-				clear(lvl.State)
-				//lint:ignore maprange slice harvesting; only pooled capacity depends on order
-				for _, s := range lvl.Members {
-					a.putInts(s)
-				}
-				clear(lvl.Members)
-				lvl.Head, lvl.Member, lvl.Members, lvl.State = nil, nil, nil, nil
+			for _, c := range prevH.Levels[k+1].Nodes {
+				lvl.State[c] = plvl.State[c]
+				lvl.Members[c] = append(a.getInts(), plvl.Members[c]...)
 			}
 		}
 		base.Levels = append(base.Levels, lvl)
 	}
 	for k := 1; k <= prevH.L(); k++ {
-		src := prevIDs.byLevel[k-1]
-		m := a.getIDMap(len(src))
-		//lint:ignore maprange map-to-map copy; the result is order-free
-		for hd, id := range src {
-			m[hd] = id
+		row := a.getIDRow(idSpace)
+		for _, hd := range prevH.Levels[k].Nodes {
+			if id, ok := prevIDs.Logical(k, hd); ok {
+				row[hd] = id
+			}
 		}
-		baseIDs.byLevel = append(baseIDs.byLevel, m)
+		baseIDs.byLevel = append(baseIDs.byLevel, row)
 	}
 	st.base, st.baseIDs = base, baseIDs
 
@@ -328,16 +289,16 @@ func (st *incState) resync(a *Arena, prevH *Hierarchy, prevIDs *Identities) bool
 		below := prevH.Levels[k-1]
 		below.Graph.ForEachEdge(func(e topology.EdgeKey) {
 			pa, pb := e.Nodes()
-			ca, okA := below.Member[pa]
-			cb, okB := below.Member[pb]
-			if okA && okB && ca != cb {
+			ca, cb := below.MemberOf(pa), below.MemberOf(pb)
+			if ca >= 0 && cb >= 0 && ca != cb {
 				lv.witness[topology.MakeEdgeKey(ca, cb)]++
 			}
 		})
 		clear(lv.carrier)
-		//lint:ignore maprange map inversion; the result is order-free
-		for hd, id := range prevIDs.byLevel[k-1] {
-			lv.carrier[id] = hd
+		for _, hd := range prevH.Levels[k].Nodes {
+			if id, ok := prevIDs.Logical(k, hd); ok {
+				lv.carrier[id] = hd
+			}
 		}
 	}
 	// Both touch generations describe patches of snapshots that no

@@ -104,16 +104,23 @@ func (w *edgeWorld) graph() (*topology.Graph, *topology.Graph, []topology.LinkEv
 	return g, prev, events
 }
 
-func intMapsEqual(a, b map[int]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
+// denseEqual compares two dense ID-indexed slices over every ID either
+// covers, reading IDs beyond a slice as absent; it returns the first
+// differing ID, or -1.
+func denseEqual[T comparable](a, b []T, absent T) int {
+	for i := 0; i < max(len(a), len(b)); i++ {
+		va, vb := absent, absent
+		if i < len(a) {
+			va = a[i]
+		}
+		if i < len(b) {
+			vb = b[i]
+		}
+		if va != vb {
+			return i
 		}
 	}
-	return true
+	return -1
 }
 
 func intSlicesEqual(a, b []int) bool {
@@ -129,8 +136,8 @@ func intSlicesEqual(a, b []int) bool {
 }
 
 // hierDiff reports the first difference between two snapshots, "" if
-// none. nil and empty election maps are equivalent (pooled levels carry
-// cleared maps where fresh ones carry nil).
+// none. The dense election slices are compared over every ID, so a
+// stale entry left beside the node lists shows as a difference.
 func hierDiff(a, b *Hierarchy) string {
 	if len(a.Levels) != len(b.Levels) {
 		return fmt.Sprintf("levels %d vs %d", len(a.Levels), len(b.Levels))
@@ -152,21 +159,21 @@ func hierDiff(a, b *Hierarchy) string {
 		if la.Graph != nil && !la.Graph.Equal(lb.Graph) {
 			return fmt.Sprintf("level %d graph edge sets differ", k)
 		}
-		if !intMapsEqual(la.Head, lb.Head) {
-			return fmt.Sprintf("level %d head %v vs %v", k, la.Head, lb.Head)
+		if la.Elected() != lb.Elected() {
+			return fmt.Sprintf("level %d elected %v vs %v", k, la.Elected(), lb.Elected())
 		}
-		if !intMapsEqual(la.Member, lb.Member) {
-			return fmt.Sprintf("level %d member %v vs %v", k, la.Member, lb.Member)
+		if u := denseEqual(la.Head, lb.Head, -1); u >= 0 {
+			return fmt.Sprintf("level %d head[%d] %d vs %d", k, u, la.HeadOf(u), lb.HeadOf(u))
 		}
-		if !intMapsEqual(la.State, lb.State) {
-			return fmt.Sprintf("level %d state %v vs %v", k, la.State, lb.State)
+		if u := denseEqual(la.Member, lb.Member, -1); u >= 0 {
+			return fmt.Sprintf("level %d member[%d] %d vs %d", k, u, la.MemberOf(u), lb.MemberOf(u))
 		}
-		if len(la.Members) != len(lb.Members) {
-			return fmt.Sprintf("level %d members keys %d vs %d", k, len(la.Members), len(lb.Members))
+		if c := denseEqual(la.State, lb.State, -1); c >= 0 {
+			return fmt.Sprintf("level %d state[%d] %d vs %d", k, c, la.StateOf(c), lb.StateOf(c))
 		}
-		for c, s := range la.Members {
-			if !intSlicesEqual(s, lb.Members[c]) {
-				return fmt.Sprintf("level %d members[%d] %v vs %v", k, c, s, lb.Members[c])
+		for c := 0; c < max(len(la.Members), len(lb.Members)); c++ {
+			if !intSlicesEqual(la.MembersOf(c), lb.MembersOf(c)) {
+				return fmt.Sprintf("level %d members[%d] %v vs %v", k, c, la.MembersOf(c), lb.MembersOf(c))
 			}
 		}
 	}
@@ -178,14 +185,10 @@ func identsDiff(a, b *Identities) string {
 		return fmt.Sprintf("id levels %d vs %d", len(a.byLevel), len(b.byLevel))
 	}
 	for k := range a.byLevel {
-		ma, mb := a.byLevel[k], b.byLevel[k]
-		if len(ma) != len(mb) {
-			return fmt.Sprintf("level %d id keys %d vs %d", k+1, len(ma), len(mb))
-		}
-		for hd, id := range ma {
-			if oid, ok := mb[hd]; !ok || oid != id {
-				return fmt.Sprintf("level %d id[%d] %d vs %d", k+1, hd, id, oid)
-			}
+		if hd := denseEqual(a.byLevel[k], b.byLevel[k], noLogical); hd >= 0 {
+			la, _ := a.Logical(k+1, hd)
+			lb, _ := b.Logical(k+1, hd)
+			return fmt.Sprintf("level %d id[%d] %d vs %d", k+1, hd, la, lb)
 		}
 	}
 	return ""
@@ -198,10 +201,11 @@ func identsDiff(a, b *Identities) string {
 func memberSig(h *Hierarchy, ids *Identities, k int) map[uint64][]uint64 {
 	sig := map[uint64][]uint64{}
 	lvl := h.Level(k - 1)
-	if lvl == nil || lvl.Members == nil {
+	if lvl == nil || !lvl.Elected() {
 		return sig
 	}
-	for hd, ms := range lvl.Members {
+	for _, hd := range h.LevelNodes(k) {
+		ms := lvl.MembersOf(hd)
 		q, ok := ids.Logical(k, hd)
 		if !ok {
 			continue
@@ -287,16 +291,16 @@ func auditDirty(t *testing.T, tickNo int, dirty *DirtyClusters,
 		for k := 1; k < side.h.L(); k++ {
 			lvl := side.h.Level(k - 1)
 			up := side.h.Level(k)
-			if lvl == nil || lvl.Members == nil || up == nil || up.Member == nil {
+			if lvl == nil || !lvl.Elected() || up == nil || !up.Elected() {
 				continue
 			}
-			for hd := range lvl.Members {
+			for _, hd := range up.Nodes {
 				q, ok := side.ids.Logical(k, hd)
 				if !ok || !(changed[k][q] || marked(k, q)) {
 					continue
 				}
-				p, ok := up.Member[hd]
-				if !ok {
+				p := up.MemberOf(hd)
+				if p < 0 {
 					continue
 				}
 				pq, ok := side.ids.Logical(k+1, p)

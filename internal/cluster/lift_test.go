@@ -9,7 +9,7 @@ import (
 // the order of every adjacency list, must not depend on whether the
 // build drew its storage from a fresh arena or from one recycling the
 // snapshots of earlier ticks. Routing's BFS follows adjacency order,
-// so a recycled hash set leaking its order would change routes.
+// so recycled storage leaking its order would change routes.
 func TestLiftedAdjacencyIndependentOfArena(t *testing.T) {
 	const n = 220
 	graphs := evolveLayouts(n, 12, 17)

@@ -1,5 +1,7 @@
 package cluster
 
+import "sort"
+
 // ALCA state-occupancy tracking (paper Fig. 3 and §5.3.2).
 //
 // The ALCA state of a level-k node is the number of its level-(k-1)
@@ -41,7 +43,7 @@ func (t *StateTracker) Observe(h *Hierarchy) {
 	t.samples++
 	for k := 0; k+1 < len(h.Levels); k++ {
 		lvl := h.Levels[k]
-		if lvl.State == nil {
+		if !lvl.Elected() {
 			continue
 		}
 		m := k + 1 // node level whose states these are
@@ -50,8 +52,8 @@ func (t *StateTracker) Observe(h *Hierarchy) {
 			dist = map[int]int{}
 			t.occ[m] = dist
 		}
-		for _, id := range keysSorted(lvl.State) {
-			dist[lvl.State[id]]++
+		for _, c := range h.Levels[k+1].Nodes {
+			dist[lvl.StateOf(c)]++
 		}
 	}
 }
@@ -200,5 +202,16 @@ func (t *StateTracker) OccupancyHistogram(m int) map[int]int {
 	for _, k := range keysSorted(t.occ[m]) {
 		out[k] = t.occ[m][k]
 	}
+	return out
+}
+
+// keysSorted returns the keys of m in ascending order: the only way
+// map contents may enter an order-sensitive computation.
+func keysSorted[V any](m map[int]V) []int {
+	out := make([]int, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Ints(out)
 	return out
 }

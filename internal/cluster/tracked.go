@@ -55,51 +55,29 @@ func BuildWithIdentitiesArena(
 	now float64,
 ) (*Hierarchy, *Identities) {
 	cfg = cfg.withDefaults()
-	a.beginBuild()
+	if a == nil {
+		a = NewArena() // fresh storage, dropped with the build
+	}
+	idSpace := g0.IDSpace()
+	a.beginBuild(idSpace)
 	base := append(a.getInts(), nodes...)
 	slices.Sort(base)
 
 	// Previous logical chains per level-0 node, and previous elections
 	// in logical space: prevElect[k][logical_u] = logical head u
 	// elected at level k (k >= 1).
-	var prevLog map[int][]uint64
-	if a != nil {
-		prevLog = a.prevLog
-	} else {
-		prevLog = map[int][]uint64{}
-	}
+	a.fillPrevLog(base, prevH, prevIDs)
 	prevElect := map[int]map[uint64]uint64{}
 	if prevH != nil && prevIDs != nil {
-		if a != nil {
-			// Chains share one flat backing array; views are fixed up
-			// after all appends so growth cannot invalidate them.
-			for _, v := range prevH.LevelNodes(0) {
-				start := len(a.chainBack)
-				a.chainBack = prevIDs.AppendChainOf(prevH, v, a.chainBack)
-				if end := len(a.chainBack); end > start {
-					a.chainSpan = append(a.chainSpan, chainSpan{v: v, start: start, end: end})
-				}
-			}
-			for _, sp := range a.chainSpan {
-				prevLog[sp.v] = a.chainBack[sp.start:sp.end:sp.end]
-			}
-		} else {
-			for _, v := range prevH.LevelNodes(0) {
-				if c := prevIDs.ChainOf(prevH, v); c != nil {
-					prevLog[v] = c
-				}
-			}
-		}
 		for k := 1; k <= prevH.L(); k++ {
 			lvl := prevH.Level(k)
-			if lvl == nil || lvl.Head == nil {
+			if lvl == nil || !lvl.Elected() {
 				continue
 			}
 			m := a.getElectMap()
-			//lint:ignore maprange map-to-map projection; the result is order-free
-			for u, w := range lvl.Head {
+			for _, u := range lvl.Nodes {
 				lu, okU := prevIDs.Logical(k, u)
-				lw, okW := prevIDs.Logical(k, w)
+				lw, okW := prevIDs.Logical(k, lvl.HeadOf(u))
 				if okU && okW {
 					m[lu] = lw
 				}
@@ -111,16 +89,10 @@ func BuildWithIdentitiesArena(
 	h := a.getHier()
 	h.Reach = cfg.Reach
 	ids := a.getIdents()
-	// anc maps each level-0 node to its deepest known ancestor; it is
+	// a.anc holds each level-0 node's deepest known ancestor; it is
 	// advanced one level per election round.
-	var anc map[int]int
-	if a != nil {
-		anc = a.anc
-	} else {
-		anc = make(map[int]int, len(base))
-	}
 	for _, v := range base {
-		anc[v] = v
+		a.anc[v] = int32(v)
 	}
 
 	curNodes := base
@@ -132,25 +104,17 @@ func BuildWithIdentitiesArena(
 
 		if k >= 1 {
 			// Identity-match the freshly formed level-k clusters.
-			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k, curNodes, anc, prevLog))
+			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k, curNodes, base))
 		}
 
 		if len(curNodes) <= 1 || k >= cfg.MaxLevels {
 			break
 		}
 		if cfg.ForceTopAt > 0 && k >= 1 && len(curNodes) <= cfg.ForceTopAt {
-			forceTop(h, lvl, curNodes, g0.IDSpace(), a)
+			forceTop(h, lvl, idSpace, a)
 			// Identity for the forced top level.
-			root := curNodes[len(curNodes)-1]
-			//lint:ignore maprange per-key update/delete; the result is order-free
-			for v, an := range anc {
-				if _, ok := lvl.Member[an]; ok {
-					anc[v] = root
-				} else {
-					delete(anc, v)
-				}
-			}
-			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k+1, h.Levels[k+1].Nodes, anc, prevLog))
+			a.advanceAnc(base, lvl)
+			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k+1, h.Levels[k+1].Nodes, base))
 			break
 		}
 
@@ -173,29 +137,30 @@ func BuildWithIdentitiesArena(
 		} else {
 			heads = cfg.Elector.Elect(heads, curNodes, curGraph, prevHead)
 		}
-		elect(lvl, heads, a)
+		nextNodes := elect(lvl, heads, idSpace, a)
 		a.putHeadBuf(heads)
 
-		nextNodes := appendKeysSorted(a.getInts(), lvl.Members)
 		if len(nextNodes) == len(curNodes) {
 			// No compression: drop trivial election data and stop.
-			lvl.Head, lvl.Member, lvl.Members, lvl.State = nil, nil, nil, nil
+			lvl.resetElection(nextNodes, a)
+			a.putInts(nextNodes)
 			break
 		}
-		// Advance ancestors to level k+1.
-		//lint:ignore maprange per-key update/delete; the result is order-free
-		for v, an := range anc {
-			m, ok := lvl.Member[an]
-			if !ok {
-				delete(anc, v)
-				continue
-			}
-			anc[v] = m
-		}
-		curGraph = liftGraph(curGraph, lvl, g0.IDSpace(), a)
+		a.advanceAnc(base, lvl)
+		curGraph = liftGraph(curGraph, lvl, idSpace, a)
 		curNodes = nextNodes
 	}
 	return h, ids
+}
+
+// advanceAnc moves every level-0 node's ancestor in a.anc up through
+// lvl's election (to -1 where lvl holds no cluster for it).
+func (a *Arena) advanceAnc(base []int, lvl *Level) {
+	for _, v := range base {
+		if an := a.anc[v]; an >= 0 {
+			a.anc[v] = int32(lvl.MemberOf(int(an)))
+		}
+	}
 }
 
 // buildPrevHead returns the elector-memory closure for level k: given
@@ -218,12 +183,12 @@ func buildPrevHead(
 		// current carrier and must report -1, or a grace-period elector
 		// (DebouncedLCA) would keep electing the departed node and
 		// promote a head that is not a level-0 node at all.
-		if prevH == nil || prevH.Level(0) == nil || prevH.Level(0).Head == nil {
+		if prevH == nil || prevH.Level(0) == nil || !prevH.Level(0).Elected() {
 			return func(int) int { return -1 }
 		}
-		heads := prevH.Level(0).Head
+		pl0 := prevH.Level(0)
 		return func(u int) int {
-			if hd, ok := heads[u]; ok {
+			if hd := pl0.HeadOf(u); hd >= 0 {
 				if _, live := slices.BinarySearch(curNodes, hd); live {
 					return hd
 				}
@@ -261,32 +226,27 @@ func buildPrevHead(
 // matchLevel assigns logical IDs to the level-k clusters of the
 // snapshot under construction by maximal level-0 overlap with the
 // previous snapshot's logical clusters (greedy, largest overlap first,
-// deterministic tie-breaks). Clusters inheriting no identity receive
-// fresh IDs from tr. Arena a (nil-safe) supplies counting scratch and
-// the result map.
-func matchLevel(
-	a *Arena,
-	tr *IdentityTracker,
-	k int,
-	newHeads []int,
-	newAnc map[int]int,
-	prevLog map[int][]uint64,
-) map[int]uint64 {
+// deterministic tie-breaks). Each level-0 node of base counts once,
+// pairing its previous level-k logical (a.prevLog) with its new
+// level-k ancestor (a.anc). Clusters inheriting no identity receive
+// fresh IDs from tr. The result row comes from the arena.
+func matchLevel(a *Arena, tr *IdentityTracker, k int, newHeads, base []int) []uint64 {
+	row := a.getIDRow(a.idSpace)
 	if tr.Passthrough {
-		m := a.getIDMap(len(newHeads))
 		for _, h := range newHeads {
-			m[h] = uint64(h)
+			row[h] = uint64(h)
 		}
-		return m
+		return row
 	}
 	counts, pairs, usedPrev := a.matchScratch()
-	//lint:ignore maprange commutative integer counting; the result is order-free
-	for v, nh := range newAnc {
-		pc, ok := prevLog[v]
-		if !ok || len(pc) < k {
+	for _, v := range base {
+		nh := a.anc[v]
+		if nh < 0 {
 			continue
 		}
-		counts[matchPair{prev: pc[k-1], next: nh}]++
+		if q, ok := a.prevLogical(v, k); ok {
+			counts[matchPair{prev: q, next: int(nh)}]++
+		}
 	}
 	for p := range counts {
 		pairs = append(pairs, p)
@@ -308,24 +268,18 @@ func matchLevel(
 			return x.next - y.next
 		}
 	})
-	if a != nil {
-		a.pairs = pairs // return grown capacity to the arena
-	}
-	m := a.getIDMap(len(newHeads))
+	a.pairs = pairs // return grown capacity to the arena
 	for _, p := range pairs {
-		if usedPrev[p.prev] {
+		if usedPrev[p.prev] || row[p.next] != noLogical {
 			continue
 		}
-		if _, taken := m[p.next]; taken {
-			continue
-		}
-		m[p.next] = p.prev
+		row[p.next] = p.prev
 		usedPrev[p.prev] = true
 	}
 	for _, h := range newHeads {
-		if _, ok := m[h]; !ok {
-			m[h] = tr.alloc(h)
+		if row[h] == noLogical {
+			row[h] = tr.alloc(h)
 		}
 	}
-	return m
+	return row
 }

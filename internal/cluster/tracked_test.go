@@ -77,11 +77,11 @@ func TestTrackedStickySurvivesRelabel(t *testing.T) {
 	if h1.L() < 2 {
 		t.Fatalf("L = %d", h1.L())
 	}
-	lvl1Head := h1.Level(1).Head
-	if lvl1Head[5] != 6 {
-		t.Fatalf("head(5)@1 = %d, want 6", lvl1Head[5])
+	lvl1Head := h1.Level(1).HeadOf(5)
+	if lvl1Head != 6 {
+		t.Fatalf("head(5)@1 = %d, want 6", lvl1Head)
 	}
-	prevLogical, ok := ids1.Logical(1, lvl1Head[5])
+	prevLogical, ok := ids1.Logical(1, lvl1Head)
 	if !ok {
 		t.Fatal("elected head has no identity")
 	}
@@ -92,7 +92,7 @@ func TestTrackedStickySurvivesRelabel(t *testing.T) {
 		[2]int{7, 6}, [2]int{7, 3}, [2]int{7, 5})
 	h2, ids2 := BuildWithIdentities(g2, []int{1, 2, 3, 5, 6, 7}, cfg, h1, ids1, tr, 1)
 	if h2.L() >= 2 {
-		newHead := h2.Level(1).Head[5]
+		newHead := h2.Level(1).HeadOf(5)
 		newLogical, ok := ids2.Logical(1, newHead)
 		if !ok || newLogical != prevLogical {
 			t.Fatalf("sticky affiliation lost: logical %d -> %d (head %d)",

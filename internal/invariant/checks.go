@@ -98,27 +98,33 @@ func checkPartition(s *Snapshot) error {
 	}
 	for k := 0; k+1 < len(h.Levels); k++ {
 		lvl, up := h.Levels[k], h.Levels[k+1]
-		if lvl.Member == nil {
+		if !lvl.Elected() {
 			return fmt.Errorf("level %d missing election data below level %d", k, k+1)
 		}
 		for _, u := range lvl.Nodes {
-			m, ok := lvl.Member[u]
-			if !ok {
+			m := lvl.MemberOf(u)
+			if m < 0 {
 				return fmt.Errorf("level %d node %d has no cluster", k, u)
 			}
 			if !up.IsNode(m) {
 				return fmt.Errorf("level %d node %d assigned to non-node cluster %d", k, u, m)
 			}
 		}
-		if len(lvl.Member) != len(lvl.Nodes) {
-			return fmt.Errorf("level %d Member has %d entries for %d nodes", k, len(lvl.Member), len(lvl.Nodes))
+		if n := denseCount(lvl.Member); n != len(lvl.Nodes) {
+			return fmt.Errorf("level %d Member has %d entries for %d nodes", k, n, len(lvl.Nodes))
 		}
-		if len(lvl.Members) != len(up.Nodes) {
-			return fmt.Errorf("level %d has %d member lists for %d clusters", k, len(lvl.Members), len(up.Nodes))
+		lists := 0
+		for _, ms := range lvl.Members {
+			if len(ms) > 0 {
+				lists++
+			}
+		}
+		if lists != len(up.Nodes) {
+			return fmt.Errorf("level %d has %d member lists for %d clusters", k, lists, len(up.Nodes))
 		}
 		covered := 0
 		for _, c := range up.Nodes {
-			members := lvl.Members[c]
+			members := lvl.MembersOf(c)
 			if len(members) == 0 {
 				return fmt.Errorf("level-%d cluster %d has no members", k+1, c)
 			}
@@ -128,12 +134,12 @@ func checkPartition(s *Snapshot) error {
 					return fmt.Errorf("level-%d cluster %d member list unsorted or duplicated at %d", k+1, c, u)
 				}
 				prev = u
-				if lvl.Member[u] != c {
-					return fmt.Errorf("level %d node %d in member list of %d but Member says %d", k, u, c, lvl.Member[u])
+				if lvl.MemberOf(u) != c {
+					return fmt.Errorf("level %d node %d in member list of %d but Member says %d", k, u, c, lvl.MemberOf(u))
 				}
 			}
 			covered += len(members)
-			if lvl.Member[c] != c {
+			if lvl.MemberOf(c) != c {
 				return fmt.Errorf("head %d at level %d not in its own cluster", c, k)
 			}
 		}
@@ -156,7 +162,7 @@ func checkReach(s *Snapshot) error {
 	}
 	for k := 0; k+1 < len(h.Levels); k++ {
 		lvl := h.Levels[k]
-		if lvl.Member == nil {
+		if !lvl.Elected() {
 			continue // reported by hierarchy-partition
 		}
 		if h.ForcedTop && k == len(h.Levels)-2 {
@@ -164,7 +170,7 @@ func checkReach(s *Snapshot) error {
 		}
 		var rc *cluster.ReachChecker
 		for _, u := range lvl.Nodes {
-			m := lvl.Member[u]
+			m := lvl.MemberOf(u)
 			if m == u {
 				continue
 			}
@@ -194,7 +200,7 @@ func checkCompression(s *Snapshot) error {
 	h := s.Next.Hier
 	for k := 0; k+1 < len(h.Levels); k++ {
 		lvl, up := h.Levels[k], h.Levels[k+1]
-		if lvl.Member == nil {
+		if !lvl.Elected() {
 			continue
 		}
 		if len(up.Nodes) >= len(lvl.Nodes) {
@@ -225,36 +231,36 @@ func checkALCAState(s *Snapshot) error {
 	ph, nh := s.Prev.Hier, s.Next.Hier
 	for k := 0; k+1 < len(ph.Levels) && k+1 < len(nh.Levels); k++ {
 		pl, nl := ph.Levels[k], nh.Levels[k]
-		if pl.Head == nil || nl.Head == nil {
+		if !pl.Elected() || !nl.Elected() {
 			continue
 		}
 		gained := map[int]int{}
 		lost := map[int]int{}
 		for _, u := range nl.Nodes {
-			hd := nl.Head[u]
+			hd := nl.HeadOf(u)
 			if hd == u {
 				continue
 			}
-			if !pl.IsNode(u) || pl.Head[u] != hd {
+			if !pl.IsNode(u) || pl.HeadOf(u) != hd {
 				gained[hd]++
 			}
 		}
 		for _, u := range pl.Nodes {
-			hd := pl.Head[u]
+			hd := pl.HeadOf(u)
 			if hd == u {
 				continue
 			}
-			if !nl.IsNode(u) || nl.Head[u] != hd {
+			if !nl.IsNode(u) || nl.HeadOf(u) != hd {
 				lost[hd]++
 			}
 		}
-		// Persistent heads: present in both snapshots' state maps.
+		// Persistent heads: present in both snapshots' state tables.
 		for _, hd := range nh.Levels[k+1].Nodes {
-			oldS, ok := pl.State[hd]
-			if !ok {
+			oldS := pl.StateOf(hd)
+			if oldS < 0 {
 				continue
 			}
-			newS := nl.State[hd]
+			newS := nl.StateOf(hd)
 			if newS-oldS != gained[hd]-lost[hd] {
 				return fmt.Errorf("level-%d head %d state moved %d->%d but elector flips say %+d gained %+d lost",
 					k, hd, oldS, newS, gained[hd], lost[hd])
@@ -268,21 +274,21 @@ func checkALCAState(s *Snapshot) error {
 func checkStateCounts(h *cluster.Hierarchy) error {
 	for k := 0; k+1 < len(h.Levels); k++ {
 		lvl, up := h.Levels[k], h.Levels[k+1]
-		if lvl.Head == nil {
+		if !lvl.Elected() {
 			continue
 		}
 		want := map[int]int{}
 		for _, u := range lvl.Nodes {
-			if hd := lvl.Head[u]; hd != u {
+			if hd := lvl.HeadOf(u); hd != u {
 				want[hd]++
 			}
 		}
-		if len(lvl.State) != len(up.Nodes) {
-			return fmt.Errorf("level %d State has %d entries for %d clusters", k, len(lvl.State), len(up.Nodes))
+		if n := denseCount(lvl.State); n != len(up.Nodes) {
+			return fmt.Errorf("level %d State has %d entries for %d clusters", k, n, len(up.Nodes))
 		}
 		for _, hd := range up.Nodes {
-			got, ok := lvl.State[hd]
-			if !ok {
+			got := lvl.StateOf(hd)
+			if got < 0 {
 				return fmt.Errorf("level-%d head %d missing from State", k, hd)
 			}
 			if got != want[hd] {
@@ -489,23 +495,17 @@ func checkDiffState(s *Snapshot) error {
 	}
 	ph, nh := s.Prev.Hier, s.Next.Hier
 	var want []cluster.StateDelta
-	var ids []int
 	for k := 0; k+1 < len(ph.Levels) && k+1 < len(nh.Levels); k++ {
 		pl, nl := ph.Levels[k], nh.Levels[k]
-		if pl.State == nil || nl.State == nil {
+		if !pl.Elected() || !nl.Elected() {
 			continue
 		}
-		ids = ids[:0]
-		for id := range pl.State {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			nw, ok := nl.State[id]
-			if !ok {
+		for _, id := range ph.Levels[k+1].Nodes {
+			nw := nl.StateOf(id)
+			if nw < 0 {
 				continue
 			}
-			if old := pl.State[id]; old != nw {
+			if old := pl.StateOf(id); old != nw {
 				want = append(want, cluster.StateDelta{Level: k, Node: id, Old: old, New: nw})
 			}
 		}
@@ -642,8 +642,10 @@ func checkIncrementalHierarchy(s *Snapshot) error {
 	if err := hierEqual(h, refH); err != nil {
 		return fmt.Errorf("hierarchy differs from oracle rebuild: %w", err)
 	}
+	// Every head ID is compared, so an identity left on a head that
+	// no longer leads a cluster counts as a difference.
 	for k := 1; k <= refH.L(); k++ {
-		for _, hd := range refH.LevelNodes(k) {
+		for hd := 0; hd < in.G0.IDSpace(); hd++ {
 			want, wok := refIDs.Logical(k, hd)
 			got, gok := s.Next.IDs.Logical(k, hd)
 			if wok != gok || want != got {
@@ -673,21 +675,17 @@ func hierEqual(got, want *cluster.Hierarchy) error {
 		if (g.Graph == nil) != (w.Graph == nil) || (g.Graph != nil && !g.Graph.Equal(w.Graph)) {
 			return fmt.Errorf("level %d: graphs differ", k)
 		}
-		if err := intMapEqual(g.Head, w.Head); err != nil {
+		if err := denseEqual(g.Head, w.Head, -1); err != nil {
 			return fmt.Errorf("level %d Head: %w", k, err)
 		}
-		if err := intMapEqual(g.Member, w.Member); err != nil {
+		if err := denseEqual(g.Member, w.Member, -1); err != nil {
 			return fmt.Errorf("level %d Member: %w", k, err)
 		}
-		if err := intMapEqual(g.State, w.State); err != nil {
+		if err := denseEqual(g.State, w.State, -1); err != nil {
 			return fmt.Errorf("level %d State: %w", k, err)
 		}
-		if len(g.Members) != len(w.Members) {
-			return fmt.Errorf("level %d Members: %d clusters vs %d", k, len(g.Members), len(w.Members))
-		}
-		//lint:ignore maprange equality check; order affects only which mismatch is reported
-		for c, wm := range w.Members {
-			if !slices.Equal(g.Members[c], wm) {
+		for c := 0; c < max(len(g.Members), len(w.Members)); c++ {
+			if !slices.Equal(g.MembersOf(c), w.MembersOf(c)) {
 				return fmt.Errorf("level %d cluster %d member list differs", k, c)
 			}
 		}
@@ -695,19 +693,35 @@ func hierEqual(got, want *cluster.Hierarchy) error {
 	return nil
 }
 
-// intMapEqual reports the first difference between two int maps (nil
-// and empty are interchangeable), or nil.
-func intMapEqual(got, want map[int]int) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d entries vs %d", len(got), len(want))
-	}
-	//lint:ignore maprange equality check; order affects only which mismatch is reported
-	for k, wv := range want {
-		if gv, ok := got[k]; !ok || gv != wv {
-			return fmt.Errorf("key %d: %d vs %d", k, gv, wv)
+// denseEqual reports the first difference between two dense
+// ID-indexed slices, reading IDs beyond a slice as absent, or nil.
+// Every ID is compared, so an entry left beside the node lists counts.
+func denseEqual(got, want []int32, absent int32) error {
+	for i := 0; i < max(len(got), len(want)); i++ {
+		g, w := absent, absent
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			return fmt.Errorf("key %d: %d vs %d", i, g, w)
 		}
 	}
 	return nil
+}
+
+// denseCount returns the number of present (non-negative) entries of
+// a dense ID-indexed slice.
+func denseCount(s []int32) int {
+	n := 0
+	for _, v := range s {
+		if v >= 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // ---------------------------------------------------------------- shared

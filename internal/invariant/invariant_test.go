@@ -87,14 +87,14 @@ func TestCleanStatePasses(t *testing.T) {
 func TestEachCheckFires(t *testing.T) {
 	t.Run("partition-missing-member", func(t *testing.T) {
 		st, sel := twoCliques(t)
-		delete(st.Hier.Levels[0].Member, 2)
+		st.Hier.Levels[0].Member[2] = -1
 		assertFired(t, snapshotOf(st, sel), "hierarchy-partition")
 	})
 	t.Run("partition-wrong-cluster", func(t *testing.T) {
 		st, sel := twoCliques(t)
 		lvl0 := st.Hier.Levels[0]
 		// Reassign a node in Member without touching Members.
-		lvl0.Member[0] = st.Hier.Levels[1].Nodes[len(st.Hier.Levels[1].Nodes)-1]
+		lvl0.Member[0] = int32(st.Hier.Levels[1].Nodes[len(st.Hier.Levels[1].Nodes)-1])
 		assertFired(t, snapshotOf(st, sel), "hierarchy-partition")
 	})
 	t.Run("partition-head-not-own-cluster", func(t *testing.T) {
@@ -119,11 +119,11 @@ func TestEachCheckFires(t *testing.T) {
 		lvl0 := st.Hier.Levels[0]
 		victim, far := -1, -1
 		for _, v := range lvl0.Nodes {
-			if lvl0.Member[v] == v {
+			if lvl0.MemberOf(v) == v {
 				continue // head; moving it breaks the partition instead
 			}
 			for _, c := range st.Hier.Levels[1].Nodes {
-				if c != lvl0.Member[v] && !lvl0.Graph.HasEdge(v, c) {
+				if c != lvl0.MemberOf(v) && !lvl0.Graph.HasEdge(v, c) {
 					victim, far = v, c
 				}
 			}
@@ -323,7 +323,7 @@ func TestViolationCountersAndDump(t *testing.T) {
 // check can object.
 func moveMember(lvl *cluster.Level, v, dst int) {
 	old := lvl.Member[v]
-	lvl.Member[v] = dst
+	lvl.Member[v] = int32(dst)
 	src := lvl.Members[old]
 	for i, u := range src {
 		if u == v {

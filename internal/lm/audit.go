@@ -12,8 +12,14 @@ import (
 // half of the invariant checker's table-owners check; the semantic
 // half (rows match the hierarchy) lives in internal/invariant.
 func (t *Table) Audit() error {
-	if len(t.index) != len(t.owners) {
-		return fmt.Errorf("lm: index has %d entries for %d owners", len(t.index), len(t.owners))
+	indexed := 0
+	for _, r := range t.index {
+		if r >= 0 {
+			indexed++
+		}
+	}
+	if indexed != len(t.owners) {
+		return fmt.Errorf("lm: index has %d entries for %d owners", indexed, len(t.owners))
 	}
 	if len(t.servers) != len(t.owners) || len(t.chains) != len(t.owners) {
 		return fmt.Errorf("lm: %d owners but %d server rows / %d chain rows",
@@ -25,8 +31,7 @@ func (t *Table) Audit() error {
 			return fmt.Errorf("lm: owners unsorted or duplicated at %d (row %d)", v, row)
 		}
 		prev = v
-		got, ok := t.index[v]
-		if !ok || got != row {
+		if got := t.row(v); got != row {
 			return fmt.Errorf("lm: owner %d indexed to row %d, stored at row %d", v, got, row)
 		}
 		if len(t.servers[row]) != len(t.chains[row]) {

@@ -116,13 +116,16 @@ func (c ClassCounts) Total() int {
 func ClassifyReorg(prevH, nextH *cluster.Hierarchy, d *cluster.Diff) ClassCounts {
 	out := ClassCounts{}
 
+	// Walk the levels in ascending order: the diff records events for
+	// levels 1..maxL-1.
+	maxL := max(len(prevH.Levels), len(nextH.Levels))
+
 	// i / ii: cluster-migration link events among persistent level-k
 	// nodes where an endpoint is a level-(k+1) node (those are the
 	// changes that alter level-(k+1) membership and so trigger
 	// handoff).
-	//lint:ignore maprange commutative integer counting per level; the result is order-free
-	for k, evs := range d.MigrationLinkEvents {
-		for _, ev := range evs {
+	for k := 1; k < maxL; k++ {
+		for _, ev := range d.MigrationLinkEvents[k] {
 			a, b := ev.Edge.Nodes()
 			if ev.Up {
 				if isLevelNode(nextH, k+1, a) || isLevelNode(nextH, k+1, b) {
@@ -139,8 +142,11 @@ func ClassifyReorg(prevH, nextH *cluster.Hierarchy, d *cluster.Diff) ClassCounts
 	// iii / v: elections. The election of v at level k is recursive
 	// (v) when one of v's current electors was itself elected at level
 	// k-1 in the same tick; otherwise it is migration-driven (iii).
-	//lint:ignore maprange commutative integer counting per level; the result is order-free
-	for k, elected := range d.Elections {
+	for k := 1; k < maxL; k++ {
+		elected := d.Elections[k]
+		if len(elected) == 0 {
+			continue
+		}
 		newlyElectedBelow := toSet(d.Elections[k-1])
 		for _, v := range elected {
 			if k >= 2 && electorIn(nextH, k-1, v, newlyElectedBelow) {
@@ -152,8 +158,11 @@ func ClassifyReorg(prevH, nextH *cluster.Hierarchy, d *cluster.Diff) ClassCounts
 	}
 
 	// iv / vi: rejections, symmetric with the elector's own rejection.
-	//lint:ignore maprange commutative integer counting per level; the result is order-free
-	for k, rejected := range d.Rejections {
+	for k := 1; k < maxL; k++ {
+		rejected := d.Rejections[k]
+		if len(rejected) == 0 {
+			continue
+		}
 		rejectedBelow := toSet(d.Rejections[k-1])
 		for _, v := range rejected {
 			if k >= 2 && electorIn(prevH, k-1, v, rejectedBelow) {
@@ -166,17 +175,13 @@ func ClassifyReorg(prevH, nextH *cluster.Hierarchy, d *cluster.Diff) ClassCounts
 
 	// vii: each election at level k+1 is an event for every level-k
 	// neighbor of the new clusterhead.
-	//lint:ignore maprange commutative integer counting per level; the result is order-free
-	for k1, elected := range d.Elections {
+	for k1 := 2; k1 < maxL; k1++ {
 		k := k1 - 1
-		if k < 1 {
-			continue
-		}
 		lvl := nextH.Level(k)
 		if lvl == nil || lvl.Graph == nil {
 			continue
 		}
-		for _, u := range elected {
+		for _, u := range d.Elections[k1] {
 			out.add(k, EventNeighborElec, len(lvl.Graph.Neighbors(u)))
 		}
 	}
@@ -196,12 +201,11 @@ func electorIn(h *cluster.Hierarchy, eLevel, v int, set map[int]bool) bool {
 		return false
 	}
 	lvl := h.Level(eLevel)
-	if lvl == nil || lvl.Head == nil {
+	if lvl == nil || !lvl.Elected() {
 		return false
 	}
-	//lint:ignore maprange order-free existence scan with a single boolean outcome
-	for u, hd := range lvl.Head {
-		if hd == v && u != v && set[u] {
+	for _, u := range lvl.Nodes {
+		if u != v && set[u] && lvl.HeadOf(u) == v {
 			return true
 		}
 	}

@@ -1,10 +1,6 @@
 package lm
 
-import (
-	"sort"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // Handoff accounting (paper §4 and §5).
 //
@@ -140,7 +136,7 @@ func sum(xs []float64) float64 {
 // rootChange describes the lowest-level logical membership change of a
 // node in one tick.
 type rootChange struct {
-	minLevel int
+	minLevel int  // 0: no change
 	pure     bool // individual level-1 migration between persistent clusters
 }
 
@@ -150,24 +146,39 @@ type rootChange struct {
 type Accountant struct {
 	Hop topology.HopModel
 
-	roots     map[int]rootChange
-	changedAt map[int]uint64
+	// Per-owner scratch of chainChanges, indexed by owner ID: roots[v]
+	// is v's root change and changedAt[v] the bitmask of levels whose
+	// logical cluster changed (0: none). changed lists the owners with
+	// entries, ascending; only those are reset by the next call.
+	roots     []rootChange
+	changedAt []uint64
+	changed   []int
 	prevLive1 map[uint64]bool
 	nextLive1 map[uint64]bool
-	seen      map[int]bool
-	owners    []int
 	diffs     []TableDiff
 	transfers []Transfer
 }
 
 // NewAccountant returns an accountant using the given hop model.
 func NewAccountant(hop topology.HopModel) *Accountant {
-	return &Accountant{
-		Hop:       hop,
-		roots:     map[int]rootChange{},
-		changedAt: map[int]uint64{},
-		seen:      map[int]bool{},
+	return &Accountant{Hop: hop}
+}
+
+// rootOf returns v's root change in the current tick (minLevel 0 when
+// v's chain did not change).
+func (a *Accountant) rootOf(v int) rootChange {
+	if uint(v) >= uint(len(a.roots)) {
+		return rootChange{}
 	}
+	return a.roots[v]
+}
+
+// levelsChanged returns the bitmask of v's changed levels this tick.
+func (a *Accountant) levelsChanged(v int) uint64 {
+	if uint(v) >= uint(len(a.changedAt)) {
+		return 0
+	}
+	return a.changedAt[v]
 }
 
 // Apply accounts one tick's handoff between consecutive tables. It
@@ -176,20 +187,14 @@ func NewAccountant(hop topology.HopModel) *Accountant {
 //
 //manet:hotpath
 func (a *Accountant) Apply(prevT, nextT *Table, totals *Totals) []Transfer {
-	roots, changedAt := a.chainChanges(prevT, nextT, totals)
+	a.chainChanges(prevT, nextT, totals)
 
 	// Owner-driven location updates ([17]): an owner whose level-k
 	// cluster changed refreshes its level-k entry at the current
 	// server, whether or not the serving node moved. Owners are
 	// visited in sorted order so float accumulation is deterministic.
-	owners := a.owners[:0]
-	for owner := range changedAt {
-		owners = append(owners, owner)
-	}
-	sort.Ints(owners)
-	a.owners = owners
-	for _, owner := range owners {
-		levels := changedAt[owner]
+	for _, owner := range a.changed {
+		levels := a.changedAt[owner]
 		for k := 1; levels>>uint(k) != 0; k++ {
 			if levels&(1<<uint(k)) == 0 {
 				continue
@@ -204,7 +209,7 @@ func (a *Accountant) Apply(prevT, nextT *Table, totals *Totals) []Transfer {
 		}
 	}
 
-	a.diffs = appendTableDiffs(a.diffs[:0], prevT, nextT, a.seen)
+	a.diffs = appendTableDiffs(a.diffs[:0], prevT, nextT)
 	diffs := a.diffs
 	transfers := a.transfers[:0]
 	for _, td := range diffs {
@@ -216,18 +221,16 @@ func (a *Accountant) Apply(prevT, nextT *Table, totals *Totals) []Transfer {
 			// Handoff proper: an existing entry relocates.
 			packets = a.Hop.Hops(td.OldServer, td.NewServer)
 			cause = CauseReorg
-			if lv, ok := changedAt[td.Owner]; ok && lv&(1<<uint(td.Level)) != 0 {
+			if a.levelsChanged(td.Owner)&(1<<uint(td.Level)) != 0 {
 				// Owner-side trigger: the owner's level-k cluster changed.
-				if rc := roots[td.Owner]; rc.pure {
+				if a.rootOf(td.Owner).pure {
 					cause = CauseMigration
 				}
-			} else {
+			} else if a.rootOf(td.OldServer).pure {
 				// Server-side trigger: the assignment moved without the
 				// owner moving; attribute to the old server's own motion
 				// when that motion was an individual migration.
-				if rc, ok := roots[td.OldServer]; ok && rc.pure {
-					cause = CauseMigration
-				}
+				cause = CauseMigration
 			}
 			if cause == CauseMigration {
 				totals.PhiPackets[td.Level] += float64(packets)
@@ -259,26 +262,25 @@ func (a *Accountant) Apply(prevT, nextT *Table, totals *Totals) []Transfer {
 }
 
 // chainChanges extracts per-node logical membership changes between
-// two tables: the root-change classification for φ/γ attribution, a
-// per-node bitmask of changed levels, and the f_k event counters. The
-// returned maps are accountant scratch, valid until the next call.
+// two tables into the accountant's per-owner scratch: the root-change
+// classification for φ/γ attribution, a per-node bitmask of changed
+// levels, and the ascending list of changed owners; it also counts the
+// f_k events.
 //
 //manet:hotpath
-func (a *Accountant) chainChanges(prevT, nextT *Table, totals *Totals) (map[int]rootChange, map[int]uint64) {
-	if a.roots == nil { // zero-value Accountant (constructed without NewAccountant)
-		//lint:ignore hotpath warm-up: zero-value Accountant builds its scratch maps once
-		a.roots = map[int]rootChange{}
-		//lint:ignore hotpath warm-up: zero-value Accountant builds its scratch maps once
-		a.changedAt = map[int]uint64{}
-		//lint:ignore hotpath warm-up: zero-value Accountant builds its scratch maps once
-		a.seen = map[int]bool{}
+func (a *Accountant) chainChanges(prevT, nextT *Table, totals *Totals) {
+	for _, v := range a.changed {
+		a.roots[v], a.changedAt[v] = rootChange{}, 0
 	}
-	roots := a.roots
-	changedAt := a.changedAt
-	clear(roots)
-	clear(changedAt)
-	if prevT == nil {
-		return roots, changedAt
+	a.changed = a.changed[:0]
+	if prevT == nil || len(prevT.owners) == 0 {
+		return
+	}
+	if n := prevT.owners[len(prevT.owners)-1] + 1; n > len(a.roots) {
+		//lint:ignore hotpath warm-up: the per-owner scratch grows once per ID space
+		a.roots = append(a.roots, make([]rootChange, n-len(a.roots))...)
+		//lint:ignore hotpath warm-up: the per-owner scratch grows once per ID space
+		a.changedAt = append(a.changedAt, make([]uint64, n-len(a.changedAt))...)
 	}
 	liveFilled := false // lazy level-1 liveness
 	//lint:ignore hotpath non-escaping lazy-init closure, stack-allocated in practice
@@ -312,26 +314,27 @@ func (a *Accountant) chainChanges(prevT, nextT *Table, totals *Totals) (map[int]
 			k := i + 1
 			totals.grow(k)
 			totals.MembershipEvents[k]++
-			changedAt[v] |= 1 << uint(k)
-			rc, seen := roots[v]
-			if !seen || k < rc.minLevel {
+			if a.changedAt[v] == 0 {
+				a.changed = append(a.changed, v)
+			}
+			a.changedAt[v] |= 1 << uint(k)
+			if rc := a.roots[v]; rc.minLevel == 0 || k < rc.minLevel {
 				pure := false
 				if k == 1 && haveOld && haveNew {
 					pl, nl := live1()
 					pure = pl[nw] && nl[old]
 				}
-				roots[v] = rootChange{minLevel: k, pure: pure}
+				a.roots[v] = rootChange{minLevel: k, pure: pure}
 			}
 		}
-		if rc, ok := roots[v]; ok && rc.pure {
+		if a.roots[v].pure {
 			// Count the pure migration at every level it touched.
 			for k := 1; k <= depth; k++ {
-				if changedAt[v]&(1<<uint(k)) != 0 {
+				if a.changedAt[v]&(1<<uint(k)) != 0 {
 					totals.grow(k)
 					totals.MigrationEvents[k]++
 				}
 			}
 		}
 	}
-	return roots, changedAt
 }

@@ -332,7 +332,7 @@ func TestDiffTablesEdgeCases(t *testing.T) {
 	t1 := s.BuildTable(h1, ids1)
 
 	// nil prev: every live entry appears exactly once, from nowhere.
-	d := appendTableDiffs(nil, nil, t1, nil)
+	d := appendTableDiffs(nil, nil, t1)
 	if len(d) != t1.EntryCount() {
 		t.Fatalf("nil-prev diff has %d entries, table has %d", len(d), t1.EntryCount())
 	}
@@ -392,9 +392,8 @@ func TestDiffTablesEdgeCases(t *testing.T) {
 	// The buffer-reuse form must reproduce the allocating form exactly,
 	// including after reuse with stale contents.
 	want := DiffTables(t1, t3)
-	seen := map[int]bool{7: true} // stale scratch to be cleared
-	out := appendTableDiffs(nil, t2, t1, seen)
-	out = appendTableDiffs(out[:0], t1, t3, seen)
+	out := appendTableDiffs(nil, t2, t1)
+	out = appendTableDiffs(out[:0], t1, t3)
 	if !slices.Equal(out, want) {
 		t.Fatalf("reused-buffer diff deviates:\n got %+v\nwant %+v", out, want)
 	}

@@ -15,10 +15,10 @@ import (
 // handoff accountant consume: comparing logical chains distinguishes
 // real cluster membership changes from head relabels.
 type Table struct {
-	owners  []int       // sorted level-0 node IDs
-	index   map[int]int // owner -> row
-	servers [][]int32   // [row][k-1] -> server node, -1 if none
-	chains  [][]uint64  // [row][k-1] -> logical level-k ancestor
+	owners  []int      // sorted level-0 node IDs (owned by the table)
+	index   []int32    // owner ID -> row, -1 for IDs that own no row
+	servers [][]int32  // [row][k-1] -> server node, -1 if none
+	chains  [][]uint64 // [row][k-1] -> logical level-k ancestor
 
 	// Per-row descent-path memo: for each owner row, the winner keys of
 	// every hash descent, column k occupying [k(k-1)/2, k(k+1)/2) in
@@ -43,10 +43,41 @@ func pathOff(k int) int { return k * (k - 1) / 2 }
 // Owners returns the sorted owner IDs covered by the table.
 func (t *Table) Owners() []int { return t.owners }
 
+// row returns owner's row, or -1.
+func (t *Table) row(owner int) int {
+	if uint(owner) >= uint(len(t.index)) {
+		return -1
+	}
+	return int(t.index[owner])
+}
+
+// setOwners makes owners (copied) the table's owner list and points
+// the row index at it. Only the entries of the previous owner list are
+// reset, so the cost tracks the owners, not the ID space.
+//
+//manet:hotpath
+func (t *Table) setOwners(owners []int) {
+	for _, v := range t.owners {
+		t.index[v] = -1
+	}
+	t.owners = append(t.owners[:0], owners...)
+	if n := len(owners); n > 0 && owners[n-1] >= len(t.index) {
+		old := len(t.index)
+		//lint:ignore hotpath warm-up: the row index grows once per ID space
+		t.index = append(t.index, make([]int32, owners[n-1]+1-old)...)
+		for i := old; i < len(t.index); i++ {
+			t.index[i] = -1
+		}
+	}
+	for row, v := range owners {
+		t.index[v] = int32(row)
+	}
+}
+
 // Server returns the level-k server of owner, or -1.
 func (t *Table) Server(owner, k int) int {
-	row, ok := t.index[owner]
-	if !ok || k < 1 || k > len(t.servers[row]) {
+	row := t.row(owner)
+	if row < 0 || k < 1 || k > len(t.servers[row]) {
 		return -1
 	}
 	return int(t.servers[row][k-1])
@@ -55,8 +86,8 @@ func (t *Table) Server(owner, k int) int {
 // Chain returns owner's logical ancestor chain (shared slice; do not
 // mutate), or nil.
 func (t *Table) Chain(owner int) []uint64 {
-	row, ok := t.index[owner]
-	if !ok {
+	row := t.row(owner)
+	if row < 0 {
 		return nil
 	}
 	return t.chains[row]
@@ -64,8 +95,8 @@ func (t *Table) Chain(owner int) []uint64 {
 
 // Levels returns the number of levels allocated for owner's row.
 func (t *Table) Levels(owner int) int {
-	row, ok := t.index[owner]
-	if !ok {
+	row := t.row(owner)
+	if row < 0 {
 		return 0
 	}
 	return len(t.servers[row])
@@ -199,11 +230,10 @@ func (s *Selector) serverForBuf(
 ) (int, []uint64) {
 	cur := owner
 	for j := 0; j < k; j++ {
-		m, ok := h.Level(j).Member[cur]
-		if !ok {
+		cur = h.Levels[j].MemberOf(cur)
+		if cur < 0 {
 			return -1, buf
 		}
-		cur = m
 	}
 	return s.descendFrom(h, ids, owner, cur, k, buf, path, w)
 }
@@ -299,16 +329,14 @@ func (s *Selector) serverForBufIncr(
 func (s *Selector) BuildTable(h *cluster.Hierarchy, ids *cluster.Identities) *Table {
 	owners := h.LevelNodes(0)
 	t := &Table{
-		owners:  owners,
-		index:   make(map[int]int, len(owners)),
 		servers: make([][]int32, len(owners)),
 		chains:  make([][]uint64, len(owners)),
 		paths:   make([][]uint64, len(owners)),
 	}
+	t.setOwners(owners)
 	var buf []uint64
 	var w hashWork
 	for row, v := range owners {
-		t.index[v] = row
 		chain := ids.ChainOf(h, v)
 		n := len(chain)
 		srv := make([]int32, n)
@@ -452,13 +480,7 @@ func (s *Selector) UpdateTableInto(
 	useAff := sc.affectedOwners(dirty, prev, prevH, prevIDs, nextH)
 	sc.work = hashWork{}
 	owners := nextH.LevelNodes(0)
-	dst.owners = owners
-	if dst.index == nil {
-		//lint:ignore hotpath warm-up: the first update builds the reused row index
-		dst.index = make(map[int]int, len(owners))
-	} else {
-		clear(dst.index)
-	}
+	dst.setOwners(owners)
 	dst.servers = dst.servers[:0]
 	dst.chains = dst.chains[:0]
 	dst.paths = dst.paths[:0]
@@ -466,10 +488,9 @@ func (s *Selector) UpdateTableInto(
 	dst.chainBack = dst.chainBack[:0]
 	dst.pathBack = dst.pathBack[:0]
 	sc.rowEnd = sc.rowEnd[:0]
-	for row, v := range owners {
-		dst.index[v] = row
+	for _, v := range owners {
 		if useAff && (v >= len(sc.affBits) || !sc.affBits[v]) {
-			if r, ok := prev.index[v]; ok {
+			if r := prev.row(v); r >= 0 {
 				dst.chainBack = append(dst.chainBack, prev.chains[r]...)
 				dst.srvBack = append(dst.srvBack, prev.servers[r]...)
 				dst.pathBack = append(dst.pathBack, prev.paths[r]...)
@@ -621,7 +642,7 @@ func (s *Selector) appendRow(
 	var prevSrv []int32
 	var prevPath []uint64
 	if prev != nil {
-		if r, ok := prev.index[v]; ok {
+		if r := prev.row(v); r >= 0 {
 			prevChain = prev.chains[r]
 			prevSrv = prev.servers[r]
 			if r < len(prev.paths) {
@@ -885,12 +906,8 @@ func fillMemberKeySets(
 func markAncestors(h *cluster.Hierarchy, ids *cluster.Identities, k, head int, dirty dirtySet) {
 	cur := head
 	for j := k; j < h.L(); j++ {
-		lvl := h.Level(j)
-		if lvl == nil || lvl.Member == nil {
-			return
-		}
-		parent, ok := lvl.Member[cur]
-		if !ok {
+		parent := h.Levels[j].MemberOf(cur)
+		if parent < 0 {
 			return
 		}
 		pid, ok := ids.Logical(j+1, parent)
@@ -925,29 +942,20 @@ type TableDiff struct {
 
 // DiffTables lists all assignment changes from prev to next.
 func DiffTables(prev, next *Table) []TableDiff {
-	return appendTableDiffs(nil, prev, next, nil)
+	return appendTableDiffs(nil, prev, next)
 }
 
 // appendTableDiffs is DiffTables with caller-owned storage: changes
 // are appended to out (pass out[:0] — the whole slice is sorted before
-// returning) and seen (cleared first; nil allocates) is the visited-
-// owner scratch.
+// returning).
 //
 //manet:hotpath
-func appendTableDiffs(out []TableDiff, prev, next *Table, seen map[int]bool) []TableDiff {
-	if seen == nil {
-		//lint:ignore hotpath warm-up: nil seen allocates the visited-owner scratch once
-		seen = make(map[int]bool, len(next.owners))
-	} else {
-		clear(seen)
-	}
-	for _, v := range next.owners {
-		seen[v] = true
-		nRow := next.index[v]
+func appendTableDiffs(out []TableDiff, prev, next *Table) []TableDiff {
+	for nRow, v := range next.owners {
 		maxK := len(next.servers[nRow])
 		inPrev := false
 		if prev != nil {
-			if r, ok := prev.index[v]; ok {
+			if r := prev.row(v); r >= 0 {
 				inPrev = true
 				if len(prev.servers[r]) > maxK {
 					maxK = len(prev.servers[r])
@@ -967,7 +975,7 @@ func appendTableDiffs(out []TableDiff, prev, next *Table, seen map[int]bool) []T
 	}
 	if prev != nil {
 		for _, v := range prev.owners {
-			if seen[v] {
+			if next.row(v) >= 0 {
 				continue
 			}
 			for k := 1; k <= prev.Levels(v); k++ {

@@ -76,16 +76,7 @@ func (s *Selector) UpdateTableIntoPar(
 	rev := sc.buildRev(nextH, nextIDs, dirty, own)
 	useAff := sc.affectedOwners(dirty, prev, prevH, prevIDs, nextH)
 	owners := nextH.LevelNodes(0)
-	dst.owners = owners
-	if dst.index == nil {
-		//lint:ignore hotpath warm-up: the first update builds the reused row index
-		dst.index = make(map[int]int, len(owners))
-	} else {
-		clear(dst.index)
-	}
-	for row, v := range owners {
-		dst.index[v] = row
-	}
+	dst.setOwners(owners)
 
 	// Dirty-row list: the rows needing a real recompute (affected by a
 	// dirty subtree, or with no previous row to copy). Shard boundaries
@@ -95,10 +86,8 @@ func (s *Selector) UpdateTableIntoPar(
 	sc.affRows = sc.affRows[:0]
 	if useAff {
 		for row, v := range owners {
-			if !sc.affBits[v] {
-				if _, ok := prev.index[v]; ok {
-					continue
-				}
+			if !sc.affBits[v] && prev.row(v) >= 0 {
+				continue
 			}
 			sc.affRows = append(sc.affRows, row)
 		}
@@ -145,7 +134,7 @@ func (s *Selector) UpdateTableIntoPar(
 		b.work = hashWork{}
 		for _, v := range owners[lo:hi] {
 			if useAff && !sc.affBits[v] {
-				if r, ok := prev.index[v]; ok {
+				if r := prev.row(v); r >= 0 {
 					b.chain = append(b.chain, prev.chains[r]...)
 					b.srv = append(b.srv, prev.servers[r]...)
 					b.path = append(b.path, prev.paths[r]...)

@@ -26,12 +26,8 @@ func propagateUp(h *cluster.Hierarchy, ids *cluster.Identities, k int, id uint64
 	}
 	cur := head
 	for j := k; j < h.L(); j++ {
-		lvl := h.Level(j)
-		if lvl == nil || lvl.Member == nil {
-			return
-		}
-		parent, ok := lvl.Member[cur]
-		if !ok {
+		parent := h.Levels[j].MemberOf(cur)
+		if parent < 0 {
 			return
 		}
 		pid, ok := ids.Logical(j+1, parent)

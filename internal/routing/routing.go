@@ -264,7 +264,7 @@ func (r *Router) descendants(k, c int) []int {
 	for lvl := k - 1; lvl >= 0; lvl-- {
 		other = other[:0]
 		for _, cc := range cur {
-			other = append(other, r.h.Levels[lvl].Members[cc]...)
+			other = append(other, r.h.Levels[lvl].MembersOf(cc)...)
 		}
 		cur, other = other, cur
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
@@ -192,16 +191,11 @@ func RenderHierarchy(w io.Writer, h *cluster.Hierarchy) {
 	for k := 0; k <= h.L(); k++ {
 		lvl := h.Level(k)
 		fmt.Fprintf(w, "level %d: %d nodes, %d links\n", k, len(lvl.Nodes), lvl.Graph.EdgeCount())
-		if lvl.Members == nil {
+		if !lvl.Elected() {
 			continue
 		}
-		heads := make([]int, 0, len(lvl.Members))
-		for c := range lvl.Members {
-			heads = append(heads, c)
-		}
-		sort.Ints(heads)
-		for _, c := range heads {
-			fmt.Fprintf(w, "  cluster %d: members %v (head state %d)\n", c, lvl.Members[c], lvl.State[c])
+		for _, c := range h.LevelNodes(k + 1) {
+			fmt.Fprintf(w, "  cluster %d: members %v (head state %d)\n", c, lvl.MembersOf(c), lvl.StateOf(c))
 		}
 	}
 }

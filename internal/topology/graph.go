@@ -39,18 +39,15 @@ func (k EdgeKey) String() string {
 // clustered hierarchy (level 0 uses dense int IDs; higher levels use
 // the level-0 IDs of clusterheads, which remain < n).
 //
-// Edges live in one of two stores: `edges`, a hash set fed by AddEdge
-// (used by BuildUnitDiskBrute and tests), and `bulk`, a sorted key
-// slice filled by the bulk builders (the unit-disk scans and the
-// cluster level graphs), which skip the hash set entirely so the hot
-// link scan does no map work and the parallel builder can assemble the
-// graph from per-shard buffers. All read accessors consult both
-// stores, so mixing AddEdge into a bulk-built graph remains correct.
+// The edge set is one sorted key slice. The bulk builders (the
+// unit-disk scans and the cluster level graphs) fill it in one pass, so
+// the hot link scan does no map work and the parallel builder can
+// assemble the graph from per-shard buffers; AddEdge (used by
+// BuildUnitDiskBrute and tests) inserts at the key's sorted position.
 type Graph struct {
-	n     int
-	adj   [][]int // node ID -> neighbor IDs, in insertion order
-	edges map[EdgeKey]struct{}
-	bulk  []EdgeKey // sorted; bulk-built edges
+	n    int
+	adj  [][]int   // node ID -> neighbor IDs, in insertion order
+	bulk []EdgeKey // sorted edge keys
 }
 
 // NewGraph returns an empty graph over id space [0, n).
@@ -59,16 +56,13 @@ func NewGraph(n int) *Graph {
 }
 
 // Reset empties the graph for reuse over id space [0, n), retaining
-// all allocated storage (adjacency slices, edge list, hash buckets).
+// all allocated storage (adjacency slices, edge list).
 // Together with LinkModel.BuildInto this lets the simulation loop
 // double-buffer graphs instead of reallocating one per scan.
 //
 //manet:hotpath
 func (g *Graph) Reset(n int) {
 	g.n = n
-	if g.edges != nil {
-		clear(g.edges)
-	}
 	g.bulk = g.bulk[:0]
 	if cap(g.adj) < n {
 		//lint:ignore hotpath amortized capacity growth when the id space expands
@@ -93,36 +87,19 @@ func (g *Graph) AddEdge(a, b int) {
 		panic(fmt.Sprintf("topology: edge (%d,%d) outside id space [0,%d)", a, b, g.n))
 	}
 	k := MakeEdgeKey(a, b)
-	if g.inBulk(k) {
+	i, found := slices.BinarySearch(g.bulk, k)
+	if found {
 		return
 	}
-	if g.edges == nil {
-		g.edges = make(map[EdgeKey]struct{})
-	}
-	if _, ok := g.edges[k]; ok {
-		return
-	}
-	g.edges[k] = struct{}{}
+	g.bulk = slices.Insert(g.bulk, i, k)
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 }
 
-// inBulk reports whether k is in the sorted bulk edge list.
-func (g *Graph) inBulk(k EdgeKey) bool {
-	if len(g.bulk) == 0 {
-		return false
-	}
-	_, ok := slices.BinarySearch(g.bulk, k)
-	return ok
-}
-
 // HasEdge reports whether {a, b} is present.
 func (g *Graph) HasEdge(a, b int) bool {
-	k := MakeEdgeKey(a, b)
-	if _, ok := g.edges[k]; ok {
-		return true
-	}
-	return g.inBulk(k)
+	_, ok := slices.BinarySearch(g.bulk, MakeEdgeKey(a, b))
+	return ok
 }
 
 // Neighbors returns the adjacency list of v (shared slice; do not
@@ -138,42 +115,24 @@ func (g *Graph) Neighbors(v int) []int {
 func (g *Graph) Degree(v int) int { return len(g.Neighbors(v)) }
 
 // EdgeCount returns |E|.
-func (g *Graph) EdgeCount() int { return len(g.edges) + len(g.bulk) }
+func (g *Graph) EdgeCount() int { return len(g.bulk) }
 
 // Edges returns all edge keys in ascending order (deterministic).
 func (g *Graph) Edges() []EdgeKey {
 	return g.AppendEdges(make([]EdgeKey, 0, g.EdgeCount()))
 }
 
-// Equal reports whether g and o have the same edge set, regardless of
-// which store (bulk or incremental) each edge lives in.
+// Equal reports whether g and o have the same edge set.
 func (g *Graph) Equal(o *Graph) bool {
 	if g == nil || o == nil {
 		return g == o
 	}
-	if g.EdgeCount() != o.EdgeCount() {
-		return false
-	}
-	equal := true
-	g.ForEachEdge(func(e EdgeKey) {
-		if equal {
-			a, b := e.Nodes()
-			equal = o.HasEdge(a, b)
-		}
-	})
-	return equal
+	return slices.Equal(g.bulk, o.bulk)
 }
 
-// ForEachEdge invokes fn once per edge. Bulk-built edges are visited
-// in ascending key order; incrementally added edges follow in
-// unspecified order, so fn must be order-free unless the graph is
-// known to be bulk-built (use AppendEdges for a sorted view).
+// ForEachEdge invokes fn once per edge, in ascending key order.
 func (g *Graph) ForEachEdge(fn func(EdgeKey)) {
 	for _, k := range g.bulk {
-		fn(k)
-	}
-	//lint:ignore maprange callers are documented order-free; sorted traversal goes through AppendEdges
-	for k := range g.edges {
 		fn(k)
 	}
 }
@@ -239,15 +198,7 @@ type LinkEvent struct {
 // AppendEdges appends all edge keys in ascending order to dst and
 // returns the extended slice (pass dst[:0] to reuse its capacity).
 func (g *Graph) AppendEdges(dst []EdgeKey) []EdgeKey {
-	base := len(dst)
-	dst = append(dst, g.bulk...)
-	if len(g.edges) > 0 {
-		for k := range g.edges {
-			dst = append(dst, k)
-		}
-		slices.Sort(dst[base:])
-	}
-	return dst
+	return append(dst, g.bulk...)
 }
 
 // DiffEdges compares the edge sets of prev and next and returns the

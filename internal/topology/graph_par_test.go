@@ -103,9 +103,9 @@ func TestBuildUnitDiskParNilPool(t *testing.T) {
 	graphsIdentical(t, serial, parg)
 }
 
-// TestAddEdgeAfterBulkBuild checks the mixed-store path: incremental
-// edges layered over a bulk-built graph dedup against the bulk list
-// and stay visible through every accessor.
+// TestAddEdgeAfterBulkBuild checks AddEdge over a bulk-built graph:
+// added edges dedup against the built ones and stay visible through
+// every accessor.
 func TestAddEdgeAfterBulkBuild(t *testing.T) {
 	pos, idx := buildFixture(30, 90, 5)
 	g := buildUnitDisk(30, pos, 90, idx)
