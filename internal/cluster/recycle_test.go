@@ -39,7 +39,7 @@ func TestRecycledStorageMatchesFresh(t *testing.T) {
 			}
 			cfgFresh := tc.mk()
 			trFresh := NewIdentityTracker()
-			drivers := map[string]*maintDriver{
+			loops := map[string]*maintDriver{
 				"oracle":      {mnt: NewOracleMaintainer(tc.mk(), NewIdentityTracker())},
 				"incremental": {mnt: NewIncrementalMaintainer(tc.mk(), NewIdentityTracker())},
 			}
@@ -67,7 +67,7 @@ func TestRecycledStorageMatchesFresh(t *testing.T) {
 				hF, idsF = BuildWithIdentities(g, nodes, cfgFresh, hF, idsF, trFresh, now)
 				for _, name := range []string{"oracle", "incremental"} {
 					in := MaintainInput{G0: g, PrevG0: prevG, Nodes: nodes, Events: events, Now: now}
-					h, ids := drivers[name].tick(in)
+					h, ids := loops[name].tick(in)
 					if diff := hierDiff(hF, h); diff != "" {
 						t.Fatalf("step %d %s: hierarchy differs from fresh build: %s", step, name, diff)
 					}
@@ -83,7 +83,7 @@ func TestRecycledStorageMatchesFresh(t *testing.T) {
 			if returned == 0 {
 				t.Fatal("no node died and returned; the sequence exercises no ID reuse")
 			}
-			if st := drivers["incremental"].mnt.(*IncrementalMaintainer).Stats(); st.Incremental == 0 {
+			if st := loops["incremental"].mnt.(*IncrementalMaintainer).Stats(); st.Incremental == 0 {
 				t.Fatalf("incremental fast path never engaged (%+v)", st)
 			}
 		})
