@@ -37,7 +37,8 @@ FUZZTIME ?= 30s
 fuzz manet-fuzz:
 	go test ./internal/invariant/prop -run FuzzScenario -fuzz FuzzScenario -fuzztime $(FUZZTIME)
 
-# Steady-state tick benchmarks, fresh vs reuse variants.
+# Steady-state tick benchmarks: fresh, reuse and par variants, the
+# hierarchy-maintenance interval matrix and the low-churn LM update.
 bench:
 	go test -run '^$$' -bench 'BenchmarkTick' -benchmem -benchtime=20x .
 

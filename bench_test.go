@@ -252,10 +252,9 @@ func BenchmarkTickHierarchy(b *testing.B) {
 
 // maintainWorld drives a steady-state scan world at a fixed interval
 // for the maintenance benchmarks: each advance() moves mobility one
-// interval, rebuilds the unit-disk graph into the retired t-2 buffer,
-// and diffs the link events; each maintain() runs the tick's
-// hierarchy-maintenance phase (the tick.cluster span: retire t-2,
-// giant component, Maintain) through the configured Maintainer. The
+// interval and rebuilds the unit-disk graph into the retired t-2
+// buffer; each maintain() runs the tick's hierarchy-maintenance phase
+// (the tick.cluster span: retire t-2, giant component, Maintain). The
 // split lets benchmarks time the maintenance phase alone while the
 // world advances off the clock.
 type maintainWorld struct {
@@ -265,19 +264,16 @@ type maintainWorld struct {
 	pos           []geom.Vec
 	grid          *spatial.Grid
 	nodes         []int
-	ls            topology.DiffScratch
 	giantScr      topology.ComponentScratch
-	mnt           cluster.Maintainer
+	mnt           *cluster.OracleMaintainer
 
 	prevG, g, ng *topology.Graph
-	events       []topology.LinkEvent
 	prevH, h     *cluster.Hierarchy
 	prevIDs, ids *cluster.Identities
 	in           cluster.MaintainInput
 }
 
-func newMaintainWorld(n int, interval float64,
-	mk func(cluster.Config, *cluster.IdentityTracker) cluster.Maintainer) *maintainWorld {
+func newMaintainWorld(n int, interval float64) *maintainWorld {
 	const rtx, mu = 100.0, 10.0
 	region := simnet.Config{N: n, Seed: 99}.Region()
 	w := &maintainWorld{n: n, rtx: rtx, interval: interval}
@@ -291,7 +287,7 @@ func newMaintainWorld(n int, interval float64,
 	for i := range w.nodes {
 		w.nodes[i] = i
 	}
-	w.mnt = mk(cluster.Config{ForceTopAt: 12}, cluster.NewIdentityTracker())
+	w.mnt = cluster.NewOracleMaintainer(cluster.Config{ForceTopAt: 12}, cluster.NewIdentityTracker())
 	w.g = topology.NewUnitDisk(rtx).BuildInto(nil, n, w.pos, w.grid, nil, nil)
 	w.in = cluster.MaintainInput{G0: w.g, Nodes: w.giantScr.Giant(w.g, w.nodes)}
 	w.h, w.ids = w.mnt.Maintain(&w.in)
@@ -306,9 +302,8 @@ func newMaintainWorld(n int, interval float64,
 }
 
 // advance prepares the next tick's MaintainInput: mobility, grid,
-// graph rebuild (into the retired t-2 buffer), link-event diff, and
-// the giant-component cover. All of it is strategy-independent input
-// prep, so the maintenance benchmarks run it off the clock.
+// graph rebuild (into the retired t-2 buffer), and the giant-component
+// cover. The maintenance benchmarks run it off the clock.
 func (w *maintainWorld) advance() {
 	w.tick++
 	t := float64(w.tick) * w.interval
@@ -317,15 +312,14 @@ func (w *maintainWorld) advance() {
 		w.grid.Update(j, p)
 	}
 	w.ng = topology.NewUnitDisk(w.rtx).BuildInto(w.prevG, w.n, w.pos, w.grid, nil, nil)
-	w.events = w.ls.Diff(w.g, w.ng)
 	w.in = cluster.MaintainInput{
-		G0: w.ng, PrevG0: w.g, Nodes: w.giantScr.Giant(w.ng, w.nodes),
-		Events: w.events, PrevH: w.h, PrevIDs: w.ids, Now: t,
+		G0: w.ng, Nodes: w.giantScr.Giant(w.ng, w.nodes),
+		PrevH: w.h, PrevIDs: w.ids, Now: t,
 	}
 }
 
-// maintain runs the strategy under test: retire the t-2 snapshot and
-// Maintain the new one from the prepared input.
+// maintain retires the t-2 snapshot and Maintains the new one from the
+// prepared input.
 func (w *maintainWorld) maintain() {
 	w.mnt.Retire(w.prevH, w.prevIDs)
 	nh, nids := w.mnt.Maintain(&w.in)
@@ -333,57 +327,27 @@ func (w *maintainWorld) maintain() {
 	w.prevH, w.prevIDs, w.h, w.ids = w.h, w.ids, nh, nids
 }
 
-var benchMaintainers = []struct {
-	name string
-	mk   func(cluster.Config, *cluster.IdentityTracker) cluster.Maintainer
-}{
-	{"oracle", func(cfg cluster.Config, tr *cluster.IdentityTracker) cluster.Maintainer {
-		return cluster.NewOracleMaintainer(cfg, tr)
-	}},
-	{"incremental", func(cfg cluster.Config, tr *cluster.IdentityTracker) cluster.Maintainer {
-		return cluster.NewIncrementalMaintainer(cfg, tr)
-	}},
-}
-
-// BenchmarkTickClusterMaintain compares the two hierarchy-maintenance
-// strategies on a live steady-state world: "oracle" rebuilds the full
-// ALCA fixed point every tick (Θ(N·L) regardless of churn), while
-// "incremental" patches the previous snapshot by the tick's link-event
-// delta, so its cost tracks the event rate. The matrix varies the scan
-// interval at fixed speed (Mu=10): shorter intervals mean less churn
-// per tick, which shrinks the incremental cost but not the oracle's.
-// Only the maintenance phase (retire + giant component + Maintain) is
-// timed; mobility/graph/diff run off the clock. µs/simsec is the
-// comparable figure across intervals; fastpath is the fraction of
-// Maintains served by the incremental fast path.
+// BenchmarkTickClusterMaintain times hierarchy maintenance — the full
+// ALCA fixed point rebuilt every tick — on a live steady-state world.
+// The matrix varies the scan interval at fixed speed (Mu=10). Only the
+// maintenance phase (retire + Maintain) is timed; mobility and the
+// graph rebuild run off the clock. µs/simsec is the comparable figure
+// across intervals.
 func BenchmarkTickClusterMaintain(b *testing.B) {
 	for _, interval := range []float64{1.0, 0.2, 0.1} {
-		for _, m := range benchMaintainers {
-			b.Run(fmt.Sprintf("%s/interval=%v", m.name, interval), func(b *testing.B) {
-				w := newMaintainWorld(tickN, interval, m.mk)
-				var st0 cluster.IncrementalStats
-				im, isInc := w.mnt.(*cluster.IncrementalMaintainer)
-				if isInc {
-					st0 = im.Stats()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					w.advance()
-					b.StartTimer()
-					w.maintain()
-				}
+		b.Run(fmt.Sprintf("oracle/interval=%v", interval), func(b *testing.B) {
+			w := newMaintainWorld(tickN, interval)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/(float64(b.N)*interval), "µs/simsec")
-				if isInc {
-					st := im.Stats()
-					inc := st.Incremental - st0.Incremental
-					fb := st.Fallbacks - st0.Fallbacks
-					b.ReportMetric(float64(inc)/float64(inc+fb), "fastpath")
-				}
-			})
-		}
+				w.advance()
+				b.StartTimer()
+				w.maintain()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/(float64(b.N)*interval), "µs/simsec")
+		})
 	}
 }
 
@@ -400,7 +364,7 @@ func BenchmarkTickLMUpdate(b *testing.B) {
 		var dst *lm.Table
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dst = f.sel.UpdateTableInto(dst, &sc, f.t0, f.h0, f.ids0, f.h1, f.ids1, nil)
+			dst = f.sel.UpdateTableIntoPar(dst, &sc, nil, f.t0, f.h0, f.ids0, f.h1, f.ids1, nil, nil)
 		}
 	})
 	b.Run("par", func(b *testing.B) {
@@ -415,36 +379,19 @@ func BenchmarkTickLMUpdate(b *testing.B) {
 		}
 	})
 
-	// Low-churn legs: on a live world at interval=0.1s (Mu=10) the
+	// Low-churn leg: on a live world at interval=0.1s (Mu=10) the
 	// per-tick delta touches only a handful of owners, so the dirty-row
-	// update — clean rows copied wholesale, dirty rows recomputed — is
-	// compared against the from-scratch oracle (BuildTable every tick)
-	// on the same snapshot stream. "incremental" consumes the
-	// maintainer-exported dirty set; "self" proves the owner analysis
-	// pays for itself even when the LM must recompute the dirty set
-	// from the snapshot pair (oracle maintainer, known == nil).
-	const lowChurn = 0.1
-	runLowChurn := func(b *testing.B, known bool, update func(w *maintainWorld, sel *lm.Selector)) {
-		w := newMaintainWorld(tickN, lowChurn, benchMaintainers[1].mk)
+	// update copies clean rows wholesale and recomputes dirty ones, with
+	// the dirty set computed from the snapshot pair. Each tick patches
+	// the previous table, double-buffered exactly like the simulation
+	// loop.
+	b.Run("lowchurn/self", func(b *testing.B) {
+		const lowChurn = 0.1
+		w := newMaintainWorld(tickN, lowChurn)
 		sel := lm.NewSelector(nil)
 		var sc lm.UpdateScratch
-		var t0, spare *lm.Table
-		if update == nil {
-			// Dirty-row update: each tick patches the previous table by
-			// the dirty set (maintainer-exported when known, recomputed
-			// from the snapshot pair otherwise), double-buffered exactly
-			// like the simulation loop.
-			t0 = sel.BuildTable(w.h, w.ids)
-			update = func(w *maintainWorld, sel *lm.Selector) {
-				var dirty *cluster.DirtyClusters
-				if known {
-					dirty = w.mnt.DirtyClusters()
-				}
-				nt := sel.UpdateTableInto(spare, &sc, t0,
-					w.prevH, w.prevIDs, w.h, w.ids, dirty)
-				spare, t0 = t0, nt
-			}
-		}
+		t0 := sel.BuildTable(w.h, w.ids)
+		var spare *lm.Table
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -452,21 +399,12 @@ func BenchmarkTickLMUpdate(b *testing.B) {
 			w.advance()
 			w.maintain()
 			b.StartTimer()
-			update(w, sel)
+			nt := sel.UpdateTableIntoPar(spare, &sc, nil, t0,
+				w.prevH, w.prevIDs, w.h, w.ids, nil, nil)
+			spare, t0 = t0, nt
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/(float64(b.N)*lowChurn), "µs/simsec")
-	}
-	b.Run("lowchurn/oracle", func(b *testing.B) {
-		runLowChurn(b, false, func(w *maintainWorld, sel *lm.Selector) {
-			sel.BuildTable(w.h, w.ids)
-		})
-	})
-	b.Run("lowchurn/incremental", func(b *testing.B) {
-		runLowChurn(b, true, nil)
-	})
-	b.Run("lowchurn/self", func(b *testing.B) {
-		runLowChurn(b, false, nil)
 	})
 }
 

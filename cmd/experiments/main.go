@@ -28,14 +28,13 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		run        = flag.String("run", "", "experiment ID (E1..E15, A1..A3) or 'all'")
+		run        = flag.String("run", "", "experiment ID ("+idRanges(manet.Experiments())+") or 'all'")
 		list       = flag.Bool("list", false, "list experiments")
 		quick      = flag.Bool("quick", false, "smoke-test scale instead of full scale")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
 		manifest   = flag.String("manifest", "", "write a run manifest (scale, per-phase timings, cell stats) to this JSON file")
 		progress   = flag.Bool("progress", false, "report per-cell sweep progress on stderr")
-		maint      = flag.String("maintainer", "", "hierarchy maintenance for every run: oracle (default, full rebuild) | incremental (delta-patched)")
 		mob        = flag.String("mobility", "", "mobility model for every run (default waypoint; see lmsim -mobility)")
 		link       = flag.String("link", "", "link model for every run: unitdisk (default) | logshadow")
 	)
@@ -54,12 +53,31 @@ func main() {
 
 	// Profile teardown must run before exit, so the experiment body
 	// lives in its own function and errors exit from main.
-	if err := runExperiments(*run, *quick, *cpuprofile, *memprofile, *manifest, *progress, *maint, *mob, *link); err != nil {
+	if err := runExperiments(*run, *quick, *cpuprofile, *memprofile, *manifest, *progress, *mob, *link); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func runExperiments(run string, quick bool, cpuprofile, memprofile, manifest string, progress bool, maintainer, mobility, link string) error {
+// idRanges renders the registry's IDs as runs of one letter prefix in
+// registry order, e.g. "E1..E19, A1..A6, Z1".
+func idRanges(exps []manet.Experiment) string {
+	var parts []string
+	for i := 0; i < len(exps); {
+		j := i
+		for j+1 < len(exps) && exps[j+1].ID[:1] == exps[i].ID[:1] {
+			j++
+		}
+		part := exps[i].ID
+		if j > i {
+			part += ".." + exps[j].ID
+		}
+		parts = append(parts, part)
+		i = j + 1
+	}
+	return strings.Join(parts, ", ")
+}
+
+func runExperiments(run string, quick bool, cpuprofile, memprofile, manifest string, progress bool, mobility, link string) error {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -90,7 +108,6 @@ func runExperiments(run string, quick bool, cpuprofile, memprofile, manifest str
 	if quick {
 		sc = manet.QuickScale()
 	}
-	sc.Maintainer = maintainer
 	sc.Mobility = mobility
 	sc.Link = link
 	if manifest != "" {

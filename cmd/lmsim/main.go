@@ -64,7 +64,6 @@ func main() {
 		plExp    = flag.Float64("pathloss-exp", 0, "logshadow path-loss exponent η (0 = default 3)")
 		shSigma  = flag.Float64("shadow-sigma", 0, "logshadow shadowing std dev, dB (0 = default 4; negative = none)")
 		linkMarg = flag.Float64("link-margin", 0, "logshadow make/break hysteresis margin, dB (0 = default 3; negative = none)")
-		maint    = flag.String("maintainer", "oracle", "hierarchy maintenance: oracle (full rebuild) | incremental (delta-patched)")
 		groupSz  = flag.Int("group-size", 16, "RPGM nodes per group (mobility=group)")
 		groupRad = flag.Float64("group-radius", 0, "RPGM wander radius, m (0 = 2*rtx)")
 		churn    = flag.Float64("churn", 0, "node deaths per node per hour (E18 extension)")
@@ -98,7 +97,6 @@ func main() {
 	cfg.GroupRadius = *groupRad
 	cfg.ChurnRate = *churn / 3600
 	cfg.CheckLevel = *invarLvl
-	cfg.Maintainer = *maint
 	switch *elector {
 	case "lca":
 	case "sticky":
@@ -138,7 +136,7 @@ func main() {
 			"mu": *mu, "rtx": *rtx, "degree": *degree, "scan": *scan,
 			"mobility": *mob, "link": *link, "hops": *hopM, "elector": *elector,
 			"hash": *hash, "churn_per_hour": *churn,
-			"invariants": *invarLvl, "maintainer": *maint,
+			"invariants": *invarLvl,
 		}
 		cfg.Metrics = obs.NewRegistry()
 	}

@@ -19,7 +19,6 @@ package cluster
 
 import (
 	"maps"
-	"slices"
 
 	"repro/internal/topology"
 )
@@ -223,9 +222,8 @@ func argmaxClosed(u int, g *topology.Graph) int {
 }
 
 // CloneableElector is an Elector whose full hysteresis state can be
-// duplicated. The invariant checker uses clones to rebuild reference
-// snapshots without perturbing the live elector (a reference election
-// must see the same memory the real one did, and must not advance it).
+// duplicated. Each simulation run elects with its own clone, so runs
+// that share a config template never share hysteresis state.
 // Stateless electors return themselves.
 type CloneableElector interface {
 	Elector
@@ -244,83 +242,6 @@ func (d *DebouncedLCA) CloneElector() Elector {
 	return &DebouncedLCA{Grace: d.Grace, LevelScale: d.LevelScale, lost: maps.Clone(d.lost)}
 }
 
-// RestorableElector is a CloneableElector whose state can be rolled
-// back to an earlier clone. The incremental maintainer snapshots the
-// elector before attempting a fast-path patch; if a dynamic
-// precondition fails mid-flight it restores the snapshot so the oracle
-// fallback re-runs the tick's elections against pristine state.
-type RestorableElector interface {
-	CloneableElector
-	// RestoreElector resets the elector's hysteresis state to that of
-	// snap, a value previously returned by CloneElector on the same
-	// elector. The snapshot is consumed: it must not be restored twice.
-	RestoreElector(snap Elector)
-}
-
-// RestoreElector implements RestorableElector (stateless).
-func (MemorylessLCA) RestoreElector(Elector) {}
-
-// RestoreElector implements RestorableElector (stateless).
-func (StickyLCA) RestoreElector(Elector) {}
-
-// RestoreElector implements RestorableElector: adopt the snapshot's
-// grace-timer map (the clone's map is a private deep copy, so taking
-// ownership is safe).
-func (d *DebouncedLCA) RestoreElector(snap Elector) {
-	s, ok := snap.(*DebouncedLCA)
-	if !ok {
-		panic("cluster: RestoreElector snapshot is not a *DebouncedLCA")
-	}
-	d.lost = s.lost
-}
-
-// NeighborhoodElector marks an Elector whose vote for node u depends
-// only on u's closed 1-hop neighborhood (and, for stateful electors,
-// per-node hysteresis keyed by u itself). The incremental maintainer
-// requires this locality: re-electing just the dirty nodes' closed
-// neighborhoods then reproduces the full election on clean nodes. The
-// max-min d-hop family is NOT neighborhood-local and always falls back.
-type NeighborhoodElector interface {
-	Elector
-	// NeighborhoodLocal is a marker; it has no behavior.
-	NeighborhoodLocal()
-}
-
-// NeighborhoodLocal implements NeighborhoodElector.
-func (MemorylessLCA) NeighborhoodLocal() {}
-
-// NeighborhoodLocal implements NeighborhoodElector.
-func (StickyLCA) NeighborhoodLocal() {}
-
-// NeighborhoodLocal implements NeighborhoodElector.
-func (*DebouncedLCA) NeighborhoodLocal() {}
-
-// PendingElector is a StatefulElector whose output can change over time
-// without any topology change (e.g. a grace timer expiring). The
-// incremental maintainer must re-elect such nodes every tick even when
-// no link event touches them; AppendPending names them.
-type PendingElector interface {
-	StatefulElector
-	// AppendPending appends the logical IDs of level-k nodes currently
-	// holding hysteresis state that can expire, sorted ascending, and
-	// returns the extended slice.
-	AppendPending(level int, dst []uint64) []uint64
-}
-
-// AppendPending implements PendingElector: every node with a running
-// grace timer at this level.
-func (d *DebouncedLCA) AppendPending(level int, dst []uint64) []uint64 {
-	n := len(dst)
-	//lint:ignore maprange level-filtered keys are sorted below; order cannot escape
-	for k := range d.lost {
-		if k.level == level {
-			dst = append(dst, k.logical)
-		}
-	}
-	slices.Sort(dst[n:])
-	return dst
-}
-
 var (
 	_ Elector          = MemorylessLCA{}
 	_ Elector          = StickyLCA{}
@@ -328,9 +249,4 @@ var (
 	_ CloneableElector = MemorylessLCA{}
 	_ CloneableElector = StickyLCA{}
 	_ CloneableElector = (*DebouncedLCA)(nil)
-	_ PendingElector   = (*DebouncedLCA)(nil)
-
-	_ NeighborhoodElector = MemorylessLCA{}
-	_ NeighborhoodElector = StickyLCA{}
-	_ NeighborhoodElector = (*DebouncedLCA)(nil)
 )

@@ -62,24 +62,13 @@ func NewArena() *Arena { return &Arena{} }
 //
 //manet:hotpath
 func (a *Arena) Recycle(h *Hierarchy, ids *Identities) {
-	a.recycle(h, ids, false)
-}
-
-// discard is Recycle for a snapshot whose dense entries may not match
-// its node lists (torn by an aborted patch): every entry is reset.
-func (a *Arena) discard(h *Hierarchy, ids *Identities) {
-	a.recycle(h, ids, true)
-}
-
-//manet:hotpath
-func (a *Arena) recycle(h *Hierarchy, ids *Identities, torn bool) {
 	if a == nil {
 		return
 	}
 	if ids != nil {
 		// Identity rows hold entries for exactly the level-k nodes of
 		// the paired snapshot.
-		paired := !torn && h != nil && len(h.Levels) == len(ids.byLevel)+1
+		paired := h != nil && len(h.Levels) == len(ids.byLevel)+1
 		for k, row := range ids.byLevel {
 			if paired {
 				for _, hd := range h.Levels[k+1].Nodes {
@@ -97,9 +86,7 @@ func (a *Arena) recycle(h *Hierarchy, ids *Identities, torn bool) {
 	}
 	if h != nil {
 		for k, lvl := range h.Levels {
-			if torn {
-				lvl.clearElection(a)
-			} else if k+1 < len(h.Levels) {
+			if k+1 < len(h.Levels) {
 				lvl.resetElection(h.Levels[k+1].Nodes, a)
 			}
 			if lvl.Nodes != nil {

@@ -133,28 +133,6 @@ func (l *Level) resetElection(clusters []int, a *Arena) {
 	l.Head, l.Member, l.State, l.Members = l.Head[:0], l.Member[:0], l.State[:0], l.Members[:0]
 }
 
-// clearElection is resetElection for a level whose entries are not
-// known to match its node lists (a snapshot torn by an aborted patch):
-// it resets the slices' whole length.
-func (l *Level) clearElection(a *Arena) {
-	for i := range l.Head {
-		l.Head[i] = -1
-	}
-	for i := range l.Member {
-		l.Member[i] = -1
-	}
-	for i := range l.State {
-		l.State[i] = -1
-	}
-	for i, s := range l.Members {
-		if s != nil {
-			a.putInts(s)
-			l.Members[i] = nil
-		}
-	}
-	l.Head, l.Member, l.State, l.Members = l.Head[:0], l.Member[:0], l.State[:0], l.Members[:0]
-}
-
 // Hierarchy is a full clustered-hierarchy snapshot. Levels[0] is the
 // physical network; Levels[len-1] is the top level (no further
 // clustering performed there).

@@ -149,15 +149,6 @@ type IdentityTracker struct {
 // NewIdentityTracker returns a tracker with IDs starting at 1.
 func NewIdentityTracker() *IdentityTracker { return &IdentityTracker{nextID: 1} }
 
-// Clone duplicates the tracker's allocation state. Reference rebuilds
-// (the invariant checker's oracle recompute) run on a clone so the
-// fresh-ID counter of the live tracker is not advanced by a build whose
-// result is discarded.
-func (t *IdentityTracker) Clone() *IdentityTracker {
-	c := *t
-	return &c
-}
-
 // Init assigns fresh logical IDs to every cluster of the first
 // snapshot (deterministically, by level then head ID).
 func (t *IdentityTracker) Init(h *Hierarchy) *Identities {

@@ -76,11 +76,6 @@ func Checks() []Check {
 			Guards: "§3.2 determinism: incremental table update equals a from-scratch rebuild",
 			Fn:     checkTableRebuild,
 		},
-		{
-			Name:   "incremental-hierarchy-equal",
-			Guards: "§2, §4 determinism: delta-patched maintenance equals a fresh oracle rebuild",
-			Fn:     checkIncrementalHierarchy,
-		},
 	}
 }
 
@@ -616,97 +611,6 @@ func checkTableRebuild(s *Snapshot) error {
 				return fmt.Errorf("owner %d level %d server %d differs from fresh rebuild %d (stale handoff)",
 					v, k, got, want)
 			}
-		}
-	}
-	return nil
-}
-
-// checkIncrementalHierarchy is the maintenance differential: the
-// hierarchy and identities produced by the incremental (delta-patched)
-// maintainer must be byte-identical to a fresh oracle rebuild over the
-// same tick input — same levels, node sets, elections, level graphs,
-// ALCA states, and logical IDs including the fresh-ID allocation
-// order. The rebuild runs against pre-Maintain clones of the identity
-// tracker and elector (taken by the looper before the live Maintain),
-// so it sees exactly the state the incremental path saw without
-// advancing either. Only active under the incremental maintainer on
-// checked ticks.
-func checkIncrementalHierarchy(s *Snapshot) error {
-	in, tr := s.MaintainIn, s.MaintainTracker
-	if in == nil || tr == nil {
-		return nil
-	}
-	refH, refIDs := cluster.BuildWithIdentities(
-		in.G0, in.Nodes, s.MaintainCfg, in.PrevH, in.PrevIDs, tr, in.Now)
-	h := s.Next.Hier
-	if err := hierEqual(h, refH); err != nil {
-		return fmt.Errorf("hierarchy differs from oracle rebuild: %w", err)
-	}
-	// Every head ID is compared, so an identity left on a head that
-	// no longer leads a cluster counts as a difference.
-	for k := 1; k <= refH.L(); k++ {
-		for hd := 0; hd < in.G0.IDSpace(); hd++ {
-			want, wok := refIDs.Logical(k, hd)
-			got, gok := s.Next.IDs.Logical(k, hd)
-			if wok != gok || want != got {
-				return fmt.Errorf("level-%d cluster %d logical %d(%t) differs from oracle rebuild %d(%t)",
-					k, hd, got, gok, want, wok)
-			}
-		}
-	}
-	return nil
-}
-
-// hierEqual reports the first structural difference between two
-// hierarchy snapshots, or nil.
-func hierEqual(got, want *cluster.Hierarchy) error {
-	if got.L() != want.L() {
-		return fmt.Errorf("L=%d vs %d", got.L(), want.L())
-	}
-	if got.Reach != want.Reach || got.ForcedTop != want.ForcedTop {
-		return fmt.Errorf("reach/forcedtop (%d,%t) vs (%d,%t)",
-			got.Reach, got.ForcedTop, want.Reach, want.ForcedTop)
-	}
-	for k := 0; k <= want.L(); k++ {
-		g, w := got.Levels[k], want.Levels[k]
-		if !slices.Equal(g.Nodes, w.Nodes) {
-			return fmt.Errorf("level %d: %d nodes vs %d", k, len(g.Nodes), len(w.Nodes))
-		}
-		if (g.Graph == nil) != (w.Graph == nil) || (g.Graph != nil && !g.Graph.Equal(w.Graph)) {
-			return fmt.Errorf("level %d: graphs differ", k)
-		}
-		if err := denseEqual(g.Head, w.Head, -1); err != nil {
-			return fmt.Errorf("level %d Head: %w", k, err)
-		}
-		if err := denseEqual(g.Member, w.Member, -1); err != nil {
-			return fmt.Errorf("level %d Member: %w", k, err)
-		}
-		if err := denseEqual(g.State, w.State, -1); err != nil {
-			return fmt.Errorf("level %d State: %w", k, err)
-		}
-		for c := 0; c < max(len(g.Members), len(w.Members)); c++ {
-			if !slices.Equal(g.MembersOf(c), w.MembersOf(c)) {
-				return fmt.Errorf("level %d cluster %d member list differs", k, c)
-			}
-		}
-	}
-	return nil
-}
-
-// denseEqual reports the first difference between two dense
-// ID-indexed slices, reading IDs beyond a slice as absent, or nil.
-// Every ID is compared, so an entry left beside the node lists counts.
-func denseEqual(got, want []int32, absent int32) error {
-	for i := 0; i < max(len(got), len(want)); i++ {
-		g, w := absent, absent
-		if i < len(got) {
-			g = got[i]
-		}
-		if i < len(want) {
-			w = want[i]
-		}
-		if g != w {
-			return fmt.Errorf("key %d: %d vs %d", i, g, w)
 		}
 	}
 	return nil

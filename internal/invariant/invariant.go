@@ -117,17 +117,6 @@ type Snapshot struct {
 	// BuildTable. This is the check that catches buffer-reuse
 	// corruption in the zero-alloc incremental path.
 	Selector *lm.Selector
-
-	// MaintainIn and MaintainTracker, when both set, enable the
-	// maintenance differential (incremental-hierarchy-equal): Next.Hier
-	// and Next.IDs must equal a fresh oracle rebuild
-	// (cluster.BuildWithIdentities) over the same tick input, run
-	// against pre-Maintain clones of the identity tracker and the
-	// elector (MaintainCfg.Elector holds the clone). Populated only
-	// under the incremental maintainer on checked ticks; nil otherwise.
-	MaintainIn      *cluster.MaintainInput
-	MaintainCfg     cluster.Config
-	MaintainTracker *cluster.IdentityTracker
 }
 
 // Check is one named invariant with the paper anchor it guards.

@@ -2,7 +2,7 @@
 // runtime invariant checker: it generates random simulation
 // configurations from fuzz-provided bytes, runs short simulations with
 // every-tick invariant checks, differentially compares the serial,
-// parallel, zero-alloc-reuse, and incremental-maintenance paths, and
+// parallel and zero-alloc-reuse paths, and
 // shrinks failing scenarios to a minimal (config, seed, tick) triple
 // written as a regression corpus file (testdata/regress). FuzzScenario
 // in fuzz_test.go is the Go-native fuzz target; `make fuzz` drives it
@@ -107,8 +107,7 @@ func FromParams(seed uint64, n uint16, mobility, hop, degree, speed, churn, topA
 // Config translates the scenario into a runnable simnet.Config with
 // every-tick invariant checks, a 1 s scan so Ticks counts scan ticks
 // directly, and no warmup (every tick is measured and traced).
-// maintainer selects the hierarchy-maintenance strategy ("" = oracle).
-func (sc Scenario) Config(workers int, maintainer string) simnet.Config {
+func (sc Scenario) Config(workers int) simnet.Config {
 	cfg := simnet.Config{
 		N:                    sc.N,
 		Seed:                 sc.Seed,
@@ -131,7 +130,6 @@ func (sc Scenario) Config(workers int, maintainer string) simnet.Config {
 		Fault:                sc.Fault,
 		CheckLevel:           invariant.LevelEveryTick,
 		IntraTickParallelism: workers,
-		Maintainer:           maintainer,
 	}
 	if sc.Colocated {
 		// A degree target of 2N guarantees the density puts every
@@ -186,12 +184,11 @@ type runResult struct {
 }
 
 // runScenario executes the scenario on one path (workers = 0 serial,
-// > 1 parallel; maintainer "" oracle or simnet.MaintainerIncremental)
-// with every-tick checks, capturing violations, the serialized
-// results, and the trace.
-func runScenario(sc Scenario, workers int, maintainer string) runResult {
+// > 1 parallel) with every-tick checks, capturing violations, the
+// serialized results, and the trace.
+func runScenario(sc Scenario, workers int) runResult {
 	var out runResult
-	cfg := sc.Config(workers, maintainer)
+	cfg := sc.Config(workers)
 	var buf bytes.Buffer
 	tr := trace.New(&buf)
 	cfg.Observer = tr.Observer()
@@ -240,18 +237,14 @@ var workerCounts = []int{2, 3}
 //  3. every-tick invariant checks must stay silent on every path;
 //  4. the parallel paths must produce byte-identical Results and
 //     traces to the serial run (which also pins the zero-alloc reuse
-//     path: every run after the first tick reuses retired storage);
-//  5. the incremental maintainer must produce byte-identical Results
-//     and traces to the oracle run, serial and parallel, with its own
-//     every-tick checks (including the incremental-hierarchy-equal
-//     oracle differential) silent.
+//     path: every run after the first tick reuses retired storage).
 func CheckScenario(sc Scenario) *Failure {
-	serial := runScenario(sc, 0, "")
+	serial := runScenario(sc, 0)
 	if serial.panicErr != nil {
 		return &Failure{Scenario: sc, Kind: KindPanic, Detail: serial.panicErr.Error()}
 	}
 	if serial.configErr != nil {
-		p := runScenario(sc, workerCounts[0], "")
+		p := runScenario(sc, workerCounts[0])
 		if p.configErr == nil || p.configErr.Error() != serial.configErr.Error() {
 			return &Failure{
 				Scenario: sc, Kind: KindDifferential,
@@ -269,7 +262,7 @@ func CheckScenario(sc Scenario) *Failure {
 		}
 	}
 	for _, w := range workerCounts {
-		p := runScenario(sc, w, "")
+		p := runScenario(sc, w)
 		if p.panicErr != nil {
 			return &Failure{
 				Scenario: sc, Kind: KindPanic,
@@ -301,56 +294,6 @@ func CheckScenario(sc Scenario) *Failure {
 			return &Failure{
 				Scenario: sc, Kind: KindDifferential,
 				Detail: fmt.Sprintf("results diverge between serial and %d workers", w),
-			}
-		}
-	}
-	return checkIncremental(sc, serial)
-}
-
-// checkIncremental runs the maintainer differential: oracle vs
-// incremental, serial and parallel, each incremental run carrying its
-// own every-tick checks.
-func checkIncremental(sc Scenario, serial runResult) *Failure {
-	matrix := []struct {
-		workers int
-		label   string
-	}{
-		{0, "incremental serial"},
-		{workerCounts[0], "incremental par"},
-	}
-	for _, m := range matrix {
-		inc := runScenario(sc, m.workers, simnet.MaintainerIncremental)
-		if inc.panicErr != nil {
-			return &Failure{
-				Scenario: sc, Kind: KindPanic,
-				Detail: fmt.Sprintf("%s: %v", m.label, inc.panicErr),
-			}
-		}
-		if inc.configErr != nil {
-			return &Failure{
-				Scenario: sc, Kind: KindDifferential,
-				Detail: fmt.Sprintf("oracle accepts config but %s rejects it: %v", m.label, inc.configErr),
-			}
-		}
-		if len(inc.violations) > 0 {
-			v := inc.violations[0]
-			return &Failure{
-				Scenario: sc, Kind: KindViolation,
-				Check: v.Check, Tick: v.Tick,
-				Detail: fmt.Sprintf("%s only: %s", m.label, v.Detail),
-			}
-		}
-		if !bytes.Equal(serial.trace, inc.trace) {
-			return &Failure{
-				Scenario: sc, Kind: KindDifferential,
-				Tick:   diffTick(serial.trace, inc.trace),
-				Detail: fmt.Sprintf("trace diverges between oracle and %s", m.label),
-			}
-		}
-		if !bytes.Equal(serial.res, inc.res) {
-			return &Failure{
-				Scenario: sc, Kind: KindDifferential,
-				Detail: fmt.Sprintf("results diverge between oracle and %s", m.label),
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/cluster"
+	"repro/internal/par"
 )
 
 // Table is the complete server-assignment snapshot: for every owner
@@ -28,7 +29,7 @@ type Table struct {
 	// descent without re-hashing own-clean steps.
 	paths [][]uint64
 
-	// Flat backing for the row slices when built by UpdateTableInto;
+	// Flat backing for the row slices when built by UpdateTableIntoPar;
 	// nil for tables built row-by-row. Owned by this table so that
 	// double-buffered tables never share storage.
 	srvBack   []int32
@@ -365,10 +366,10 @@ func (s *Selector) UpdateTable(
 	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
 	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
 ) *Table {
-	return s.UpdateTableInto(nil, nil, prev, prevH, prevIDs, nextH, nextIDs, nil)
+	return s.UpdateTableIntoPar(nil, nil, nil, prev, prevH, prevIDs, nextH, nextIDs, nil, nil)
 }
 
-// UpdateScratch holds the reusable buffers of UpdateTableInto: the
+// UpdateScratch holds the reusable buffers of UpdateTableIntoPar: the
 // dirty-subtree sets, member-key comparison maps and their flat
 // backings, the hash-descent key buffer, and the affected-owner bitmap
 // of the dirty-row analysis. Not safe for concurrent use.
@@ -436,76 +437,75 @@ type revEntry struct {
 	own, sub   bool
 }
 
-// UpdateTableInto is UpdateTable with caller-owned storage: dst (nil =
-// allocate fresh) is overwritten in place, its rows packed into flat
-// backing arrays, and sc (nil = allocate fresh) supplies all interior
-// scratch. dst must not alias prev and must no longer be referenced by
-// any consumer — in a double-buffered loop, pass the table retired two
-// ticks ago.
-//
-// known, when non-nil, is the maintainer-exported dirty-cluster set
-// (cluster.Maintainer.DirtyClusters) for exactly this snapshot pair;
-// the O(N·L) dirty-subtree recomputation is then skipped, and whole
-// owner rows are copied from prev wherever the owner is provably
-// outside every dirty subtree.
+// UpdateTableIntoPar is UpdateTable with caller-owned storage, its
+// owner rows fanned out over pool p: dst (nil = allocate fresh) is
+// overwritten in place, its rows packed into flat backing arrays; sc
+// (nil = allocate fresh) supplies the interior scratch and psc (nil =
+// allocate fresh) the per-shard buffers. dst must not alias prev and
+// must no longer be referenced by any consumer — in a double-buffered
+// loop, pass the table retired two ticks ago. A nil or single-worker
+// pool fills dst's backings directly; otherwise each shard fills its
+// own buffers and the shards are concatenated in order, so the result
+// is byte-identical either way. known must be nil; the parameter is
+// kept for the bench/ replica (ROADMAP item 6).
 //
 //manet:hotpath
-func (s *Selector) UpdateTableInto(
-	dst *Table, sc *UpdateScratch,
+func (s *Selector) UpdateTableIntoPar(
+	dst *Table, sc *UpdateScratch, psc *UpdateParScratch,
 	prev *Table,
 	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
 	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
 	known *cluster.DirtyClusters,
+	p *par.Pool,
 ) *Table {
+	if known != nil {
+		panic("lm: UpdateTableIntoPar takes no known dirty set")
+	}
 	if dst == nil {
 		//lint:ignore hotpath warm-up: nil dst allocates the double-buffered table once
 		dst = &Table{}
 	}
 	if dst == prev {
-		panic("lm: UpdateTableInto dst must not alias prev")
+		panic("lm: UpdateTableIntoPar dst must not alias prev")
 	}
 	if sc == nil {
 		//lint:ignore hotpath warm-up: callers reuse one scratch across ticks
 		sc = &UpdateScratch{}
 	}
-	var dirty, own dirtySet
-	if known != nil {
-		dirty = dirtySet(known.ByLevel)
-		own = sc.ownFromKnown(dirty, prevH, prevIDs, nextH, nextIDs)
-	} else {
-		dirty = sc.dirtySubtrees(prevH, prevIDs, nextH, nextIDs)
-		own = sc.own
+	// The dirty-subtree analysis is per cluster, not per row, and feeds
+	// every row read-only, so it stays serial.
+	dirty := sc.dirtySubtrees(prevH, prevIDs, nextH, nextIDs)
+	rev := sc.buildRev(nextH, nextIDs, dirty, sc.own)
+	in := rowInputs{
+		dirty: dirty, rev: rev, revKeys: sc.revKeys,
+		prev: prev, nextH: nextH, nextIDs: nextIDs,
 	}
-	rev := sc.buildRev(nextH, nextIDs, dirty, own)
-	useAff := sc.affectedOwners(dirty, prev, prevH, prevIDs, nextH)
-	sc.work = hashWork{}
+	if sc.affectedOwners(dirty, prev, prevH, prevIDs, nextH) {
+		in.aff = sc.affBits
+	}
 	owners := nextH.LevelNodes(0)
 	dst.setOwners(owners)
+	if p.Workers() == 1 {
+		b := rowBuf{
+			chain: dst.chainBack[:0], srv: dst.srvBack[:0], path: dst.pathBack[:0],
+			rowEnd: sc.rowEnd[:0], keyBuf: sc.keyBuf,
+		}
+		s.fillRows(&b, owners, in)
+		dst.chainBack, dst.srvBack, dst.pathBack = b.chain, b.srv, b.path
+		sc.rowEnd, sc.keyBuf, sc.work = b.rowEnd, b.keyBuf, b.work
+	} else {
+		if psc == nil {
+			//lint:ignore hotpath warm-up: callers reuse one parallel scratch across ticks
+			psc = &UpdateParScratch{}
+		}
+		s.fillRowsPar(dst, sc, psc, owners, in, p)
+	}
+	// Fix up the row views only after the backings stopped growing.
+	// Path-column offsets derive from the chain lengths: a row with n
+	// levels owns pathOff(n+1) memo entries.
 	dst.servers = dst.servers[:0]
 	dst.chains = dst.chains[:0]
 	dst.paths = dst.paths[:0]
-	dst.srvBack = dst.srvBack[:0]
-	dst.chainBack = dst.chainBack[:0]
-	dst.pathBack = dst.pathBack[:0]
-	sc.rowEnd = sc.rowEnd[:0]
-	for _, v := range owners {
-		if useAff && (v >= len(sc.affBits) || !sc.affBits[v]) {
-			if r := prev.row(v); r >= 0 {
-				dst.chainBack = append(dst.chainBack, prev.chains[r]...)
-				dst.srvBack = append(dst.srvBack, prev.servers[r]...)
-				dst.pathBack = append(dst.pathBack, prev.paths[r]...)
-				sc.rowEnd = append(sc.rowEnd, len(dst.chainBack))
-				continue
-			}
-		}
-		dst.chainBack, dst.srvBack, dst.pathBack, sc.keyBuf = s.appendRow(
-			v, dirty, rev, sc.revKeys, prev, nextH, nextIDs,
-			dst.chainBack, dst.srvBack, dst.pathBack, sc.keyBuf, &sc.work)
-		sc.rowEnd = append(sc.rowEnd, len(dst.chainBack))
-	}
-	// Fix up the row views only after both backings stopped growing.
-	// Path-column offsets derive from the chain lengths: a row with n
-	// levels owns pathOff(n+1) memo entries.
 	off, pOff := 0, 0
 	for _, end := range sc.rowEnd {
 		n := end - off
@@ -516,6 +516,56 @@ func (s *Selector) UpdateTableInto(
 		off, pOff = end, pEnd
 	}
 	return dst
+}
+
+// rowInputs is the read-only state every owner row of an update
+// reads: the dirty sets and their reverse index, the previous table,
+// and the next snapshot. aff is the affected-owner bitmap of the
+// dirty-row analysis, nil when every row is recomputed.
+type rowInputs struct {
+	dirty   dirtySet
+	rev     []map[uint64]revEntry
+	revKeys []uint64
+	aff     []bool
+	prev    *Table
+	nextH   *cluster.Hierarchy
+	nextIDs *cluster.Identities
+}
+
+// rowBuf receives packed table rows: the flat chain, server and path
+// backings, each row's end offset within chain, the hash-descent key
+// buffer, and the hash work done.
+type rowBuf struct {
+	chain  []uint64
+	srv    []int32
+	path   []uint64
+	rowEnd []int
+	keyBuf []uint64
+	work   hashWork
+}
+
+// fillRows appends the rows of owners to b: a copy of prev's row for
+// an owner the dirty-row analysis left unaffected, a recomputed row
+// (appendRow) otherwise. It only reads in, so disjoint owner ranges
+// may run concurrently, each into its own b.
+//
+//manet:hotpath
+func (s *Selector) fillRows(b *rowBuf, owners []int, in rowInputs) {
+	for _, v := range owners {
+		if in.aff != nil && !in.aff[v] {
+			if r := in.prev.row(v); r >= 0 {
+				b.chain = append(b.chain, in.prev.chains[r]...)
+				b.srv = append(b.srv, in.prev.servers[r]...)
+				b.path = append(b.path, in.prev.paths[r]...)
+				b.rowEnd = append(b.rowEnd, len(b.chain))
+				continue
+			}
+		}
+		b.chain, b.srv, b.path, b.keyBuf = s.appendRow(
+			v, in.dirty, in.rev, in.revKeys, in.prev, in.nextH, in.nextIDs,
+			b.chain, b.srv, b.path, b.keyBuf, &b.work)
+		b.rowEnd = append(b.rowEnd, len(b.chain))
+	}
 }
 
 // buildRev fills sc.rev with per-level reverse identity indexes over
@@ -702,67 +752,20 @@ func (d dirtySet) mark(k int, id uint64) bool {
 	return true
 }
 
-// sizedOwn returns sc.own sized and cleared for maxL levels.
+// sized returns *d sized and cleared for maxL levels, growing *d when
+// it has fewer.
 //
 //manet:hotpath
-func (sc *UpdateScratch) sizedOwn(maxL int) dirtySet {
-	for len(sc.own) <= maxL {
+func (d *dirtySet) sized(maxL int) dirtySet {
+	for len(*d) <= maxL {
 		//lint:ignore hotpath amortized growth: one set per hierarchy level, reused after
-		sc.own = append(sc.own, map[uint64]bool{})
+		*d = append(*d, map[uint64]bool{})
 	}
-	own := sc.own[:maxL+1]
-	for k := range own {
-		clear(own[k])
+	s := (*d)[:maxL+1]
+	for k := range s {
+		clear(s[k])
 	}
-	return own
-}
-
-// ownFromKnown classifies each maintainer-reported dirty cluster as
-// own-changed — its member-key set differs between the snapshots, or
-// it exists in only one — versus merely subtree-dirty (marked only
-// because dirtiness propagated up from a descendant). The hash descent
-// uses the distinction to re-trace the previous tick's path through
-// own-clean clusters and stop at the first clean subtree. Only dirty
-// clusters are compared, so the cost tracks the dirty set, not the
-// hierarchy. The result aliases the scratch and is valid until the
-// next own-set computation.
-//
-//manet:hotpath
-func (sc *UpdateScratch) ownFromKnown(
-	dirty dirtySet,
-	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
-	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
-) dirtySet {
-	maxL := prevH.L()
-	if nextH.L() > maxL {
-		maxL = nextH.L()
-	}
-	own := sc.sizedOwn(maxL)
-	if sc.pm == nil {
-		//lint:ignore hotpath warm-up: the first call builds the reused member-key maps
-		sc.pm = map[uint64][]uint64{}
-		//lint:ignore hotpath warm-up: the first call builds the reused member-key maps
-		sc.nm = map[uint64][]uint64{}
-	}
-	for k := 1; k <= maxL; k++ {
-		var pm, nm map[uint64][]uint64
-		pm, sc.pmBack = fillMemberKeySets(sc.pm, sc.pmBack, &sc.spans, prevH, prevIDs, k, dirty)
-		nm, sc.nmBack = fillMemberKeySets(sc.nm, sc.nmBack, &sc.spans, nextH, nextIDs, k, dirty)
-		//lint:ignore maprange order-free set marking; own membership is the only outcome
-		for id, keys := range pm {
-			nk, ok := nm[id]
-			if !ok || !equalUints(keys, nk) {
-				own.mark(k, id)
-			}
-		}
-		//lint:ignore maprange order-free set marking; own membership is the only outcome
-		for id := range nm {
-			if _, ok := pm[id]; !ok {
-				own.mark(k, id)
-			}
-		}
-	}
-	return own
+	return s
 }
 
 // dirtySubtrees returns the logical clusters whose member-key sets
@@ -781,15 +784,8 @@ func (sc *UpdateScratch) dirtySubtrees(
 	if nextH.L() > maxL {
 		maxL = nextH.L()
 	}
-	for len(sc.dirty) <= maxL {
-		//lint:ignore hotpath amortized growth: one set per hierarchy level, reused after
-		sc.dirty = append(sc.dirty, map[uint64]bool{})
-	}
-	dirty := sc.dirty[:maxL+1]
-	for k := range dirty {
-		clear(dirty[k])
-	}
-	own := sc.sizedOwn(maxL)
+	dirty := sc.dirty.sized(maxL)
+	own := sc.own.sized(maxL)
 	if sc.pm == nil {
 		//lint:ignore hotpath warm-up: the first call builds the reused member-key maps
 		sc.pm = map[uint64][]uint64{}
@@ -798,8 +794,8 @@ func (sc *UpdateScratch) dirtySubtrees(
 	}
 	for k := 1; k <= maxL; k++ {
 		var pm, nm map[uint64][]uint64
-		pm, sc.pmBack = fillMemberKeySets(sc.pm, sc.pmBack, &sc.spans, prevH, prevIDs, k, nil)
-		nm, sc.nmBack = fillMemberKeySets(sc.nm, sc.nmBack, &sc.spans, nextH, nextIDs, k, nil)
+		pm, sc.pmBack = fillMemberKeySets(sc.pm, sc.pmBack, &sc.spans, prevH, prevIDs, k)
+		nm, sc.nmBack = fillMemberKeySets(sc.nm, sc.nmBack, &sc.spans, nextH, nextIDs, k)
 		//lint:ignore maprange order-free set marking; dirty membership is the only outcome
 		for id, keys := range pm {
 			nk, ok := nm[id]
@@ -869,12 +865,10 @@ func fillHeadIndex(idx map[uint64]int, h *cluster.Hierarchy, ids *cluster.Identi
 // level-k cluster's sorted member hash keys, packing the key slices
 // into the back array; it returns the map and the grown backing. The
 // views are fixed up only after the backing stops growing, so slice
-// growth cannot invalidate them. A non-nil `only` restricts the fill
-// to clusters in that set (the own-classification of a known dirty
-// set).
+// growth cannot invalidate them.
 func fillMemberKeySets(
 	out map[uint64][]uint64, back []uint64, spans *[]keySpan,
-	h *cluster.Hierarchy, ids *cluster.Identities, k int, only dirtySet,
+	h *cluster.Hierarchy, ids *cluster.Identities, k int,
 ) (map[uint64][]uint64, []uint64) {
 	clear(out)
 	back = back[:0]
@@ -885,9 +879,6 @@ func fillMemberKeySets(
 	for _, head := range h.LevelNodes(k) {
 		id, ok := ids.Logical(k, head)
 		if !ok {
-			continue
-		}
-		if only != nil && !only.is(k, id) {
 			continue
 		}
 		start := len(back)

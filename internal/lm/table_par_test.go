@@ -69,26 +69,37 @@ func tableSnapshots(n, ticks int, seed uint64) ([]*cluster.Hierarchy, []*cluster
 	return hs, ids
 }
 
-// TestUpdateTableParMatchesSerial: the parallel incremental update must
-// be byte-identical to the serial one for every worker count, including
-// worker counts exceeding the owner count.
+// testPool returns a pool of the given worker count, or a nil pool
+// for 0.
+func testPool(workers int) *par.Pool {
+	if workers == 0 {
+		return nil
+	}
+	return par.NewPool(workers)
+}
+
+// TestUpdateTableParMatchesSerial: the table update must be
+// byte-identical to the from-scratch BuildTable for a nil pool and for
+// every worker count, including worker counts exceeding the owner
+// count.
 func TestUpdateTableParMatchesSerial(t *testing.T) {
 	for _, n := range []int{3, 40, 150} {
 		hs, ids := tableSnapshots(n, 1, uint64(n))
 		s := NewSelector(nil)
 		base := s.BuildTable(hs[0], ids[0])
-		serial := s.UpdateTable(base, hs[0], ids[0], hs[1], ids[1])
-		for _, workers := range []int{1, 2, 3, 5, 8, 200} {
-			p := par.NewPool(workers)
+		want := s.BuildTable(hs[1], ids[1])
+		for _, workers := range []int{0, 1, 2, 3, 5, 8, 200} {
+			p := testPool(workers)
 			parT := s.UpdateTableIntoPar(nil, nil, nil, base, hs[0], ids[0], hs[1], ids[1], nil, p)
 			p.Close()
-			tablesIdentical(t, serial, parT)
+			tablesIdentical(t, want, parT)
 		}
 	}
 }
 
 // TestUpdateTableParReuse drives the double-buffered loop shape: two
-// recycled destination tables, one scratch pair, many ticks.
+// recycled destination tables, one scratch pair, many ticks, each
+// compared with the from-scratch BuildTable.
 func TestUpdateTableParReuse(t *testing.T) {
 	const n, ticks = 120, 6
 	hs, ids := tableSnapshots(n, ticks, 9)
@@ -100,21 +111,10 @@ func TestUpdateTableParReuse(t *testing.T) {
 	prev := s.BuildTable(hs[0], ids[0])
 	var spare [2]*Table
 	for tick := 1; tick <= ticks; tick++ {
-		serial := s.UpdateTable(prev, hs[tick-1], ids[tick-1], hs[tick], ids[tick])
 		next := s.UpdateTableIntoPar(spare[tick%2], &sc, &psc,
 			prev, hs[tick-1], ids[tick-1], hs[tick], ids[tick], nil, p)
-		tablesIdentical(t, serial, next)
+		tablesIdentical(t, s.BuildTable(hs[tick], ids[tick]), next)
 		spare[tick%2] = prev
 		prev = next
 	}
-}
-
-// TestUpdateTableParNilPool verifies the serial fallback.
-func TestUpdateTableParNilPool(t *testing.T) {
-	hs, ids := tableSnapshots(60, 1, 4)
-	s := NewSelector(nil)
-	base := s.BuildTable(hs[0], ids[0])
-	serial := s.UpdateTable(base, hs[0], ids[0], hs[1], ids[1])
-	parT := s.UpdateTableIntoPar(nil, nil, nil, base, hs[0], ids[0], hs[1], ids[1], nil, nil)
-	tablesIdentical(t, serial, parT)
 }

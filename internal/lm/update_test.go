@@ -111,12 +111,12 @@ func TestDirtySubtreesMatchesScan(t *testing.T) {
 
 // TestUpdateWorkCounts: a table built from scratch hashes a full
 // descent for every (owner, level), k Selects for level k; and the
-// parallel update counts the same work as the serial one.
+// sharded update counts the same work as the single-worker one.
 func TestUpdateWorkCounts(t *testing.T) {
 	hs, ids := tableSnapshots(150, 1, 8)
 	s := NewSelector(nil)
 	var sc UpdateScratch
-	fresh := s.UpdateTableInto(nil, &sc, nil, hs[0], ids[0], hs[0], ids[0], nil)
+	fresh := s.UpdateTableIntoPar(nil, &sc, nil, nil, hs[0], ids[0], hs[0], ids[0], nil, nil)
 	wantSel := 0
 	for _, v := range fresh.Owners() {
 		n := fresh.Levels(v)
@@ -130,7 +130,7 @@ func TestUpdateWorkCounts(t *testing.T) {
 		t.Fatalf("fresh update: %d hashes < %d selects", hashes, sel)
 	}
 
-	s.UpdateTableInto(nil, &sc, fresh, hs[0], ids[0], hs[1], ids[1], nil)
+	s.UpdateTableIntoPar(nil, &sc, nil, fresh, hs[0], ids[0], hs[1], ids[1], nil, nil)
 	serialSel, serialHashes := sc.Work()
 	if serialSel == 0 || serialSel >= wantSel {
 		t.Fatalf("incremental update: %d selects, want in (0, %d)", serialSel, wantSel)

@@ -30,20 +30,16 @@ import (
 // their totals sum to at most (and in practice almost exactly) the
 // PhaseTick total.
 const (
-	PhaseTick    = "tick.total"
-	PhaseAdvance = "tick.advance" // mobility, churn, spatial grid update
-	PhaseRebuild = "tick.rebuild" // unit-disk graph rebuild
-	PhaseCluster = "tick.cluster" // hierarchy (re)construction
-	// PhaseClusterInc nests inside PhaseCluster: the incremental
-	// maintainer's delta-driven portion of hierarchy maintenance
-	// (Config.Maintainer == "incremental"); zero under the oracle.
-	PhaseClusterInc = "tick.cluster_inc"
-	PhaseDiff       = "tick.diff" // hierarchy diffing
-	PhaseLMUpdate   = "tick.lm_update"
-	PhaseMeasure    = "tick.measure" // handoff accounting and classifiers
-	PhaseHops       = "tick.hops"    // intra-cluster hop sampling (BFS)
-	PhaseInvariant  = "tick.invariant"
-	PhaseObserver   = "tick.observer"
+	PhaseTick      = "tick.total"
+	PhaseAdvance   = "tick.advance" // mobility, churn, spatial grid update
+	PhaseRebuild   = "tick.rebuild" // unit-disk graph rebuild
+	PhaseCluster   = "tick.cluster" // hierarchy (re)construction
+	PhaseDiff      = "tick.diff"    // hierarchy diffing
+	PhaseLMUpdate  = "tick.lm_update"
+	PhaseMeasure   = "tick.measure" // handoff accounting and classifiers
+	PhaseHops      = "tick.hops"    // intra-cluster hop sampling (BFS)
+	PhaseInvariant = "tick.invariant"
+	PhaseObserver  = "tick.observer"
 )
 
 // Sweep-level metric names recorded by runner.Sweep through Progress.

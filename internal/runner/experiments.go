@@ -25,11 +25,6 @@ type Scale struct {
 	Warmup   float64 `json:"warmup"`
 	BigN     int     `json:"big_n"` // node count for single-N experiments
 	Par      int     `json:"par"`   // worker-pool width (0 = GOMAXPROCS)
-	// Maintainer selects the hierarchy-maintenance strategy for every
-	// simulation the experiment launches ("" or "oracle" = full ALCA
-	// rebuild per tick, "incremental" = delta-patched; see
-	// simnet.Config.Maintainer).
-	Maintainer string `json:"maintainer,omitempty"`
 	// Mobility and Link re-run the whole battery under a different
 	// scenario model ("" = the paper regime: waypoint / unitdisk; see
 	// simnet.MobilityModels and simnet.LinkModels). This is the sweep
@@ -149,8 +144,7 @@ func staticHierarchy(n int, seed uint64) (*cluster.Hierarchy, *topology.Graph) {
 func baseConfig(sc Scale) simnet.Config {
 	return simnet.Config{
 		Duration: sc.Duration, Warmup: sc.Warmup, Metrics: sc.Metrics,
-		Maintainer: sc.Maintainer,
-		Mobility:   sc.Mobility, Link: sc.Link,
+		Mobility: sc.Mobility, Link: sc.Link,
 	}
 }
 

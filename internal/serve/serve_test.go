@@ -42,8 +42,7 @@ func marshalResults(t *testing.T, r *simnet.Results) []byte {
 
 // TestServeDoesNotPerturbSim is the tentpole's determinism contract:
 // the embedded simulation's Results and trace must be byte-identical
-// with serving enabled vs disabled, serial, parallel and under
-// incremental maintenance.
+// with serving enabled vs disabled, serial and parallel.
 func TestServeDoesNotPerturbSim(t *testing.T) {
 	cases := []struct {
 		name string
@@ -52,10 +51,6 @@ func TestServeDoesNotPerturbSim(t *testing.T) {
 		{"serial", simnet.Config{N: 48, Seed: 7, Duration: 10, Warmup: 2}},
 		{"parallel", simnet.Config{
 			N: 48, Seed: 5, Duration: 10, Warmup: 2, IntraTickParallelism: 3,
-		}},
-		{"incremental", simnet.Config{
-			N: 48, Seed: 9, Duration: 10, Warmup: 2,
-			Maintainer: simnet.MaintainerIncremental,
 		}},
 	}
 	for _, tc := range cases {

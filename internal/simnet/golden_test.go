@@ -32,7 +32,7 @@ type goldenCell struct {
 
 // goldenConfigs is the pinned scenario matrix: every mobility × link
 // cell, plus waypoint/unit-disk legs for the stateful elector, churn,
-// BFS hops, intra-tick parallelism and incremental maintenance.
+// BFS hops and intra-tick parallelism.
 func goldenConfigs() map[string]simnet.Config {
 	base := simnet.Config{N: 64, Seed: 1, Duration: 25, Warmup: 5}
 	cells := map[string]simnet.Config{}
@@ -56,7 +56,6 @@ func goldenConfigs() map[string]simnet.Config {
 		c.HopModel, c.SampleHops, c.HopPairs = simnet.HopBFS, 5, 16
 	})
 	leg("par2", func(c *simnet.Config) { c.IntraTickParallelism = 2 })
-	leg("incremental", func(c *simnet.Config) { c.Maintainer = simnet.MaintainerIncremental })
 	return cells
 }
 

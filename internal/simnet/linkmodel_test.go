@@ -63,27 +63,6 @@ func TestLogShadowScanBattery(t *testing.T) {
 	}
 }
 
-// TestLogShadowIncrementalMatchesOracle extends the maintainer
-// differential to the lossy link model: hierarchy
-// deltas must be link-model-agnostic.
-func TestLogShadowIncrementalMatchesOracle(t *testing.T) {
-	cfg := simnet.Config{
-		N: 44, Seed: 43, Duration: 12, Warmup: 3,
-		Link: simnet.LinkLogShadow,
-	}
-	oracleRes, oracleTrace := marshalRun(t, cfg)
-	inc := cfg
-	inc.Maintainer = simnet.MaintainerIncremental
-	inc.CheckLevel = "every-tick"
-	incRes, incTrace := marshalRun(t, inc)
-	if !bytes.Equal(oracleRes, incRes) {
-		t.Error("incremental results diverge from oracle under logshadow")
-	}
-	if !bytes.Equal(oracleTrace, incTrace) {
-		t.Error("incremental trace diverges from oracle under logshadow")
-	}
-}
-
 // TestLogShadowDiffersFromUnitDisk is the sanity complement to the
 // equivalence suite: with default shadowing the lossy radio must
 // actually change the topology relative to unit disk (same seed), or

@@ -51,22 +51,6 @@ const (
 	HopBFS       = "bfs"
 )
 
-// Maintainer names accepted by Config.Maintainer.
-const (
-	// MaintainerOracle recomputes the full ALCA fixed point from
-	// scratch every tick (the original maintenance strategy).
-	MaintainerOracle = "oracle"
-	// MaintainerIncremental advances the previous hierarchy snapshot
-	// by the tick's link-event delta: only the closed neighborhoods of
-	// dirty nodes re-elect, and changes propagate upward level by level
-	// only while the elected-head set keeps changing. Per-tick cost is
-	// proportional to the link-event rate instead of N. Hierarchies,
-	// identities, tables, Results and traces are byte-identical to the
-	// oracle (enforced by the incremental-hierarchy-equal invariant,
-	// TestIncrementalMatchesOracle, and the prop-corpus differential).
-	MaintainerIncremental = "incremental"
-)
-
 // Fault names accepted by Config.Fault (fault injection for the
 // invariant harness; see the Fault field).
 const (
@@ -120,14 +104,8 @@ type Config struct {
 	PathLossExp float64
 	ShadowSigma float64
 	LinkMargin  float64
-	HopModel    string // euclid (default) | bfs
-	// Maintainer selects the hierarchy-maintenance strategy: "oracle"
-	// (default) rebuilds the ALCA fixed point from scratch every tick,
-	// "incremental" advances the previous snapshot by the tick's
-	// link-event delta (churn-proportional cost, byte-identical
-	// output).
-	Maintainer string
-	Detour     float64 // Euclidean hop detour factor (default 1.3; 0 = default, < 0 rejected)
+	HopModel    string  // euclid (default) | bfs
+	Detour      float64 // Euclidean hop detour factor (default 1.3; 0 = default, < 0 rejected)
 
 	// Group-mobility parameters (Mobility == "group"): nodes per group
 	// and the wander radius around the group reference point.
@@ -255,9 +233,6 @@ func (c Config) withDefaults() Config {
 	if c.HopModel == "" {
 		c.HopModel = HopEuclidean
 	}
-	if c.Maintainer == "" {
-		c.Maintainer = MaintainerOracle
-	}
 	c.Detour = fdef(c.Detour, 1.3)
 	if c.Hash == nil {
 		c.Hash = lm.Rendezvous{}
@@ -310,12 +285,6 @@ func (c Config) validate() error {
 	}
 	if c.PathLossExp <= 0 {
 		return fmt.Errorf("simnet: PathLossExp must be positive (got %v)", c.PathLossExp)
-	}
-	switch c.Maintainer {
-	case MaintainerOracle, MaintainerIncremental:
-	default:
-		return fmt.Errorf("simnet: unknown maintainer %q (want %s|%s)",
-			c.Maintainer, MaintainerOracle, MaintainerIncremental)
 	}
 	if _, err := invariant.ParseLevel(c.CheckLevel); err != nil {
 		return fmt.Errorf("simnet: %v", err)
@@ -407,13 +376,7 @@ func setupRun(cfg Config) (*looper, error) {
 	graph := link.BuildInto(nil, cfg.N, pos, grid, nil, nil)
 	tracker := cluster.NewIdentityTracker()
 	tracker.Passthrough = cfg.NaiveNaming
-	var mnt cluster.Maintainer
-	switch cfg.Maintainer {
-	case MaintainerIncremental:
-		mnt = cluster.NewIncrementalMaintainer(clusterCfg, tracker)
-	default:
-		mnt = cluster.NewOracleMaintainer(clusterCfg, tracker)
-	}
+	mnt := cluster.NewOracleMaintainer(clusterCfg, tracker)
 	hier, idents := mnt.Maintain(&cluster.MaintainInput{
 		G0: graph, Nodes: topology.GiantComponent(graph, nodes), Now: 0,
 	})
@@ -460,13 +423,11 @@ func setupRun(cfg Config) (*looper, error) {
 		checker:    checker,
 		tm:         newPhaseTimers(cfg.Metrics),
 		cfg:        cfg,
-		clusterCfg: clusterCfg,
 		model:      model,
 		link:       link,
 		grid:       grid,
 		pos:        pos,
 		selector:   selector,
-		tracker:    tracker,
 		accountant: accountant,
 		bfsHop:     bfsHop,
 		st:         st,
@@ -475,7 +436,6 @@ func setupRun(cfg Config) (*looper, error) {
 		idents:     idents,
 		table:      table,
 		mnt:        mnt,
-		useEvents:  cfg.Maintainer == MaintainerIncremental,
 		alive:      alive,
 		reviveAt:   make([]float64, cfg.N),
 		churnSrc:   root.Stream("churn"),

@@ -11,17 +11,13 @@ import (
 
 // TestStepperMatchesRun pins the Stepper's contract: driving the run
 // tick-by-tick produces byte-identical Results and traces to Run(cfg),
-// serial, parallel and under incremental maintenance.
+// serial and parallel.
 func TestStepperMatchesRun(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  simnet.Config
 	}{
 		{"base", simnet.Config{N: 48, Seed: 7, Duration: 15, Warmup: 4}},
-		{"incremental", simnet.Config{
-			N: 48, Seed: 9, Duration: 12, Warmup: 3,
-			Maintainer: simnet.MaintainerIncremental,
-		}},
 		{"parallel", simnet.Config{
 			N: 48, Seed: 5, Duration: 12, Warmup: 3, IntraTickParallelism: 3,
 		}},

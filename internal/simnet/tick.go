@@ -21,17 +21,16 @@ import (
 // lock. With Metrics unset every field is nil and each instrumentation
 // point costs one nil check (obs types are nil-safe no-ops).
 type phaseTimers struct {
-	tick       *obs.Timer
-	advance    *obs.Timer
-	rebuild    *obs.Timer
-	cluster    *obs.Timer
-	clusterInc *obs.Timer
-	diff       *obs.Timer
-	lmUpdate   *obs.Timer
-	measure    *obs.Timer
-	hops       *obs.Timer
-	invariant  *obs.Timer
-	observer   *obs.Timer
+	tick      *obs.Timer
+	advance   *obs.Timer
+	rebuild   *obs.Timer
+	cluster   *obs.Timer
+	diff      *obs.Timer
+	lmUpdate  *obs.Timer
+	measure   *obs.Timer
+	hops      *obs.Timer
+	invariant *obs.Timer
+	observer  *obs.Timer
 
 	ticks         *obs.Counter
 	measuredTicks *obs.Counter
@@ -49,17 +48,16 @@ func newPhaseTimers(reg *obs.Registry) phaseTimers {
 		return phaseTimers{}
 	}
 	return phaseTimers{
-		tick:       reg.Timer(obs.PhaseTick),
-		advance:    reg.Timer(obs.PhaseAdvance),
-		rebuild:    reg.Timer(obs.PhaseRebuild),
-		cluster:    reg.Timer(obs.PhaseCluster),
-		clusterInc: reg.Timer(obs.PhaseClusterInc),
-		diff:       reg.Timer(obs.PhaseDiff),
-		lmUpdate:   reg.Timer(obs.PhaseLMUpdate),
-		measure:    reg.Timer(obs.PhaseMeasure),
-		hops:       reg.Timer(obs.PhaseHops),
-		invariant:  reg.Timer(obs.PhaseInvariant),
-		observer:   reg.Timer(obs.PhaseObserver),
+		tick:      reg.Timer(obs.PhaseTick),
+		advance:   reg.Timer(obs.PhaseAdvance),
+		rebuild:   reg.Timer(obs.PhaseRebuild),
+		cluster:   reg.Timer(obs.PhaseCluster),
+		diff:      reg.Timer(obs.PhaseDiff),
+		lmUpdate:  reg.Timer(obs.PhaseLMUpdate),
+		measure:   reg.Timer(obs.PhaseMeasure),
+		hops:      reg.Timer(obs.PhaseHops),
+		invariant: reg.Timer(obs.PhaseInvariant),
+		observer:  reg.Timer(obs.PhaseObserver),
 
 		ticks:         reg.Counter("sim.ticks"),
 		measuredTicks: reg.Counter("sim.measured_ticks"),
@@ -93,16 +91,14 @@ func newPhaseTimers(reg *obs.Registry) phaseTimers {
 // per-level head maps and a few closures as per-tick allocations —
 // see BenchmarkTick* in bench_test.go and TestSteadyStateTickAllocs.
 type looper struct {
-	cfg        Config
-	clusterCfg cluster.Config
-	model      mobility.Model
+	cfg   Config
+	model mobility.Model
 	// link is the level-0 link model (Config.Link); every tick
 	// rebuilds the graph through it with a grid scan.
 	link       topology.LinkModel
 	grid       *spatial.Grid
 	pos        []geom.Vec
 	selector   *lm.Selector
-	tracker    *cluster.IdentityTracker
 	accountant *lm.Accountant
 	bfsHop     *topology.BFSHops
 	st         *stateRun
@@ -119,14 +115,11 @@ type looper struct {
 	retiredIDs *cluster.Identities
 	spareTable *lm.Table
 
-	// Hierarchy maintenance (Config.Maintainer): the maintainer owns
-	// the snapshot arena; Retire replaces the old direct Recycle call.
-	// useEvents marks maintainers that consume the tick's link-event
-	// delta (computed in the rebuild phase); maintIn is the reused
+	// Hierarchy maintenance: the maintainer owns the snapshot arena
+	// and recycles retired snapshots into it; maintIn is the reused
 	// Maintain input.
-	mnt       cluster.Maintainer
-	useEvents bool
-	maintIn   cluster.MaintainInput
+	mnt     *cluster.OracleMaintainer
+	maintIn cluster.MaintainInput
 
 	diff        *cluster.Diff
 	diffScratch cluster.DiffScratch
@@ -200,44 +193,19 @@ func (lp *looper) step(now float64) {
 	spRebuild := lp.tm.rebuild.Start()
 	newGraph := lp.link.BuildInto(
 		lp.spareGraph, cfg.N, lp.pos, lp.grid, lp.pool, &lp.buildScratch)
-	var events []topology.LinkEvent
-	if lp.useEvents {
-		events = lp.linkScratch.Diff(lp.graph, newGraph)
-	}
 	lp.spareGraph = nil
 	if lp.bfsHop != nil {
 		lp.bfsHop.Rebind(newGraph)
 	}
 	spRebuild.Stop()
 
-	// Incremental maintenance gets its own span (tick.cluster_inc) so
-	// oracle-vs-incremental phase costs are directly comparable.
 	spCluster := lp.tm.cluster.Start()
-	var spClusterInc obs.Span
-	if lp.useEvents {
-		spClusterInc = lp.tm.clusterInc.Start()
-	}
 	lp.mnt.Retire(lp.retiredH, lp.retiredIDs)
 	lp.retiredH, lp.retiredIDs = nil, nil
 	giant := lp.giantScr.Giant(newGraph, lp.aliveNodes)
 	lp.maintIn = cluster.MaintainInput{
-		G0: newGraph, PrevG0: lp.graph, Nodes: giant, Events: events,
+		G0: newGraph, Nodes: giant,
 		PrevH: lp.hier, PrevIDs: lp.idents, Now: now,
-	}
-	// Reference state for the incremental-hierarchy-equal differential:
-	// the oracle rebuild inside the checker must see the pre-Maintain
-	// tracker and elector state, so both are cloned before the live
-	// Maintain advances them. Checked ticks under the incremental
-	// maintainer only.
-	var refTracker *cluster.IdentityTracker
-	var refCfg cluster.Config
-	if lp.cfg.Maintainer == MaintainerIncremental && lp.checker.ShouldCheck(lp.tick) {
-		refTracker = lp.tracker.Clone()
-		refCfg = lp.clusterCfg
-		//lint:ignore hotpath periodic invariant check; interval-gated, off the steady tick
-		if ce, ok := refCfg.Elector.(cluster.CloneableElector); ok {
-			refCfg.Elector = ce.CloneElector()
-		}
 	}
 	newHier, newIdents := lp.mnt.Maintain(&lp.maintIn)
 	if cfg.Paranoid {
@@ -246,7 +214,6 @@ func (lp *looper) step(now float64) {
 			panic(fmt.Sprintf("simnet: t=%.2f: %v", now, err))
 		}
 	}
-	spClusterInc.Stop()
 	spCluster.Stop()
 	lp.tm.levels.Set(float64(newHier.L()))
 
@@ -258,7 +225,7 @@ func (lp *looper) step(now float64) {
 	newTable := lp.selector.UpdateTableIntoPar(
 		lp.spareTable, &lp.updScratch, &lp.updParScr,
 		lp.table, lp.hier, lp.idents, newHier, newIdents,
-		lp.mnt.DirtyClusters(), lp.pool)
+		nil, lp.pool)
 	lp.spareTable = nil
 	spLM.Stop()
 	selects, hashes := lp.updScratch.Work()
@@ -308,12 +275,9 @@ func (lp *looper) step(now float64) {
 			//lint:ignore hotpath periodic invariant check; interval-gated, off the steady tick
 			Prev: &invariant.State{Hier: lp.hier, IDs: lp.idents, Table: lp.table},
 			//lint:ignore hotpath periodic invariant check; interval-gated, off the steady tick
-			Next:            &invariant.State{Hier: newHier, IDs: newIdents, Table: newTable},
-			Diff:            lp.diff,
-			Selector:        lp.selector,
-			MaintainIn:      &lp.maintIn,
-			MaintainCfg:     refCfg,
-			MaintainTracker: refTracker,
+			Next:     &invariant.State{Hier: newHier, IDs: newIdents, Table: newTable},
+			Diff:     lp.diff,
+			Selector: lp.selector,
 		})
 		spInv.Stop()
 	}

@@ -150,11 +150,10 @@ func (g *Graph) MeanDegree(vertices []int) float64 {
 }
 
 // BuildFromSortedEdgesInto materializes a graph from an ascending edge
-// key list (a cluster level's lifted edges, or the incremental
-// maintainer's per-level edge set):
-// g is Reset (or allocated when nil), the keys are copied into the
-// bulk store, and adjacency lists are filled in key order. The caller
-// must pass keys sorted ascending with no duplicates.
+// key list (a cluster level's lifted edges): g is Reset (or allocated
+// when nil), the keys are copied into the bulk store, and adjacency
+// lists are filled in key order. The caller must pass keys sorted
+// ascending with no duplicates.
 //
 //manet:hotpath
 func BuildFromSortedEdgesInto(g *Graph, n int, edges []EdgeKey) *Graph {

@@ -10,9 +10,9 @@
 # LM update) in fresh vs reuse vs par variants, plus the per-link-model build cost
 # (unitdisk vs logshadow µs/simsec, serial and par), which is the
 # comparison worth tracking. The
-# ClusterMaintain matrix (oracle-vs-incremental hierarchy maintenance
-# across waypoint pause intervals) and the LMUpdate lowchurn legs
-# record the churn-proportional maintenance speedup in µs/simsec. The -count
+# ClusterMaintain matrix (hierarchy maintenance across scan intervals)
+# and the LMUpdate lowchurn leg (dirty-row table update at a 0.1 s
+# scan) report µs/simsec. The -count
 # repetitions are aggregated per benchmark (minimum ns/op — the
 # least-noise sample — with its B/op and allocs/op), so each recorded
 # entry has exactly one line per benchmark, and every entry is stamped
@@ -46,7 +46,7 @@ BEGIN { cpu = "unknown"; n = 0 }
 /^Benchmark/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	# Locate metrics by unit label: custom ReportMetric columns
-	# (fastpath, us/simsec) shift the field positions.
+	# (us/simsec) shift the field positions.
 	ns = ""; bytes = ""; allocs = ""; uss = ""
 	for (i = 3; i < NF; i++) {
 		if ($(i + 1) == "ns/op") ns = $i
