@@ -69,27 +69,17 @@ func tableSnapshots(n, ticks int, seed uint64) ([]*cluster.Hierarchy, []*cluster
 	return hs, ids
 }
 
-// testPool returns a pool of the given worker count, or a nil pool
-// for 0.
-func testPool(workers int) *par.Pool {
-	if workers == 0 {
-		return nil
-	}
-	return par.NewPool(workers)
-}
-
 // TestUpdateTableParMatchesSerial: the table update must be
-// byte-identical to the from-scratch BuildTable for a nil pool and for
-// every worker count, including worker counts exceeding the owner
-// count.
+// byte-identical to the from-scratch BuildTable for every worker count,
+// including worker counts exceeding the owner count.
 func TestUpdateTableParMatchesSerial(t *testing.T) {
 	for _, n := range []int{3, 40, 150} {
 		hs, ids := tableSnapshots(n, 1, uint64(n))
 		s := NewSelector(nil)
 		base := s.BuildTable(hs[0], ids[0])
 		want := s.BuildTable(hs[1], ids[1])
-		for _, workers := range []int{0, 1, 2, 3, 5, 8, 200} {
-			p := testPool(workers)
+		for _, workers := range []int{1, 2, 3, 5, 8, 200} {
+			p := par.NewPool(workers)
 			parT := s.UpdateTableIntoPar(nil, nil, nil, base, hs[0], ids[0], hs[1], ids[1], nil, p)
 			p.Close()
 			tablesIdentical(t, want, parT)
@@ -117,4 +107,14 @@ func TestUpdateTableParReuse(t *testing.T) {
 		spare[tick%2] = prev
 		prev = next
 	}
+}
+
+// TestUpdateTableParNilPool verifies the serial fallback: a nil pool
+// writes the rows straight into the table.
+func TestUpdateTableParNilPool(t *testing.T) {
+	hs, ids := tableSnapshots(60, 1, 4)
+	s := NewSelector(nil)
+	base := s.BuildTable(hs[0], ids[0])
+	parT := s.UpdateTableIntoPar(nil, nil, nil, base, hs[0], ids[0], hs[1], ids[1], nil, nil)
+	tablesIdentical(t, s.BuildTable(hs[1], ids[1]), parT)
 }
