@@ -44,8 +44,8 @@ func run() int {
 	if len(args) == 1 {
 		switch {
 		case args[0] == "-V=full" || args[0] == "--V=full":
-			// cmd/go keys its vet fact cache on this line; fingerprint
-			// the executable so a rebuilt tool invalidates stale facts.
+			// cmd/go keys its vet cache on this line; fingerprint the
+			// executable so a rebuilt tool invalidates stale results.
 			fmt.Printf("manetlint version %s (repro static gates)\n", selfFingerprint())
 			return 0
 		case args[0] == "-flags" || args[0] == "--flags":

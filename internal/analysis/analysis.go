@@ -2,7 +2,7 @@
 // the golang.org/x/tools/go/analysis API surface this repository
 // needs. The build environment has no module proxy access, so x/tools
 // cannot be vendored; instead this package mirrors its core contract —
-// Analyzer, Pass, Diagnostic, and Fact — closely enough that every
+// Analyzer, Pass and Diagnostic — closely enough that every
 // analyzer under internal/lint (and its analysistest golden tests)
 // would compile against the real framework with only import-path
 // changes once the dependency becomes available.
@@ -15,11 +15,9 @@
 //     loader does not type-check).
 //   - Diagnostics with Category "strict" cannot be waived by a
 //     //lint:ignore directive (enforced by the drivers, not here).
-//   - Facts are propagated in-process by reference between packages of
-//     one driver run; the unitchecker driver serializes them with gob,
-//     keyed by a simplified object path (package-level functions and
-//     methods only — the only objects this repository attaches facts
-//     to).
+//
+// Cross-package facts are not supported: every analyzer here looks at
+// one package at a time.
 package analysis
 
 import (
@@ -31,8 +29,7 @@ import (
 )
 
 // An Analyzer is one named static check. It is run once per package;
-// Requires lists analyzers whose results feed it, and FactTypes
-// declares the fact types it reads and writes across packages.
+// Requires lists analyzers whose results feed it.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, flags, and
 	// //lint:ignore directives. It must be a valid Go identifier.
@@ -54,11 +51,6 @@ type Analyzer struct {
 	// driver when non-nil).
 	ResultType reflect.Type
 
-	// FactTypes declares the pointer types of facts this analyzer
-	// exports or imports. An analyzer with facts runs on the whole
-	// dependency closure of the checked packages.
-	FactTypes []Fact
-
 	// RunDespiteErrors lets the analyzer run on packages with type
 	// errors. Analyzers that rely on complete type information should
 	// leave it false.
@@ -68,7 +60,7 @@ type Analyzer struct {
 func (a *Analyzer) String() string { return a.Name }
 
 // A Pass provides one analyzer with the material of one package and
-// collects its diagnostics and facts.
+// collects its diagnostics.
 type Pass struct {
 	Analyzer *Analyzer
 
@@ -85,8 +77,6 @@ type Pass struct {
 
 	// Report emits one diagnostic. The driver populates it.
 	Report func(Diagnostic)
-
-	facts factStore
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -111,68 +101,8 @@ type Diagnostic struct {
 	Message  string
 }
 
-// A Fact is a piece of analyzer state attached to a package or object
-// and visible to later passes over dependent packages. Fact types must
-// be pointers, and gob-encodable when used with the unitchecker
-// driver.
-type Fact interface {
-	AFact() // dummy marker method
-}
-
-// factStore is the driver-provided fact plumbing of one pass.
-type factStore struct {
-	importObjectFact  func(obj types.Object, fact Fact) bool
-	exportObjectFact  func(obj types.Object, fact Fact)
-	importPackageFact func(pkg *types.Package, fact Fact) bool
-	exportPackageFact func(fact Fact)
-}
-
-// SetFactPlumbing installs the driver's fact callbacks. Drivers only.
-func (p *Pass) SetFactPlumbing(
-	importObj func(types.Object, Fact) bool, exportObj func(types.Object, Fact),
-	importPkg func(*types.Package, Fact) bool, exportPkg func(Fact),
-) {
-	p.facts = factStore{importObj, exportObj, importPkg, exportPkg}
-}
-
-// ImportObjectFact copies the fact of the given type attached to obj
-// into fact and reports whether one was found.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.facts.importObjectFact == nil {
-		return false
-	}
-	return p.facts.importObjectFact(obj, fact)
-}
-
-// ExportObjectFact attaches fact to obj for passes over dependent
-// packages. obj must belong to this pass's package.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.facts.exportObjectFact == nil {
-		panic("analysis: ExportObjectFact outside a driver run")
-	}
-	p.facts.exportObjectFact(obj, fact)
-}
-
-// ImportPackageFact copies the fact of the given type attached to pkg
-// into fact and reports whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.facts.importPackageFact == nil {
-		return false
-	}
-	return p.facts.importPackageFact(pkg, fact)
-}
-
-// ExportPackageFact attaches fact to this pass's package.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.facts.exportPackageFact == nil {
-		panic("analysis: ExportPackageFact outside a driver run")
-	}
-	p.facts.exportPackageFact(fact)
-}
-
 // Validate checks the analyzer graph for the errors the real framework
-// rejects: empty or duplicate names, nil Run, require cycles, and
-// non-pointer fact types.
+// rejects: nil analyzers, empty names, nil Run, and require cycles.
 func Validate(analyzers []*Analyzer) error {
 	const (
 		white = iota // unvisited
@@ -194,11 +124,6 @@ func Validate(analyzers []*Analyzer) error {
 		color[a] = grey
 		if a.Name == "" || a.Run == nil {
 			return fmt.Errorf("analysis: analyzer %q must have a name and a Run function", a.Name)
-		}
-		for _, f := range a.FactTypes {
-			if reflect.TypeOf(f).Kind() != reflect.Ptr {
-				return fmt.Errorf("analysis: %s: fact type %T is not a pointer", a.Name, f)
-			}
 		}
 		for _, req := range a.Requires {
 			if err := visit(req); err != nil {

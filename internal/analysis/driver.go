@@ -44,21 +44,19 @@ func SortFindings(fs []Finding) {
 	})
 }
 
-// Driver applies a suite of analyzers to module packages: it loads the
-// dependency closure of the requested packages, runs the analyzers
-// bottom-up so facts flow from dependencies to dependents, and applies
-// the repository's //lint:ignore suppression layer (per-rule scope,
-// strict findings unwaivable, stale directives reported).
+// Driver applies a suite of analyzers to module packages: it loads and
+// type-checks the requested packages, runs the analyzers on each, and
+// applies the repository's //lint:ignore suppression layer (per-rule
+// scope, strict findings unwaivable, stale directives reported).
 type Driver struct {
 	Analyzers []*Analyzer
 }
 
 // Run analyzes the packages matched by patterns in the module rooted
 // at root; directory patterns resolve relative to base. Findings are
-// reported only for the matched packages (dependencies are analyzed
-// for facts alone) and returned sorted. A non-nil error means the
-// module itself could not be loaded; per-file parse and type problems
-// become "typecheck" findings instead.
+// reported for the matched packages only and returned sorted. A
+// non-nil error means the module itself could not be loaded; per-file
+// parse and type problems become "typecheck" findings instead.
 func (d *Driver) Run(root, base string, patterns []string) ([]Finding, error) {
 	if err := Validate(d.Analyzers); err != nil {
 		return nil, err
@@ -72,34 +70,14 @@ func (d *Driver) Run(root, base string, patterns []string) ([]Finding, error) {
 		return nil, err
 	}
 
-	requested := map[string]bool{}
-	var order []*Package
-	seen := map[*Package]bool{}
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, dep := range p.Imports {
-			visit(dep)
-		}
-		order = append(order, p)
-	}
+	seq := Sequence(d.Analyzers)
+	var all []Finding
 	for _, p := range paths {
 		pkg, err := m.Load(p)
 		if err != nil {
 			return nil, err
 		}
-		requested[p] = true
-		visit(pkg)
-	}
-
-	seq := Sequence(d.Analyzers)
-	bank := newFactBank()
-	var all []Finding
-	for _, pkg := range order {
-		all = append(all, d.runPackage(m, pkg, seq, bank, requested[pkg.ImportPath])...)
+		all = append(all, d.runPackage(m, pkg, seq)...)
 	}
 	SortFindings(all)
 	return all, nil
@@ -127,38 +105,35 @@ func Sequence(analyzers []*Analyzer) []*Analyzer {
 	return out
 }
 
-// runPackage runs the analyzer sequence over one package. Diagnostics
-// are collected (and the suppression layer applied) only when report
-// is true; facts are exported into bank either way.
-func (d *Driver) runPackage(m *Module, pkg *Package, seq []*Analyzer, bank *factBank, report bool) []Finding {
+// runPackage runs the analyzer sequence over one package and applies
+// the suppression layer to its diagnostics.
+func (d *Driver) runPackage(m *Module, pkg *Package, seq []*Analyzer) []Finding {
 	type ruled struct {
 		rule string
 		f    Finding
 	}
 	var raw []ruled
 
-	if report {
-		for _, err := range pkg.ParseErrs {
-			if list, ok := err.(scanner.ErrorList); ok {
-				for _, e := range list {
-					raw = append(raw, ruled{"typecheck", Finding{
-						File: m.relFile(e.Pos.Filename), Line: e.Pos.Line, Col: e.Pos.Column,
-						Rule: "typecheck", Message: e.Msg,
-					}})
-				}
-				continue
+	for _, err := range pkg.ParseErrs {
+		if list, ok := err.(scanner.ErrorList); ok {
+			for _, e := range list {
+				raw = append(raw, ruled{"typecheck", Finding{
+					File: m.relFile(e.Pos.Filename), Line: e.Pos.Line, Col: e.Pos.Column,
+					Rule: "typecheck", Message: e.Msg,
+				}})
 			}
-			raw = append(raw, ruled{"typecheck", Finding{
-				File: pkg.RelPathOrDot(), Line: 1, Col: 1, Rule: "typecheck", Message: err.Error(),
-			}})
+			continue
 		}
-		for _, te := range pkg.TypeErrors {
-			pos := m.fset.Position(te.Pos)
-			raw = append(raw, ruled{"typecheck", Finding{
-				File: m.relFile(pos.Filename), Line: pos.Line, Col: pos.Column,
-				Rule: "typecheck", Message: te.Msg,
-			}})
-		}
+		raw = append(raw, ruled{"typecheck", Finding{
+			File: pkg.RelPathOrDot(), Line: 1, Col: 1, Rule: "typecheck", Message: err.Error(),
+		}})
+	}
+	for _, te := range pkg.TypeErrors {
+		pos := m.fset.Position(te.Pos)
+		raw = append(raw, ruled{"typecheck", Finding{
+			File: m.relFile(pos.Filename), Line: pos.Line, Col: pos.Column,
+			Rule: "typecheck", Message: te.Msg,
+		}})
 	}
 
 	results := map[*Analyzer]any{}
@@ -182,9 +157,6 @@ func (d *Driver) runPackage(m *Module, pkg *Package, seq []*Analyzer, bank *fact
 		}
 		rule := a.Name
 		pass.Report = func(diag Diagnostic) {
-			if !report {
-				return
-			}
 			pos := m.fset.Position(diag.Pos)
 			raw = append(raw, ruled{rule, Finding{
 				File: m.relFile(pos.Filename), Line: pos.Line, Col: pos.Column,
@@ -192,7 +164,6 @@ func (d *Driver) runPackage(m *Module, pkg *Package, seq []*Analyzer, bank *fact
 				strict: diag.Category == CategoryStrict,
 			}})
 		}
-		bank.plumb(pass)
 		res, err := a.Run(pass)
 		if err != nil {
 			raw = append(raw, ruled{rule, Finding{
@@ -202,10 +173,6 @@ func (d *Driver) runPackage(m *Module, pkg *Package, seq []*Analyzer, bank *fact
 			continue
 		}
 		results[a] = res
-	}
-
-	if !report {
-		return nil
 	}
 
 	active := map[string]bool{"typecheck": true}

@@ -45,11 +45,6 @@ type Package struct {
 	Info       *types.Info
 	TypeErrors []types.Error // collected type-checker diagnostics
 	ParseErrs  []error       // scanner/parser diagnostics
-
-	// Imports are the module-internal packages this package imports,
-	// in sorted import-path order (the driver analyzes them first so
-	// facts flow bottom-up).
-	Imports []*Package
 }
 
 // NewModule opens the module rooted at dir (which must contain go.mod).
@@ -203,29 +198,6 @@ func (m *Module) Load(path string) (*Package, error) {
 		tpkg, _ := conf.Check(path, m.fset, pkg.Files, info)
 		pkg.Types = tpkg
 		pkg.Info = info
-	}
-
-	// Record module-internal imports so the driver can analyze the
-	// dependency closure bottom-up (fact propagation order).
-	seen := map[string]bool{}
-	for _, f := range pkg.Files {
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			if (p == m.Path || strings.HasPrefix(p, m.Path+"/")) && !seen[p] {
-				seen[p] = true
-			}
-		}
-	}
-	var impPaths []string
-	for p := range seen {
-		impPaths = append(impPaths, p)
-	}
-	sort.Strings(impPaths)
-	for _, p := range impPaths {
-		dep, err := m.Load(p)
-		if err == nil {
-			pkg.Imports = append(pkg.Imports, dep)
-		}
 	}
 
 	m.pkgs[path] = pkg

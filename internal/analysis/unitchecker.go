@@ -5,16 +5,12 @@ package analysis
 // speaks. cmd/go typechecks nothing itself — it hands the tool a .cfg
 // naming the unit's Go files plus export-data files for every
 // dependency, and expects diagnostics on stderr (file:line:col:
-// message) with a nonzero exit when any are found. Facts flow between
-// units through "vetx" files: cmd/go tells us where each dependency's
-// fact file lives (PackageVetx) and where to write ours (VetxOutput),
-// and caches both. Objects are named across units by a simplified
-// path — "F:Name" for package-level functions, "M:Type.Method" for
-// methods, "V:Name" for package-level variables — resolved against the
-// importer's view of the dependency.
+// message) with a nonzero exit when any are found. The analyzers use
+// no cross-package facts, so the unit's "vetx" fact file (VetxOutput)
+// is written empty, and a VetxOnly unit — a dependency cmd/go visits
+// for facts alone — is not analyzed.
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -24,8 +20,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"reflect"
-	"sort"
 	"strings"
 )
 
@@ -41,18 +35,9 @@ type VetConfig struct {
 	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
-}
-
-// vetxEntry is one serialized fact. Key "" addresses the package
-// itself; otherwise it is a simplified object path.
-type vetxEntry struct {
-	Key  string
-	Fact Fact
 }
 
 // RunUnitchecker analyzes the unit described by cfgFile and returns a
@@ -81,6 +66,14 @@ func runUnit(analyzers []*Analyzer, cfgFile string) ([]Finding, error) {
 	var cfg VetConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return nil, fmt.Errorf("parsing %s: %v", cfgFile, err)
+	}
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.VetxOnly {
+		return nil, nil
 	}
 
 	// cmd/go hands test variants ("pkg [pkg.test]", "pkg_test") to the
@@ -146,11 +139,6 @@ func runUnit(analyzers []*Analyzer, cfgFile string) ([]Finding, error) {
 		return nil, nil
 	}
 
-	bank := newVetFactBank(analyzers)
-	if err := bank.load(cfg, imp); err != nil {
-		return nil, err
-	}
-
 	seq := Sequence(analyzers)
 	var findings []Finding
 	results := map[*Analyzer]any{}
@@ -199,7 +187,6 @@ func runUnit(analyzers []*Analyzer, cfgFile string) ([]Finding, error) {
 		}
 		ana := a
 		pass.Report = func(d Diagnostic) { report(ana, d) }
-		bank.plumb(pass, pkg)
 		res, err := a.Run(pass)
 		if err != nil {
 			findings = append(findings, Finding{
@@ -223,14 +210,6 @@ func runUnit(analyzers []*Analyzer, cfgFile string) ([]Finding, error) {
 		}
 	}
 
-	if cfg.VetxOutput != "" {
-		if err := bank.save(cfg.VetxOutput, pkg); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.VetxOnly {
-		return nil, nil
-	}
 	return findings, nil
 }
 
@@ -251,170 +230,3 @@ func relUnitFile(dir, name string) string {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// vetFactBank is the fact store for unitchecker mode: facts on
-// imported objects come from dependency vetx files, facts exported
-// here are written to VetxOutput for dependents.
-type vetFactBank struct {
-	factTypes map[string]reflect.Type // gob name -> concrete type
-	imported  map[string]Fact         // pkgPath \x00 objKey \x00 typeName
-	exported  map[objFactKey]Fact
-	exportPkg map[pkgFactKey]Fact
-}
-
-func newVetFactBank(analyzers []*Analyzer) *vetFactBank {
-	b := &vetFactBank{
-		factTypes: map[string]reflect.Type{},
-		imported:  map[string]Fact{},
-		exported:  map[objFactKey]Fact{},
-		exportPkg: map[pkgFactKey]Fact{},
-	}
-	for _, a := range Sequence(analyzers) {
-		for _, f := range a.FactTypes {
-			t := reflect.TypeOf(f)
-			gob.Register(f)
-			b.factTypes[t.String()] = t
-		}
-	}
-	return b
-}
-
-func (b *vetFactBank) key(pkgPath, objKey string, t reflect.Type) string {
-	return pkgPath + "\x00" + objKey + "\x00" + t.String()
-}
-
-// load decodes every dependency's vetx file.
-func (b *vetFactBank) load(cfg VetConfig, imp types.Importer) error {
-	paths := make([]string, 0, len(cfg.PackageVetx))
-	for p := range cfg.PackageVetx {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		// The native driver analyzes module packages only, so stdlib
-		// callees carry no facts there; drop stdlib vetx facts to keep
-		// the two modes reporting identically.
-		if cfg.Standard[p] {
-			continue
-		}
-		f, err := os.Open(cfg.PackageVetx[p])
-		if err != nil {
-			continue // missing facts for a dep degrade analysis, not correctness
-		}
-		var entries []vetxEntry
-		err = gob.NewDecoder(f).Decode(&entries)
-		f.Close()
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			t := reflect.TypeOf(e.Fact)
-			b.imported[b.key(p, e.Key, t)] = e.Fact
-		}
-	}
-	return nil
-}
-
-// objKey flattens a package-level object to its cross-unit name;
-// "" means the object is not addressable across units.
-func objKey(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil {
-		return ""
-	}
-	switch o := obj.(type) {
-	case *types.Func:
-		sig := o.Type().(*types.Signature)
-		if recv := sig.Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			named, ok := t.(*types.Named)
-			if !ok || named.Obj() == nil {
-				return ""
-			}
-			return "M:" + named.Obj().Name() + "." + o.Name()
-		}
-		return "F:" + o.Name()
-	case *types.Var:
-		if o.Parent() == o.Pkg().Scope() {
-			return "V:" + o.Name()
-		}
-	}
-	return ""
-}
-
-// plumb wires the Pass fact accessors for unitchecker mode.
-func (b *vetFactBank) plumb(pass *Pass, current *types.Package) {
-	pass.SetFactPlumbing(
-		func(obj types.Object, ptr Fact) bool {
-			t := reflect.TypeOf(ptr)
-			if obj != nil && current != nil && obj.Pkg() == current {
-				if stored, ok := b.exported[objFactKey{obj, t}]; ok {
-					reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(stored).Elem())
-					return true
-				}
-				return false
-			}
-			k := objKey(obj)
-			if k == "" || obj.Pkg() == nil {
-				return false
-			}
-			if stored, ok := b.imported[b.key(obj.Pkg().Path(), k, t)]; ok {
-				reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(stored).Elem())
-				return true
-			}
-			return false
-		},
-		func(obj types.Object, fact Fact) {
-			b.exported[objFactKey{obj, reflect.TypeOf(fact)}] = fact
-		},
-		func(pkg *types.Package, ptr Fact) bool {
-			t := reflect.TypeOf(ptr)
-			if pkg == current {
-				if stored, ok := b.exportPkg[pkgFactKey{pkg, t}]; ok {
-					reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(stored).Elem())
-					return true
-				}
-				return false
-			}
-			if pkg == nil {
-				return false
-			}
-			if stored, ok := b.imported[b.key(pkg.Path(), "", t)]; ok {
-				reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(stored).Elem())
-				return true
-			}
-			return false
-		},
-		func(fact Fact) {
-			if current != nil {
-				b.exportPkg[pkgFactKey{current, reflect.TypeOf(fact)}] = fact
-			}
-		},
-	)
-}
-
-// save writes the unit's exported facts as its vetx file.
-func (b *vetFactBank) save(path string, current *types.Package) error {
-	var entries []vetxEntry
-	//lint:ignore maprange entries are sorted by key before encoding
-	for k, fact := range b.exported {
-		if key := objKey(k.obj); key != "" {
-			entries = append(entries, vetxEntry{Key: key, Fact: fact})
-		}
-	}
-	//lint:ignore maprange entries are sorted by key before encoding
-	for k, fact := range b.exportPkg {
-		if k.pkg == current {
-			entries = append(entries, vetxEntry{Key: "", Fact: fact})
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return gob.NewEncoder(f).Encode(entries)
-}

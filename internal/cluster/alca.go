@@ -48,8 +48,6 @@ type MemorylessLCA struct{}
 func (MemorylessLCA) Name() string { return "lca" }
 
 // Elect implements Elector.
-//
-//manet:hotpath
 func (MemorylessLCA) Elect(dst []int, nodes []int, g *topology.Graph, prevHead func(int) int) []int {
 	for _, u := range nodes {
 		dst = append(dst, argmaxClosed(u, g))
@@ -69,8 +67,6 @@ type StickyLCA struct{}
 func (StickyLCA) Name() string { return "sticky-lca" }
 
 // Elect implements Elector.
-//
-//manet:hotpath
 func (StickyLCA) Elect(dst []int, nodes []int, g *topology.Graph, prevHead func(int) int) []int {
 	for _, u := range nodes {
 		if prev := prevHead(u); prev >= 0 {
@@ -155,18 +151,13 @@ func (d *DebouncedLCA) Name() string { return "debounced-lca" }
 
 // Elect implements Elector (used in untracked builds, where no timing
 // context exists): behaves like StickyLCA.
-//
-//manet:hotpath
 func (d *DebouncedLCA) Elect(dst []int, nodes []int, g *topology.Graph, prevHead func(int) int) []int {
 	return StickyLCA{}.Elect(dst, nodes, g, prevHead)
 }
 
 // ElectTracked implements StatefulElector.
-//
-//manet:hotpath
 func (d *DebouncedLCA) ElectTracked(dst []int, ctx *ElectCtx) []int {
 	if d.lost == nil {
-		//lint:ignore hotpath warm-up: the grace-timer map is allocated once and reused
 		d.lost = map[debKey]float64{}
 	}
 	grace := d.Grace
@@ -209,8 +200,6 @@ func (d *DebouncedLCA) ElectTracked(dst []int, ctx *ElectCtx) []int {
 }
 
 // argmaxClosed returns the highest ID in u's closed neighborhood.
-//
-//manet:hotpath
 func argmaxClosed(u int, g *topology.Graph) int {
 	best := u
 	for _, v := range g.Neighbors(u) {

@@ -59,8 +59,6 @@ func NewArena() *Arena { return &Arena{} }
 // entries the snapshot's node lists name are reset, so the cost tracks
 // the snapshot, not the ID space. The level-0 graph is NOT harvested —
 // it is owned by the caller's graph double-buffer.
-//
-//manet:hotpath
 func (a *Arena) Recycle(h *Hierarchy, ids *Identities) {
 	if a == nil {
 		return
@@ -232,8 +230,6 @@ func (a *Arena) getElectMap() map[uint64]uint64 {
 
 // getHeadBuf returns the reusable positional-heads buffer electors
 // append into; hand the (possibly grown) slice back via putHeadBuf.
-//
-//manet:hotpath
 func (a *Arena) getHeadBuf() []int {
 	if a == nil {
 		return nil
@@ -241,7 +237,6 @@ func (a *Arena) getHeadBuf() []int {
 	return a.headBuf[:0]
 }
 
-//manet:hotpath
 func (a *Arena) putHeadBuf(s []int) {
 	if a != nil {
 		a.headBuf = s
@@ -250,8 +245,6 @@ func (a *Arena) putHeadBuf(s []int) {
 
 // getEdgeBuf returns the reusable lifted-edge buffer of liftGraph; hand
 // the (possibly grown) slice back via putEdgeBuf.
-//
-//manet:hotpath
 func (a *Arena) getEdgeBuf() []topology.EdgeKey {
 	if a == nil {
 		return nil
@@ -259,7 +252,6 @@ func (a *Arena) getEdgeBuf() []topology.EdgeKey {
 	return a.edgeBuf[:0]
 }
 
-//manet:hotpath
 func (a *Arena) putEdgeBuf(s []topology.EdgeKey) {
 	if a != nil {
 		a.edgeBuf = s

@@ -83,10 +83,8 @@ func (s *DiffScratch) getEvs() []topology.LinkEvent {
 	return nil
 }
 
-//manet:hotpath
 func (s *DiffScratch) empty() *topology.Graph {
 	if s.emptyG == nil {
-		//lint:ignore hotpath memoized empty graph, allocated once per scratch
 		s.emptyG = topology.NewGraph(1)
 	}
 	return s.emptyG
@@ -130,14 +128,10 @@ func (s *DiffScratch) reset(d *Diff) {
 // allocate fresh) is reset and refilled, drawing slice storage from
 // the scratch. A reused d must be dead to all consumers — the diff is
 // valid only until the next ComputeDiffInto call with the same d or s.
-//
-//manet:hotpath
 func ComputeDiffInto(d *Diff, prev, next *Hierarchy, s *DiffScratch) *Diff {
 	if d == nil {
-		//lint:ignore hotpath warm-up: nil dst allocates the reused diff once
 		d = &Diff{}
 	}
-	//lint:ignore hotpath warm-up: the first reset builds the diff's category maps
 	s.reset(d)
 	maxL := len(prev.Levels)
 	if len(next.Levels) > maxL {
@@ -149,9 +143,7 @@ func ComputeDiffInto(d *Diff, prev, next *Hierarchy, s *DiffScratch) *Diff {
 	// slices yields elections and rejections in ascending ID order.
 	for k := 1; k < maxL; k++ {
 		pl, nl := prev.Level(k), next.Level(k)
-		//lint:ignore hotpath non-escaping membership predicate, stack-allocated in practice
 		pIs := func(id int) bool { return pl != nil && pl.IsNode(id) }
-		//lint:ignore hotpath non-escaping membership predicate, stack-allocated in practice
 		nIs := func(id int) bool { return nl != nil && nl.IsNode(id) }
 		el := s.getInts()
 		for _, id := range levelNodes(nl) {

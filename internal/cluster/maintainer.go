@@ -45,18 +45,13 @@ func NewOracleMaintainer(cfg Config, tr *IdentityTracker) *OracleMaintainer {
 }
 
 // Maintain builds the snapshot for in.
-//
-//manet:hotpath
 func (m *OracleMaintainer) Maintain(in *MaintainInput) (*Hierarchy, *Identities) {
-	//lint:ignore hotpath elector per-level head maps and closures, counted in the tick alloc budget
 	return BuildWithIdentitiesArena(
 		m.arena, in.G0, in.Nodes, m.cfg, in.PrevH, in.PrevIDs, m.tr, in.Now)
 }
 
 // Retire hands back a snapshot that is no longer referenced (the t-2
 // snapshot in a double-buffered loop). nil-safe arguments.
-//
-//manet:hotpath
 func (m *OracleMaintainer) Retire(h *Hierarchy, ids *Identities) {
 	m.arena.Recycle(h, ids)
 }

@@ -1,5 +1,5 @@
 // Package lint assembles the manetlint analyzer suite: the full
-// catalog of repro's determinism and performance gates, each a
+// catalog of repro's determinism gates, each a
 // standalone *analysis.Analyzer runnable on its own (or, via
 // cmd/manetlint, as a multichecker or a `go vet -vettool`).
 //
@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/lint/floateq"
 	"repro/internal/lint/forbiddenimport"
-	"repro/internal/lint/hotpath"
 	"repro/internal/lint/ignorecheck"
 	"repro/internal/lint/maprange"
 	"repro/internal/lint/rawrng"
@@ -29,7 +28,6 @@ func Analyzers() []*analysis.Analyzer {
 		rawrng.Analyzer,
 		sharedrng.Analyzer,
 		statemut.Analyzer,
-		hotpath.Analyzer,
 		shardsafe.Analyzer,
 		ignorecheck.Analyzer,
 	}

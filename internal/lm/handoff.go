@@ -184,8 +184,6 @@ func (a *Accountant) levelsChanged(v int) uint64 {
 // Apply accounts one tick's handoff between consecutive tables. It
 // returns the classified transfers — reused by the next Apply call, so
 // callers that retain them must copy — and accumulates into totals.
-//
-//manet:hotpath
 func (a *Accountant) Apply(prevT, nextT *Table, totals *Totals) []Transfer {
 	a.chainChanges(prevT, nextT, totals)
 
@@ -266,8 +264,6 @@ func (a *Accountant) Apply(prevT, nextT *Table, totals *Totals) []Transfer {
 // classification for φ/γ attribution, a per-node bitmask of changed
 // levels, and the ascending list of changed owners; it also counts the
 // f_k events.
-//
-//manet:hotpath
 func (a *Accountant) chainChanges(prevT, nextT *Table, totals *Totals) {
 	for _, v := range a.changed {
 		a.roots[v], a.changedAt[v] = rootChange{}, 0
@@ -277,13 +273,10 @@ func (a *Accountant) chainChanges(prevT, nextT *Table, totals *Totals) {
 		return
 	}
 	if n := prevT.owners[len(prevT.owners)-1] + 1; n > len(a.roots) {
-		//lint:ignore hotpath warm-up: the per-owner scratch grows once per ID space
 		a.roots = append(a.roots, make([]rootChange, n-len(a.roots))...)
-		//lint:ignore hotpath warm-up: the per-owner scratch grows once per ID space
 		a.changedAt = append(a.changedAt, make([]uint64, n-len(a.changedAt))...)
 	}
 	liveFilled := false // lazy level-1 liveness
-	//lint:ignore hotpath non-escaping lazy-init closure, stack-allocated in practice
 	live1 := func() (map[uint64]bool, map[uint64]bool) {
 		if !liveFilled {
 			a.prevLive1 = prevT.LiveAtInto(1, a.prevLive1)

@@ -55,8 +55,6 @@ func (t *Table) row(owner int) int {
 // setOwners makes owners (copied) the table's owner list and points
 // the row index at it. Only the entries of the previous owner list are
 // reset, so the cost tracks the owners, not the ID space.
-//
-//manet:hotpath
 func (t *Table) setOwners(owners []int) {
 	for _, v := range t.owners {
 		t.index[v] = -1
@@ -64,7 +62,6 @@ func (t *Table) setOwners(owners []int) {
 	t.owners = append(t.owners[:0], owners...)
 	if n := len(owners); n > 0 && owners[n-1] >= len(t.index) {
 		old := len(t.index)
-		//lint:ignore hotpath warm-up: the row index grows once per ID space
 		t.index = append(t.index, make([]int32, owners[n-1]+1-old)...)
 		for i := old; i < len(t.index); i++ {
 			t.index[i] = -1
@@ -140,11 +137,8 @@ func (t *Table) LiveAt(k int) map[uint64]bool {
 
 // LiveAtInto is LiveAt filling dst (cleared first; nil allocates) so
 // per-tick consumers can reuse one map.
-//
-//manet:hotpath
 func (t *Table) LiveAtInto(k int, dst map[uint64]bool) map[uint64]bool {
 	if dst == nil {
-		//lint:ignore hotpath warm-up: nil dst allocates the reused liveness set once
 		dst = map[uint64]bool{}
 	} else {
 		clear(dst)
@@ -280,8 +274,6 @@ func (s *Selector) descendFrom(
 // (len k). rev/revKeys are the buildRev index; a key missing from it
 // (an untracked identity) aborts the re-trace into a full recompute.
 // Selects are counted into w.
-//
-//manet:hotpath
 func (s *Selector) serverForBufIncr(
 	h *cluster.Hierarchy, ids *cluster.Identities, owner, k, prevSrv int,
 	anc uint64, stored, pathDst []uint64,
@@ -448,8 +440,6 @@ type revEntry struct {
 // own buffers and the shards are concatenated in order, so the result
 // is byte-identical either way. known must be nil; the parameter is
 // kept for the bench/ replica (ROADMAP item 6).
-//
-//manet:hotpath
 func (s *Selector) UpdateTableIntoPar(
 	dst *Table, sc *UpdateScratch, psc *UpdateParScratch,
 	prev *Table,
@@ -462,14 +452,12 @@ func (s *Selector) UpdateTableIntoPar(
 		panic("lm: UpdateTableIntoPar takes no known dirty set")
 	}
 	if dst == nil {
-		//lint:ignore hotpath warm-up: nil dst allocates the double-buffered table once
 		dst = &Table{}
 	}
 	if dst == prev {
 		panic("lm: UpdateTableIntoPar dst must not alias prev")
 	}
 	if sc == nil {
-		//lint:ignore hotpath warm-up: callers reuse one scratch across ticks
 		sc = &UpdateScratch{}
 	}
 	// The dirty-subtree analysis is per cluster, not per row, and feeds
@@ -495,7 +483,6 @@ func (s *Selector) UpdateTableIntoPar(
 		sc.rowEnd, sc.keyBuf, sc.work = b.rowEnd, b.keyBuf, b.work
 	} else {
 		if psc == nil {
-			//lint:ignore hotpath warm-up: callers reuse one parallel scratch across ticks
 			psc = &UpdateParScratch{}
 		}
 		s.fillRowsPar(dst, sc, psc, owners, in, p)
@@ -548,8 +535,6 @@ type rowBuf struct {
 // an owner the dirty-row analysis left unaffected, a recomputed row
 // (appendRow) otherwise. It only reads in, so disjoint owner ranges
 // may run concurrently, each into its own b.
-//
-//manet:hotpath
 func (s *Selector) fillRows(b *rowBuf, owners []int, in rowInputs) {
 	for _, v := range owners {
 		if in.aff != nil && !in.aff[v] {
@@ -574,14 +559,11 @@ func (s *Selector) fillRows(b *rowBuf, owners []int, in rowInputs) {
 // descent re-trace then follows stored winner keys with one map lookup
 // per step and hashes over cached keys, never touching physical IDs.
 // O(total clusters + total members) per tick.
-//
-//manet:hotpath
 func (sc *UpdateScratch) buildRev(
 	h *cluster.Hierarchy, ids *cluster.Identities, dirty, own dirtySet,
 ) []map[uint64]revEntry {
 	L := h.L()
 	for len(sc.rev) <= L {
-		//lint:ignore hotpath amortized growth: one index per hierarchy level, reused after
 		sc.rev = append(sc.rev, map[uint64]revEntry{})
 	}
 	rev := sc.rev[:L+1]
@@ -619,8 +601,6 @@ func (sc *UpdateScratch) buildRev(
 // subtree, all of which are clean). Returns false when every row must
 // be treated as affected: no previous table, or a hierarchy-depth
 // change (a fresh top level can extend clean chains).
-//
-//manet:hotpath
 func (sc *UpdateScratch) affectedOwners(
 	dirty dirtySet, prev *Table,
 	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
@@ -754,11 +734,8 @@ func (d dirtySet) mark(k int, id uint64) bool {
 
 // sized returns *d sized and cleared for maxL levels, growing *d when
 // it has fewer.
-//
-//manet:hotpath
 func (d *dirtySet) sized(maxL int) dirtySet {
 	for len(*d) <= maxL {
-		//lint:ignore hotpath amortized growth: one set per hierarchy level, reused after
 		*d = append(*d, map[uint64]bool{})
 	}
 	s := (*d)[:maxL+1]
@@ -774,8 +751,6 @@ func (d *dirtySet) sized(maxL int) dirtySet {
 // The pre-propagation marks — the clusters whose own member-key set
 // changed — are recorded in sc.own as a byproduct. The returned set
 // aliases the scratch and is valid until its next call.
-//
-//manet:hotpath
 func (sc *UpdateScratch) dirtySubtrees(
 	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
 	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
@@ -787,9 +762,7 @@ func (sc *UpdateScratch) dirtySubtrees(
 	dirty := sc.dirty.sized(maxL)
 	own := sc.own.sized(maxL)
 	if sc.pm == nil {
-		//lint:ignore hotpath warm-up: the first call builds the reused member-key maps
 		sc.pm = map[uint64][]uint64{}
-		//lint:ignore hotpath warm-up: the first call builds the reused member-key maps
 		sc.nm = map[uint64][]uint64{}
 	}
 	for k := 1; k <= maxL; k++ {
@@ -817,9 +790,7 @@ func (sc *UpdateScratch) dirtySubtrees(
 	// sorted order first — markAncestors mutates the dirty set while
 	// we walk it, and ranging over a map under mutation is unspecified.
 	if sc.prevHead == nil {
-		//lint:ignore hotpath warm-up: the first call builds the reused head indexes
 		sc.prevHead = map[uint64]int{}
-		//lint:ignore hotpath warm-up: the first call builds the reused head indexes
 		sc.nextHead = map[uint64]int{}
 	}
 	for k := 1; k <= maxL; k++ {
@@ -939,8 +910,6 @@ func DiffTables(prev, next *Table) []TableDiff {
 // appendTableDiffs is DiffTables with caller-owned storage: changes
 // are appended to out (pass out[:0] — the whole slice is sorted before
 // returning).
-//
-//manet:hotpath
 func appendTableDiffs(out []TableDiff, prev, next *Table) []TableDiff {
 	for nRow, v := range next.owners {
 		maxK := len(next.servers[nRow])

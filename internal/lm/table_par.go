@@ -17,8 +17,6 @@ type UpdateParScratch struct {
 
 // fillRowsPar fills dst's backings and sc.rowEnd with the rows of
 // owners, sharded over pool p.
-//
-//manet:hotpath
 func (s *Selector) fillRowsPar(
 	dst *Table, sc *UpdateScratch, psc *UpdateParScratch,
 	owners []int, in rowInputs, p *par.Pool,
@@ -52,7 +50,6 @@ func (s *Selector) fillRowsPar(
 	// owners evenly; with it, shard sh starts at the owner row of its
 	// first assigned dirty row (shard 0 backfills from row 0, the last
 	// shard runs to the end).
-	//lint:ignore hotpath per-tick shard callback closure, counted in the tick alloc budget
 	p.RunShards(shards, func(_, sh int) {
 		lo, hi := par.Shard(len(owners), shards, sh)
 		if in.aff != nil {

@@ -113,8 +113,6 @@ func (p *Pool) Close() {
 // all of them. If any invocation panics, Run re-panics with the
 // *PanicError of the lowest worker index (a deterministic choice) after
 // every worker has finished, so the pool is reusable afterwards.
-//
-//manet:hotpath
 func (p *Pool) Run(fn func(worker int)) {
 	if p == nil {
 		fn(0)
@@ -122,7 +120,6 @@ func (p *Pool) Run(fn func(worker int)) {
 	}
 	for w := 0; w < p.workers; w++ {
 		w := w
-		//lint:ignore hotpath per-dispatch worker closure, counted in the tick alloc budget
 		p.cmd[w] <- func() { fn(w) }
 	}
 	p.wait(p.workers)
@@ -133,8 +130,6 @@ func (p *Pool) Run(fn func(worker int)) {
 // w, w+W, w+2W, … in increasing order. The assignment is deterministic,
 // so fn may use per-worker scratch and write per-shard outputs without
 // synchronization. Panics propagate as in Run.
-//
-//manet:hotpath
 func (p *Pool) RunShards(shards int, fn func(worker, shard int)) {
 	if shards <= 0 {
 		return
@@ -151,7 +146,6 @@ func (p *Pool) RunShards(shards int, fn func(worker, shard int)) {
 	}
 	for i := 0; i < w; i++ {
 		i := i
-		//lint:ignore hotpath per-dispatch worker closure, counted in the tick alloc budget
 		p.cmd[i] <- func() {
 			for s := i; s < shards; s += p.workers {
 				fn(i, s)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // feq compares defaulted config floats exactly: defaults are assigned,
@@ -132,16 +134,19 @@ func TestValidateRejectsExplicitZeros(t *testing.T) {
 }
 
 // TestSteadyStateTickAllocs pins the allocation budget of one
-// steady-state scan tick. Before the double-buffered scratch path this
-// was ~24k allocations per tick at N=512; the reusable buffers leave
-// only the elector's per-level head maps, a few closures and occasional
-// adjacency regrowth. The N=256 legs measure 32 (oracle), 32 (churn),
-// 42 (two workers) and 49 (log-shadow links) allocations per tick on
-// Go 1.24/linux-amd64, under a budget of 64. The N=2048 leg measures
-// 295 under a budget of 384; most of it is adjacency regrowth in
-// liftGraph's BuildFromSortedEdgesInto and in buildLinksInto. Each
-// budget catches a regression to per-tick rebuilds of any one
-// structure.
+// steady-state scan tick; it is the repository's allocation gate, with
+// one leg per path the tick can take. Before the double-buffered
+// scratch path this was ~24k allocations per tick at N=512; the
+// reusable buffers leave only the elector's per-level head maps, a few
+// closures and occasional adjacency regrowth. Measured per tick on Go
+// 1.24/linux-amd64 at N=256, under a budget of 64: oracle 32, churn
+// 32, two workers 42, log-shadow links 49, sticky elector 34,
+// debounced elector 37-38, hop sampling every tick 32 and hop sampling
+// on two workers 54. The N=2048 leg measures 295 under a budget of
+// 384; most of it is adjacency regrowth in liftGraph's
+// BuildFromSortedEdgesInto and in buildLinksInto. Each budget catches
+// a regression to per-tick rebuilds of any one structure; the hop legs
+// catch per-sample descendant lists (thousands per tick).
 func TestSteadyStateTickAllocs(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -152,6 +157,10 @@ func TestSteadyStateTickAllocs(t *testing.T) {
 		{"churn", Config{N: 256, ChurnRate: 60.0 / 3600}, 64},
 		{"par2", Config{N: 256, IntraTickParallelism: 2}, 64},
 		{"logshadow", Config{N: 256, Link: LinkLogShadow}, 64},
+		{"sticky", Config{N: 256, Elector: cluster.StickyLCA{}}, 64},
+		{"debounced", Config{N: 256, Elector: &cluster.DebouncedLCA{Grace: 10, LevelScale: 1.9}}, 64},
+		{"hops", Config{N: 256, SampleHops: 1}, 64},
+		{"hops-par2", Config{N: 256, SampleHops: 1, IntraTickParallelism: 2}, 64},
 		{"n2048", Config{N: 2048}, 384},
 	}
 	for _, tc := range cases {

@@ -20,7 +20,8 @@ import (
 
 // hopCand is one speculative sampling attempt: the drawn pair and its
 // cluster's level-0 descendants, or skip for the attempts the serial
-// loop discards before running BFS (degenerate cluster, a == b).
+// loop discards before running BFS (degenerate cluster, a == b). desc
+// is a capacity-capped window of the level's shared hopDescs backing.
 type hopCand struct {
 	skip bool
 	a, b int
@@ -30,8 +31,6 @@ type hopCand struct {
 
 // sampleHopsPar is the parallel form of sampleHops; the BFS probes of
 // one level fan out over the run's worker pool.
-//
-//manet:hotpath
 func (st *stateRun) sampleHopsPar(h *cluster.Hierarchy, g *topology.Graph) {
 	for k := 1; k <= h.L(); k++ {
 		clusters := h.LevelNodes(k)
@@ -44,10 +43,13 @@ func (st *stateRun) sampleHopsPar(h *cluster.Hierarchy, g *topology.Graph) {
 		// the RNG after each one.
 		st.hopCands = st.hopCands[:0]
 		st.hopSnaps = st.hopSnaps[:0]
+		st.hopDescs = st.hopDescs[:0]
 		for attempts := 0; attempts < maxAttempts; attempts++ {
 			c := clusters[st.hopRng.Intn(len(clusters))]
-			//lint:ignore hotpath descendant enumeration, counted in the interval-gated sampling budget
-			desc := h.Descendants(k, c)
+			lo := len(st.hopDescs)
+			st.hopDescs = h.DescendantsInto(st.hopDescs, k, c)
+			hi := len(st.hopDescs)
+			desc := st.hopDescs[lo:hi:hi]
 			cand := hopCand{skip: true}
 			if len(desc) >= 2 {
 				a := desc[st.hopRng.Intn(len(desc))]
@@ -56,6 +58,9 @@ func (st *stateRun) sampleHopsPar(h *cluster.Hierarchy, g *topology.Graph) {
 					cand = hopCand{a: a, b: b, desc: desc}
 				}
 			}
+			if cand.skip {
+				st.hopDescs = st.hopDescs[:lo]
+			}
 			st.hopCands = append(st.hopCands, cand)
 			st.hopSnaps = append(st.hopSnaps, *st.hopRng)
 		}
@@ -63,7 +68,6 @@ func (st *stateRun) sampleHopsPar(h *cluster.Hierarchy, g *topology.Graph) {
 		// Phase 2 (parallel): BFS every surviving attempt. Each worker
 		// owns its BFS scratch and membership set; each candidate's hops
 		// field is a disjoint write.
-		//lint:ignore hotpath per-sample shard callback closure, counted in the tick alloc budget
 		st.hopPool.RunShards(len(st.hopCands), func(w, s int) {
 			cand := &st.hopCands[s]
 			if cand.skip {
@@ -74,7 +78,6 @@ func (st *stateRun) sampleHopsPar(h *cluster.Hierarchy, g *topology.Graph) {
 			for _, v := range cand.desc {
 				in[v] = true
 			}
-			//lint:ignore hotpath non-escaping membership predicate, stack-allocated in practice
 			cand.hops = st.hopScrW[w].HopCount(g, cand.a, cand.b, func(v int) bool { return in[v] })
 		})
 

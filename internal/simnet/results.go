@@ -40,10 +40,12 @@ type stateRun struct {
 	hopRng     *rng.Source
 
 	// Reusable per-tick measurement scratch.
-	obsGiant             topology.ComponentScratch
 	prevLogE, nextLogE   map[cluster.LogicalEdge]struct{}
 	prevLiveK, nextLiveK map[uint64]bool
 	inCluster            map[int]bool
+	// Descendant lists: the current sample's, or (hops_par.go) one
+	// level's candidates back to back.
+	hopDescs []int
 
 	// Parallel hop sampling (see hops_par.go): the run's worker pool,
 	// per-worker BFS scratches and membership sets, and the speculative
@@ -83,20 +85,17 @@ func newStateRun(cfg Config, region geom.Disc) *stateRun {
 }
 
 // observe accumulates per-snapshot structural statistics.
-//
-//manet:hotpath
-func (st *stateRun) observe(h *cluster.Hierarchy, g *topology.Graph, tick int) {
+func (st *stateRun) observe(h *cluster.Hierarchy) {
 	st.levelsAvg.Add(float64(h.L()))
 	for k := 0; k <= h.L(); k++ {
 		lvl := h.Level(k)
 		st.nodesByLevel.Add(k, float64(len(lvl.Nodes)))
 		st.edgesByLevel.Add(k, float64(lvl.Graph.EdgeCount()))
 	}
-	giant := st.obsGiant.Giant(g, h.LevelNodes(0))
-	st.giantFrac.Add(float64(len(giant)) / float64(st.cfg.N))
+	// Level 0 is built over the giant component of the level-0 graph.
+	st.giantFrac.Add(float64(len(h.LevelNodes(0))) / float64(st.cfg.N))
 }
 
-//manet:hotpath
 func (st *stateRun) countLinkEvents(s *topology.DiffScratch, prev, next *topology.Graph) {
 	st.linkEvents += int64(len(s.Diff(prev, next)))
 }
@@ -105,8 +104,6 @@ func (st *stateRun) countLinkEvents(s *topology.DiffScratch, prev, next *topolog
 // logical ID space, restricted to endpoints that persist across the
 // tick — the paper's "cluster migration" link events (i, ii), free of
 // relabeling artifacts. This is the g'_k numerator.
-//
-//manet:hotpath
 func (st *stateRun) countClusterLinkEvents(
 	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
 	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
@@ -126,7 +123,6 @@ func (st *stateRun) countClusterLinkEvents(
 		prevLive := prevT.LiveAtInto(k, st.prevLiveK)
 		nextLive := nextT.LiveAtInto(k, st.nextLiveK)
 		st.prevLiveK, st.nextLiveK = prevLive, nextLive
-		//lint:ignore hotpath non-escaping persistence predicate, stack-allocated in practice
 		persists := func(e cluster.LogicalEdge) bool {
 			return prevLive[e.A] && prevLive[e.B] && nextLive[e.A] && nextLive[e.B]
 		}
@@ -152,8 +148,6 @@ func (st *stateRun) countClusterLinkEvents(
 
 // sampleHops measures mean intra-cluster hop counts at each level by
 // BFS restricted to the cluster's level-0 descendants.
-//
-//manet:hotpath
 func (st *stateRun) sampleHops(h *cluster.Hierarchy, g *topology.Graph) {
 	if st.hopPool != nil {
 		st.sampleHopsPar(h, g)
@@ -164,8 +158,8 @@ func (st *stateRun) sampleHops(h *cluster.Hierarchy, g *topology.Graph) {
 		pairs := 0
 		for attempts := 0; attempts < st.cfg.HopPairs*4 && pairs < st.cfg.HopPairs; attempts++ {
 			c := clusters[st.hopRng.Intn(len(clusters))]
-			//lint:ignore hotpath descendant enumeration, counted in the interval-gated sampling budget
-			desc := h.Descendants(k, c)
+			st.hopDescs = h.DescendantsInto(st.hopDescs[:0], k, c)
+			desc := st.hopDescs
 			if len(desc) < 2 {
 				continue
 			}
@@ -175,7 +169,6 @@ func (st *stateRun) sampleHops(h *cluster.Hierarchy, g *topology.Graph) {
 				continue
 			}
 			if st.inCluster == nil {
-				//lint:ignore hotpath warm-up: the first sample builds the reused membership set
 				st.inCluster = make(map[int]bool, len(desc))
 			} else {
 				clear(st.inCluster)
@@ -184,7 +177,6 @@ func (st *stateRun) sampleHops(h *cluster.Hierarchy, g *topology.Graph) {
 			for _, v := range desc {
 				inCluster[v] = true
 			}
-			//lint:ignore hotpath non-escaping membership predicate, stack-allocated in practice
 			hops := st.hopScratch.HopCount(g, a, b, func(v int) bool { return inCluster[v] })
 			if hops > 0 {
 				st.hopByLevel.Add(k, float64(hops))

@@ -406,7 +406,7 @@ func setupRun(cfg Config) (*looper, error) {
 
 	st := newStateRun(cfg, region)
 	st.bindPool(pool)
-	st.observe(hier, graph, 0)
+	st.observe(hier)
 
 	// Invariant checker (Config.CheckLevel). The level was validated
 	// before setupRun, so the parse cannot fail here.

@@ -153,8 +153,6 @@ type looper struct {
 // step advances the simulation by one scan tick. The obs spans wrap
 // each phase without influencing it: timers are nil-safe no-ops when
 // metrics are off, and never touch simulation state or randomness.
-//
-//manet:hotpath
 func (lp *looper) step(now float64) {
 	cfg := &lp.cfg
 	st := lp.st
@@ -209,7 +207,6 @@ func (lp *looper) step(now float64) {
 	}
 	newHier, newIdents := lp.mnt.Maintain(&lp.maintIn)
 	if cfg.Paranoid {
-		//lint:ignore hotpath Paranoid-only cold branch; off in measured runs
 		if err := newHier.Validate(); err != nil {
 			panic(fmt.Sprintf("simnet: t=%.2f: %v", now, err))
 		}
@@ -248,14 +245,12 @@ func (lp *looper) step(now float64) {
 		st.countLinkEvents(&lp.linkScratch, lp.graph, newGraph)
 		transfers = lp.accountant.Apply(lp.table, newTable, &st.totals)
 		lp.tm.transfers.Add(int64(len(transfers)))
-		st.observe(newHier, newGraph, lp.tick)
+		st.observe(newHier)
 		if cfg.TrackStates {
-			//lint:ignore hotpath opt-in state tracking (TrackStates); off in measured runs
 			st.states.Observe(newHier)
 			st.states.ObserveDiff(lp.diff)
 		}
 		if cfg.TrackClasses {
-			//lint:ignore hotpath opt-in reorg classification (TrackClasses); off in measured runs
 			st.classes.Merge(lm.ClassifyReorg(lp.hier, newHier, lp.diff))
 		}
 		st.countClusterLinkEvents(lp.hier, lp.idents, newHier, newIdents, lp.table, newTable)
@@ -269,12 +264,9 @@ func (lp *looper) step(now float64) {
 
 	if lp.checker.ShouldCheck(lp.tick) {
 		spInv := lp.tm.invariant.Start()
-		//lint:ignore hotpath periodic invariant check; interval-gated, off the steady tick
 		lp.checker.CheckTick(&invariant.Snapshot{
 			Tick: lp.tick, Time: now, Seed: cfg.Seed,
-			//lint:ignore hotpath periodic invariant check; interval-gated, off the steady tick
-			Prev: &invariant.State{Hier: lp.hier, IDs: lp.idents, Table: lp.table},
-			//lint:ignore hotpath periodic invariant check; interval-gated, off the steady tick
+			Prev:     &invariant.State{Hier: lp.hier, IDs: lp.idents, Table: lp.table},
 			Next:     &invariant.State{Hier: newHier, IDs: newIdents, Table: newTable},
 			Diff:     lp.diff,
 			Selector: lp.selector,

@@ -154,14 +154,10 @@ type ComponentScratch struct {
 // set, matching GiantComponent's semantics (ties break toward the
 // smaller leading vertex; result sorted ascending). The returned slice
 // is owned by the scratch.
-//
-//manet:hotpath
 func (s *ComponentScratch) Giant(g *Graph, vertices []int) []int {
 	n := g.IDSpace()
 	if cap(s.seen) < n {
-		//lint:ignore hotpath amortized scratch growth when the id space expands
 		s.seen = make([]bool, n)
-		//lint:ignore hotpath amortized scratch growth when the id space expands
 		s.inSet = make([]bool, n)
 	}
 	s.seen = s.seen[:n]

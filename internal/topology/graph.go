@@ -59,13 +59,10 @@ func NewGraph(n int) *Graph {
 // all allocated storage (adjacency slices, edge list).
 // Together with LinkModel.BuildInto this lets the simulation loop
 // double-buffer graphs instead of reallocating one per scan.
-//
-//manet:hotpath
 func (g *Graph) Reset(n int) {
 	g.n = n
 	g.bulk = g.bulk[:0]
 	if cap(g.adj) < n {
-		//lint:ignore hotpath amortized capacity growth when the id space expands
 		g.adj = append(g.adj[:cap(g.adj)], make([][]int, n-cap(g.adj))...)
 	}
 	g.adj = g.adj[:n]
@@ -154,11 +151,8 @@ func (g *Graph) MeanDegree(vertices []int) float64 {
 // when nil), the keys are copied into the bulk store, and adjacency
 // lists are filled in key order. The caller must pass keys sorted
 // ascending with no duplicates.
-//
-//manet:hotpath
 func BuildFromSortedEdgesInto(g *Graph, n int, edges []EdgeKey) *Graph {
 	if g == nil {
-		//lint:ignore hotpath warm-up: nil dst allocates the double-buffered graph once
 		g = NewGraph(n)
 	} else {
 		g.Reset(n)

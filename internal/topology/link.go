@@ -42,18 +42,13 @@ type LinkModel interface {
 // over owner cells); pairs passing keep (nil = all) land in adjacency
 // lists in emission order and in the bulk edge list, sorted once at
 // the end. UnitDisk builds are this with keep == nil.
-//
-//manet:hotpath
 func buildLinksInto(g *Graph, n int, pos []geom.Vec, radius float64, idx *spatial.Grid, keep func(a, b int) bool) *Graph {
 	if g == nil {
-		//lint:ignore hotpath warm-up: nil dst allocates the double-buffered graph once
 		g = NewGraph(n)
 	} else {
 		g.Reset(n)
 	}
-	//lint:ignore hotpath per-tick accessor closure, counted in the tick alloc budget
 	at := func(i int) geom.Vec { return pos[i] }
-	//lint:ignore hotpath per-tick emit closure, counted in the tick alloc budget
 	idx.ForEachPair(radius, at, func(a, b int) {
 		if keep != nil && !keep(a, b) {
 			return
@@ -85,8 +80,6 @@ type BuildScratch struct {
 // steady-state build allocation-free. keep may be invoked concurrently
 // from shard workers and must be safe for concurrent calls (read-only
 // state).
-//
-//manet:hotpath
 func buildLinksIntoPar(
 	g *Graph, n int, pos []geom.Vec, radius float64, idx *spatial.Grid,
 	p *par.Pool, sc *BuildScratch, keep func(a, b int) bool,
@@ -95,28 +88,23 @@ func buildLinksIntoPar(
 		return buildLinksInto(g, n, pos, radius, idx, keep)
 	}
 	if g == nil {
-		//lint:ignore hotpath warm-up: nil dst allocates the double-buffered graph once
 		g = NewGraph(n)
 	} else {
 		g.Reset(n)
 	}
 	if sc == nil {
-		//lint:ignore hotpath warm-up: callers reuse one scratch across ticks
 		sc = &BuildScratch{}
 	}
 	shards := par.Shards(p.Workers(), idx.Rows())
 	for len(sc.shards) < shards {
 		sc.shards = append(sc.shards, nil)
 	}
-	//lint:ignore hotpath per-tick accessor closure, counted in the tick alloc budget
 	at := func(i int) geom.Vec { return pos[i] }
 
 	// Phase 1: enumerate surviving pairs per row-range shard.
-	//lint:ignore hotpath per-tick shard callback closure, counted in the tick alloc budget
 	p.RunShards(shards, func(_, s int) {
 		lo, hi := par.Shard(idx.Rows(), shards, s)
 		buf := sc.shards[s][:0]
-		//lint:ignore hotpath per-shard emit closure, counted in the tick alloc budget
 		idx.ForEachPairRows(radius, lo, hi, at, func(a, b int) {
 			if keep != nil && !keep(a, b) {
 				return
@@ -136,7 +124,6 @@ func buildLinksIntoPar(
 	// w owns the contiguous node range Shard(n, W, w), so all writes
 	// are disjoint and each list grows in emission order — exactly the
 	// serial insertion order.
-	//lint:ignore hotpath per-tick worker callback closure, counted in the tick alloc budget
 	p.Run(func(w int) {
 		lo, hi := par.Shard(n, p.Workers(), w)
 		if lo == hi {
@@ -178,8 +165,6 @@ func (u UnitDisk) Name() string { return "unitdisk" }
 func (u UnitDisk) Radius() float64 { return u.RTX }
 
 // BuildInto rebuilds the unit-disk graph (serial or sharded).
-//
-//manet:hotpath
 func (u UnitDisk) BuildInto(g *Graph, n int, pos []geom.Vec, idx *spatial.Grid, p *par.Pool, sc *BuildScratch) *Graph {
 	return buildLinksIntoPar(g, n, pos, u.RTX, idx, p, sc, nil)
 }
@@ -277,8 +262,6 @@ func (m *LogShadow) shadow(k EdgeKey) float64 {
 // pairUp evaluates the hysteresis predicate for one candidate pair
 // against the state frozen at the last build. Safe for concurrent
 // calls: it only reads.
-//
-//manet:hotpath
 func (m *LogShadow) pairUp(pa, pb geom.Vec, k EdgeKey) bool {
 	d2 := pa.Dist2(pb)
 	e := m.rtx2 * math.Exp(m.dscale*m.shadow(k))
@@ -290,16 +273,12 @@ func (m *LogShadow) pairUp(pa, pb geom.Vec, k EdgeKey) bool {
 
 // BuildInto rebuilds the lossy graph (serial or sharded) and then
 // refreshes the hysteresis state from the finished edge set.
-//
-//manet:hotpath
 func (m *LogShadow) BuildInto(g *Graph, n int, pos []geom.Vec, idx *spatial.Grid, p *par.Pool, sc *BuildScratch) *Graph {
-	//lint:ignore hotpath per-tick predicate closure, counted in the tick alloc budget
 	keep := func(a, b int) bool {
 		return m.pairUp(pos[a], pos[b], MakeEdgeKey(a, b))
 	}
 	g = buildLinksIntoPar(g, n, pos, m.radius, idx, p, sc, keep)
 	if m.linked == nil {
-		//lint:ignore hotpath warm-up: the state map is allocated once per model
 		m.linked = make(map[EdgeKey]struct{}, len(g.bulk))
 	} else {
 		clear(m.linked)
