@@ -21,11 +21,13 @@ test:
 race:
 	go test -race ./...
 
-# Multi-core determinism gate: the serial-vs-parallel equivalence suite
-# and a one-iteration smoke of the /par tick benchmarks, GOMAXPROCS
-# pinned so the worker pool actually fans out.
+# Multi-core determinism gate: the serial-vs-parallel equivalence
+# suites of the two parallel tick phases (link build, LM update) and of
+# whole runs, and a one-iteration smoke of the /par tick benchmarks,
+# GOMAXPROCS pinned so the worker pool actually fans out.
+PAR_EQUIV = ^(TestParallelMatchesSerial|TestUpdateTableParMatchesSerial|TestBuildUnitDiskParMatchesSerial|TestLogShadowParMatchesSerial)$$
 multicore:
-	GOMAXPROCS=4 go test -run TestParallelMatchesSerial -count=1 ./internal/simnet
+	GOMAXPROCS=4 go test -run '$(PAR_EQUIV)' -count=1 ./internal/simnet ./internal/lm ./internal/topology
 	GOMAXPROCS=4 go test -run '^$$' -bench 'BenchmarkTick(GraphRebuild|LMUpdate)/par' -benchtime=1x -cpu=4 .
 
 # Property-based scenario fuzzing: random configs run with every-tick

@@ -302,33 +302,19 @@ func runE4(w io.Writer, sc Scale) error {
 func runE5(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "E5 (Eq. 3): intra-cluster hop count h_k vs √c_k (static layouts)")
 	tw := NewTable("N", "k", "c_k", "h_k", "h_k/√c_k")
+	var sampler cluster.HopSampler
+	var hops []int
 	for _, n := range sc.Ns {
 		h, g := staticHierarchy(n, uint64(500+n))
-		scratch := topology.NewBFSScratch(g.IDSpace())
 		src := rng.New(uint64(n))
 		for k := 1; k <= h.L(); k++ {
-			var acc stats.Welford
-			clusters := h.LevelNodes(k)
-			for tries := 0; tries < 400 && acc.N() < 120; tries++ {
-				c := clusters[src.Intn(len(clusters))]
-				desc := h.Descendants(k, c)
-				if len(desc) < 2 {
-					continue
-				}
-				a, b := desc[src.Intn(len(desc))], desc[src.Intn(len(desc))]
-				if a == b {
-					continue
-				}
-				in := map[int]bool{}
-				for _, v := range desc {
-					in[v] = true
-				}
-				if hops := scratch.HopCount(g, a, b, func(v int) bool { return in[v] }); hops > 0 {
-					acc.Add(float64(hops))
-				}
-			}
-			if acc.N() == 0 {
+			hops = sampler.Sample(hops[:0], h, g, k, src, 120, 400)
+			if len(hops) == 0 {
 				continue
+			}
+			var acc stats.Welford
+			for _, x := range hops {
+				acc.Add(float64(x))
 			}
 			ck := h.Aggregation(k)
 			tw.Rowf(n, k, ck, acc.Mean(), acc.Mean()/math.Sqrt(ck))

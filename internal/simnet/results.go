@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/geom"
 	"repro/internal/lm"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -36,51 +35,22 @@ type stateRun struct {
 
 	// Sampled intra-cluster hop counts h_k.
 	hopByLevel stats.PerLevel
-	hopScratch *topology.BFSScratch
+	hops       cluster.HopSampler
+	hopBuf     []int // one level's sampled counts
 	hopRng     *rng.Source
 
 	// Reusable per-tick measurement scratch.
 	prevLogE, nextLogE   map[cluster.LogicalEdge]struct{}
 	prevLiveK, nextLiveK map[uint64]bool
-	inCluster            map[int]bool
-	// Descendant lists: the current sample's, or (hops_par.go) one
-	// level's candidates back to back.
-	hopDescs []int
-
-	// Parallel hop sampling (see hops_par.go): the run's worker pool,
-	// per-worker BFS scratches and membership sets, and the speculative
-	// candidate batch. All nil/empty for serial runs.
-	hopPool  *par.Pool
-	hopScrW  []*topology.BFSScratch
-	hopInW   []map[int]bool
-	hopCands []hopCand
-	hopSnaps []rng.Source
-}
-
-// bindPool attaches the run's worker pool to the measurement state and
-// sizes the per-worker BFS scratches. A nil pool keeps hop sampling on
-// the serial path.
-func (st *stateRun) bindPool(p *par.Pool) {
-	st.hopPool = p
-	if p == nil {
-		return
-	}
-	st.hopScrW = make([]*topology.BFSScratch, p.Workers())
-	st.hopInW = make([]map[int]bool, p.Workers())
-	for w := range st.hopScrW {
-		st.hopScrW[w] = topology.NewBFSScratch(st.cfg.N)
-		st.hopInW[w] = map[int]bool{}
-	}
 }
 
 func newStateRun(cfg Config, region geom.Disc) *stateRun {
 	return &stateRun{
-		cfg:        cfg,
-		region:     region,
-		states:     cluster.NewStateTracker(),
-		classes:    lm.ClassCounts{},
-		hopScratch: topology.NewBFSScratch(cfg.N),
-		hopRng:     rng.NewRoot(cfg.Seed).Stream("hop-sampling"),
+		cfg:     cfg,
+		region:  region,
+		states:  cluster.NewStateTracker(),
+		classes: lm.ClassCounts{},
+		hopRng:  rng.NewRoot(cfg.Seed).Stream("hop-sampling"),
 	}
 }
 
@@ -146,42 +116,13 @@ func (st *stateRun) countClusterLinkEvents(
 	}
 }
 
-// sampleHops measures mean intra-cluster hop counts at each level by
-// BFS restricted to the cluster's level-0 descendants.
+// sampleHops measures intra-cluster hop counts at each level by BFS
+// restricted to the cluster's level-0 descendants.
 func (st *stateRun) sampleHops(h *cluster.Hierarchy, g *topology.Graph) {
-	if st.hopPool != nil {
-		st.sampleHopsPar(h, g)
-		return
-	}
 	for k := 1; k <= h.L(); k++ {
-		clusters := h.LevelNodes(k)
-		pairs := 0
-		for attempts := 0; attempts < st.cfg.HopPairs*4 && pairs < st.cfg.HopPairs; attempts++ {
-			c := clusters[st.hopRng.Intn(len(clusters))]
-			st.hopDescs = h.DescendantsInto(st.hopDescs[:0], k, c)
-			desc := st.hopDescs
-			if len(desc) < 2 {
-				continue
-			}
-			a := desc[st.hopRng.Intn(len(desc))]
-			b := desc[st.hopRng.Intn(len(desc))]
-			if a == b {
-				continue
-			}
-			if st.inCluster == nil {
-				st.inCluster = make(map[int]bool, len(desc))
-			} else {
-				clear(st.inCluster)
-			}
-			inCluster := st.inCluster
-			for _, v := range desc {
-				inCluster[v] = true
-			}
-			hops := st.hopScratch.HopCount(g, a, b, func(v int) bool { return inCluster[v] })
-			if hops > 0 {
-				st.hopByLevel.Add(k, float64(hops))
-				pairs++
-			}
+		st.hopBuf = st.hops.Sample(st.hopBuf[:0], h, g, k, st.hopRng, st.cfg.HopPairs, 4*st.cfg.HopPairs)
+		for _, hops := range st.hopBuf {
+			st.hopByLevel.Add(k, float64(hops))
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/spatial"
 	"repro/internal/topology"
 )
@@ -139,16 +138,19 @@ type Config struct {
 	TrackStates  bool // accumulate ALCA state statistics (E3, E11)
 	TrackClasses bool // classify reorg triggers i–vii (E10)
 	// SampleHops measures intra-cluster hop counts h_k by BFS every
-	// SampleHops ticks (0 = off). Expensive; used by E5.
+	// SampleHops ticks (0 = off, < 0 rejected). Expensive; E6 and E8
+	// set it to pair h_k with f_k and g'_k. (E5 samples static layouts
+	// through the same cluster.HopSampler without a run.)
 	SampleHops int
-	// HopPairs bounds the sampled pairs per cluster level per sample.
+	// HopPairs bounds the sampled pairs per cluster level per sample
+	// (default 64; 0 = default, < 0 rejected).
 	HopPairs int
 	// Paranoid validates every hierarchy snapshot (tests).
 	Paranoid bool
 
 	// IntraTickParallelism sets the worker count for parallelizing the
 	// heavy phases inside one scan tick (graph rebuild, LM table
-	// update, hop sampling). 0 or 1 means serial (the default);
+	// update). 0 or 1 means serial (the default);
 	// negative is rejected. Results are byte-identical to a serial run
 	// for every worker count — see internal/par's determinism contract.
 	IntraTickParallelism int
@@ -274,6 +276,12 @@ func (c Config) validate() error {
 	if c.ChurnRate > 0 && c.MeanDowntime <= 0 {
 		return fmt.Errorf("simnet: MeanDowntime must be positive with churn (got %v)", c.MeanDowntime)
 	}
+	if c.SampleHops < 0 {
+		return fmt.Errorf("simnet: SampleHops must be >= 0 (got %d)", c.SampleHops)
+	}
+	if c.HopPairs < 0 {
+		return fmt.Errorf("simnet: HopPairs must be positive (got %d)", c.HopPairs)
+	}
 	if c.IntraTickParallelism < 0 {
 		return fmt.Errorf("simnet: IntraTickParallelism must be >= 0 (got %d)", c.IntraTickParallelism)
 	}
@@ -305,31 +313,22 @@ func (c Config) Region() geom.Disc {
 	return geom.DiscForDensity(c.N, density)
 }
 
-// Run executes one simulation and returns its measurements.
+// Run executes one simulation and returns its measurements: a Stepper
+// driven to its horizon.
 func Run(cfg Config) (*Results, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	lp, err := setupRun(cfg)
+	s, err := NewStepper(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer lp.close()
-
-	engine := sim.NewEngine()
-	horizon := cfg.Warmup + cfg.Duration
-	engine.Ticker(cfg.ScanInterval, cfg.ScanInterval, "scan", func(e *sim.Engine) {
-		lp.step(e.Now())
-	})
-	engine.RunUntil(horizon)
-
-	return lp.st.results(cfg)
+	defer s.Close()
+	for s.Step() {
+	}
+	return s.Results()
 }
 
 // setupRun builds the initial snapshot and the tick loop for an
-// already-defaulted, validated config. Split from Run so tests can
-// drive single steps (TestSteadyStateTickAllocs).
+// already-defaulted, validated config. Split from NewStepper so tests
+// can drive single steps without a clock (TestSteadyStateTickAllocs).
 func setupRun(cfg Config) (*looper, error) {
 	// Each run owns its election hysteresis: a stateful elector shared
 	// through a config template (a sweep's Base) would otherwise carry
@@ -405,7 +404,6 @@ func setupRun(cfg Config) (*looper, error) {
 	}
 
 	st := newStateRun(cfg, region)
-	st.bindPool(pool)
 	st.observe(hier)
 
 	// Invariant checker (Config.CheckLevel). The level was validated

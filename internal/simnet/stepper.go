@@ -13,10 +13,9 @@ import (
 // mobility/link event stream while request workers read the live
 // snapshot between steps.
 //
-// A Stepper reproduces Run exactly: the same ticker cadence, the same
-// horizon semantics, the same Results. Driving Step until it returns
-// false and then calling Results yields byte-identical output to
-// Run(cfg) (pinned by TestStepperMatchesRun).
+// Run is a Stepper driven until Step returns false, so both share one
+// ticker cadence, one horizon and one Results (TestStepperMatchesRun
+// pins that, and the Done, step-after-done and final-clock contract).
 //
 // Concurrency contract: Step mutates the live snapshot; the accessor
 // methods (Hierarchy, Positions, ...) expose storage that the *next*
@@ -31,9 +30,8 @@ type Stepper struct {
 	done    bool
 }
 
-// NewStepper validates cfg and builds the initial snapshot, exactly as
-// Run does before its first tick. Callers own the returned Stepper and
-// must Close it.
+// NewStepper validates cfg and builds the initial snapshot. Callers
+// own the returned Stepper and must Close it.
 func NewStepper(cfg Config) (*Stepper, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

@@ -55,7 +55,9 @@ else
 fi
 
 echo "== parallel equivalence (GOMAXPROCS=4)"
-GOMAXPROCS=4 go test -run TestParallelMatchesSerial -count=1 ./internal/simnet || fail=1
+GOMAXPROCS=4 go test -count=1 \
+    -run '^(TestParallelMatchesSerial|TestUpdateTableParMatchesSerial|TestBuildUnitDiskParMatchesSerial|TestLogShadowParMatchesSerial)$' \
+    ./internal/simnet ./internal/lm ./internal/topology || fail=1
 
 echo "== model zoo (cross-model differential matrix, race)"
 # Mirrors the CI modelzoo job: the lossy link model passes the
