@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"slices"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // MembershipChange records that level-0 node Node moved from level-k
 // cluster Old to New between two snapshots (Old or New is -1 when the
@@ -55,11 +51,11 @@ func ComputeDiff(prev, next *Hierarchy) *Diff {
 }
 
 // DiffScratch holds the reusable buffers of ComputeDiffInto: the
-// edge-diff scratch, ancestor-chain buffers, and pools for the
-// per-level event slices harvested from recycled Diffs.
+// edge-diff scratch, ancestor buffers, and pools for the per-level
+// event slices harvested from recycled Diffs.
 type DiffScratch struct {
 	edges  topology.DiffScratch
-	pc, nc []int
+	pc, nc []int // per level-0 node: its current-level ancestor
 	ints   [][]int
 	evs    [][]topology.LinkEvent
 	emptyG *topology.Graph
@@ -203,35 +199,26 @@ func ComputeDiffInto(d *Diff, prev, next *Hierarchy, s *DiffScratch) *Diff {
 		}
 	}
 
-	// Per-node membership changes from ancestor chains.
-	for _, v := range prev.Levels[0].Nodes {
-		s.pc = prev.AppendAncestorChain(v, s.pc[:0])
-		s.nc = next.AppendAncestorChain(v, s.nc[:0])
-		depth := len(s.pc)
-		if len(s.nc) > depth {
-			depth = len(s.nc)
-		}
-		for i := 0; i < depth; i++ {
-			old, nw := -1, -1
-			if i < len(s.pc) {
-				old = s.pc[i]
-			}
-			if i < len(s.nc) {
-				nw = s.nc[i]
-			}
+	// Per-node membership changes from ancestor chains, built one
+	// level at a time: pc[j] and nc[j] hold the prev and next level-k
+	// ancestors of the j-th level-0 node (-1 once a chain has ended).
+	// Each level's nodes are walked in ascending order, so the changes
+	// come out ordered by (level, node) with no sort.
+	nodes := prev.Levels[0].Nodes
+	s.pc = append(s.pc[:0], nodes...)
+	s.nc = append(s.nc[:0], nodes...)
+	for k := 1; k < maxL; k++ {
+		for j, v := range nodes {
+			old := ancestorUp(prev, k, s.pc[j])
+			nw := ancestorUp(next, k, s.nc[j])
+			s.pc[j], s.nc[j] = old, nw
 			if old != nw {
 				d.Memberships = append(d.Memberships, MembershipChange{
-					Node: v, Level: i + 1, Old: old, New: nw,
+					Node: v, Level: k, Old: old, New: nw,
 				})
 			}
 		}
 	}
-	slices.SortFunc(d.Memberships, func(a, b MembershipChange) int {
-		if a.Level != b.Level {
-			return a.Level - b.Level
-		}
-		return a.Node - b.Node
-	})
 
 	// ALCA state deltas for heads persisting across snapshots, in
 	// ascending head order (the previous level-(k+1) nodes are sorted).
@@ -260,6 +247,16 @@ func (d *Diff) Empty() bool {
 	return len(d.Elections) == 0 && len(d.Rejections) == 0 &&
 		len(d.MigrationLinkEvents) == 0 && len(d.StructuralLinkEvents) == 0 &&
 		len(d.Memberships) == 0 && len(d.StateDeltas) == 0
+}
+
+// ancestorUp returns the level-k cluster of the level-(k-1) node u in
+// h (u's step up an AppendAncestorChain walk), or -1 when u is -1 or h
+// has no level k.
+func ancestorUp(h *Hierarchy, k, u int) int {
+	if u < 0 || k >= len(h.Levels) {
+		return -1
+	}
+	return h.Levels[k-1].MemberOf(u)
 }
 
 func levelNodes(l *Level) []int {

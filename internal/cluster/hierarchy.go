@@ -249,7 +249,7 @@ func Build(g0 *topology.Graph, nodes []int, cfg Config, prev *Hierarchy) *Hierar
 			lvl.resetElection(nextNodes, nil)
 			break
 		}
-		curGraph = liftGraph(curGraph, lvl, idSpace, nil)
+		curGraph = liftGraph(curGraph, lvl, nextNodes, idSpace, nil)
 		curNodes = nextNodes
 	}
 	return h
@@ -315,24 +315,46 @@ func elect(lvl *Level, heads []int, idSpace int, a *Arena) []int {
 
 // liftGraph builds the level-(k+1) topology: clusters X and Y are
 // adjacent iff some level-k edge joins a member of X to a member of Y.
-// The lifted edge keys are sorted and deduplicated before the graph is
-// built, so its adjacency lists come out in key order whatever order
-// g yields its edges in; routing's BFS, and so the experiments, depend
-// on that order. Arena a (nil-safe) supplies a recycled graph and the
-// key buffer.
-func liftGraph(g *topology.Graph, lvl *Level, idSpace int, a *Arena) *topology.Graph {
+// The lifted edge keys come out ascending and deduplicated by
+// construction: clusters (lvl's sorted level-(k+1) nodes, as elect
+// returns them) are walked in ascending order, and cluster c
+// contributes the keys (c, d) for every neighbouring cluster d > c of
+// its members, inserted in order into c's short run with duplicates
+// dropped. So the graph's adjacency lists come out in key order
+// whatever order g's adjacency lists hold; routing's BFS, and so the
+// experiments, depend on that order. Arena a (nil-safe) supplies a
+// recycled graph and the key buffer.
+func liftGraph(g *topology.Graph, lvl *Level, clusters []int, idSpace int, a *Arena) *topology.Graph {
 	keys := a.getEdgeBuf()
-	g.ForEachEdge(func(k topology.EdgeKey) {
-		x, y := k.Nodes()
-		if cx, cy := lvl.Member[x], lvl.Member[y]; cx != cy {
-			keys = append(keys, topology.MakeEdgeKey(int(cx), int(cy)))
+	for _, c := range clusters {
+		start := len(keys)
+		for _, x := range lvl.Members[c] {
+			for _, y := range g.Neighbors(x) {
+				if d := int(lvl.Member[y]); d > c {
+					keys = insertKey(keys, start, topology.MakeEdgeKey(c, d))
+				}
+			}
 		}
-	})
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
+	}
 	up := topology.BuildFromSortedEdgesInto(a.getGraph(idSpace), idSpace, keys)
 	a.putEdgeBuf(keys)
 	return up
+}
+
+// insertKey inserts k into keys' ascending, duplicate-free tail run
+// keys[start:], leaving the run unchanged when k is already in it.
+func insertKey(keys []topology.EdgeKey, start int, k topology.EdgeKey) []topology.EdgeKey {
+	i := len(keys)
+	for i > start && keys[i-1] > k {
+		i--
+	}
+	if i > start && keys[i-1] == k {
+		return keys
+	}
+	keys = append(keys, 0)
+	copy(keys[i+1:], keys[i:])
+	keys[i] = k
+	return keys
 }
 
 // AncestorChain returns the cluster IDs containing level-0 node v at

@@ -147,7 +147,7 @@ func BuildWithIdentitiesArena(
 			break
 		}
 		a.advanceAnc(base, lvl)
-		curGraph = liftGraph(curGraph, lvl, idSpace, a)
+		curGraph = liftGraph(curGraph, lvl, nextNodes, idSpace, a)
 		curNodes = nextNodes
 	}
 	return h, ids

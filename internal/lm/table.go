@@ -908,48 +908,50 @@ func DiffTables(prev, next *Table) []TableDiff {
 }
 
 // appendTableDiffs is DiffTables with caller-owned storage: changes
-// are appended to out (pass out[:0] — the whole slice is sorted before
-// returning).
+// are appended to out (pass out[:0] to reuse its capacity). The two
+// sorted owner lists are merge-walked, so the changes come out in
+// (owner, level) order with no sort: an owner only in prev retires its
+// live entries, one only in next gains its live entries, and one in
+// both reports every level whose server differs.
 func appendTableDiffs(out []TableDiff, prev, next *Table) []TableDiff {
-	for nRow, v := range next.owners {
-		maxK := len(next.servers[nRow])
-		inPrev := false
-		if prev != nil {
-			if r := prev.row(v); r >= 0 {
-				inPrev = true
-				if len(prev.servers[r]) > maxK {
-					maxK = len(prev.servers[r])
-				}
-			}
-		}
-		for k := 1; k <= maxK; k++ {
-			oldS := -1
-			if inPrev {
-				oldS = prev.Server(v, k)
-			}
-			newS := next.Server(v, k)
-			if oldS != newS {
-				out = append(out, TableDiff{Owner: v, Level: k, OldServer: oldS, NewServer: newS})
-			}
-		}
-	}
+	var prevOwners []int
 	if prev != nil {
-		for _, v := range prev.owners {
-			if next.row(v) >= 0 {
-				continue
-			}
-			for k := 1; k <= prev.Levels(v); k++ {
-				if s := prev.Server(v, k); s >= 0 {
-					out = append(out, TableDiff{Owner: v, Level: k, OldServer: s, NewServer: -1})
+		prevOwners = prev.owners
+	}
+	i, j := 0, 0
+	for i < len(prevOwners) || j < len(next.owners) {
+		switch {
+		case j == len(next.owners) || (i < len(prevOwners) && prevOwners[i] < next.owners[j]):
+			for k, s := range prev.servers[i] {
+				if s >= 0 {
+					out = append(out, TableDiff{Owner: prevOwners[i], Level: k + 1, OldServer: int(s), NewServer: -1})
 				}
 			}
+			i++
+		case i == len(prevOwners) || next.owners[j] < prevOwners[i]:
+			for k, s := range next.servers[j] {
+				if s != -1 {
+					out = append(out, TableDiff{Owner: next.owners[j], Level: k + 1, OldServer: -1, NewServer: int(s)})
+				}
+			}
+			j++
+		default:
+			pr, nr := prev.servers[i], next.servers[j]
+			for k := 0; k < max(len(pr), len(nr)); k++ {
+				oldS, newS := -1, -1
+				if k < len(pr) {
+					oldS = int(pr[k])
+				}
+				if k < len(nr) {
+					newS = int(nr[k])
+				}
+				if oldS != newS {
+					out = append(out, TableDiff{Owner: next.owners[j], Level: k + 1, OldServer: oldS, NewServer: newS})
+				}
+			}
+			i++
+			j++
 		}
 	}
-	slices.SortFunc(out, func(a, b TableDiff) int {
-		if a.Owner != b.Owner {
-			return a.Owner - b.Owner
-		}
-		return a.Level - b.Level
-	})
 	return out
 }

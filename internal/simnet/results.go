@@ -39,9 +39,82 @@ type stateRun struct {
 	hopBuf     []int // one level's sampled counts
 	hopRng     *rng.Source
 
-	// Reusable per-tick measurement scratch.
-	prevLogE, nextLogE   map[cluster.LogicalEdge]struct{}
-	prevLiveK, nextLiveK map[uint64]bool
+	// Per-level measurement sets of countClusterLinkEvents: [0] the
+	// previous snapshot's, [1] the next one's. A call's next side is
+	// the following call's previous side.
+	meas [2]measureSide
+}
+
+// measureSide holds one snapshot's per-level cluster measurement sets,
+// built on demand: levels[k-1] is level k's logical edge set and the
+// logical IDs live at level k in the snapshot's LM table. The maps are
+// kept across snapshots and refilled, so steady-state ticks reuse
+// them; each is first made with room for its level's edge or node
+// count, which spares most of its growth steps.
+type measureSide struct {
+	h      *cluster.Hierarchy
+	ids    *cluster.Identities
+	t      *lm.Table
+	levels []levelSets
+}
+
+type levelSets struct {
+	edges           map[cluster.LogicalEdge]struct{}
+	live            map[uint64]bool
+	edgesOK, liveOK bool
+}
+
+// holds reports whether the side describes the snapshot (h, ids, t).
+func (m *measureSide) holds(h *cluster.Hierarchy, ids *cluster.Identities, t *lm.Table) bool {
+	return m.h == h && m.ids == ids && m.t == t
+}
+
+// reset points the side at a new snapshot, invalidating every level's
+// sets but keeping their storage.
+func (m *measureSide) reset(h *cluster.Hierarchy, ids *cluster.Identities, t *lm.Table) {
+	m.h, m.ids, m.t = h, ids, t
+	for i := range m.levels {
+		m.levels[i].edgesOK, m.levels[i].liveOK = false, false
+	}
+}
+
+// level returns level k's entry (k >= 1), growing the slice on demand.
+func (m *measureSide) level(k int) *levelSets {
+	for len(m.levels) < k {
+		m.levels = append(m.levels, levelSets{})
+	}
+	return &m.levels[k-1]
+}
+
+// edgesAt returns the snapshot's level-k logical edge set; nil (read
+// as empty) above the hierarchy's top level.
+func (m *measureSide) edgesAt(k int) map[cluster.LogicalEdge]struct{} {
+	if k > m.h.L() {
+		return nil
+	}
+	l := m.level(k)
+	if !l.edgesOK {
+		if l.edges == nil {
+			l.edges = make(map[cluster.LogicalEdge]struct{}, m.h.Level(k).Graph.EdgeCount())
+		}
+		l.edges = cluster.LogicalEdgesInto(l.edges, m.h, m.ids, k)
+		l.edgesOK = true
+	}
+	return l.edges
+}
+
+// liveAt returns the logical IDs live at level k in the snapshot's
+// table.
+func (m *measureSide) liveAt(k int) map[uint64]bool {
+	l := m.level(k)
+	if !l.liveOK {
+		if l.live == nil && k <= m.h.L() {
+			l.live = make(map[uint64]bool, len(m.h.Level(k).Nodes))
+		}
+		l.live = m.t.LiveAtInto(k, l.live)
+		l.liveOK = true
+	}
+	return l.live
 }
 
 func newStateRun(cfg Config, region geom.Disc) *stateRun {
@@ -74,25 +147,32 @@ func (st *stateRun) countLinkEvents(s *topology.DiffScratch, prev, next *topolog
 // logical ID space, restricted to endpoints that persist across the
 // tick — the paper's "cluster migration" link events (i, ii), free of
 // relabeling artifacts. This is the g'_k numerator.
+//
+// Consecutive measured ticks chain: one call's next snapshot is the
+// following call's previous one, so the previous side's sets are the
+// sets the last call built for its next side, and only the next side
+// is built. The previous side is built only when it describes some
+// other snapshot (the first measured tick).
 func (st *stateRun) countClusterLinkEvents(
 	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
 	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
 	prevT, nextT *lm.Table,
 ) {
+	prev, next := &st.meas[0], &st.meas[1]
+	if !prev.holds(prevH, prevIDs, prevT) {
+		prev.reset(prevH, prevIDs, prevT)
+	}
+	next.reset(nextH, nextIDs, nextT)
 	maxK := prevH.L()
 	if nextH.L() > maxK {
 		maxK = nextH.L()
 	}
 	for k := 1; k <= maxK; k++ {
-		pe := cluster.LogicalEdgesInto(st.prevLogE, prevH, prevIDs, k)
-		ne := cluster.LogicalEdgesInto(st.nextLogE, nextH, nextIDs, k)
-		st.prevLogE, st.nextLogE = pe, ne
+		pe, ne := prev.edgesAt(k), next.edgesAt(k)
 		if len(pe) == 0 && len(ne) == 0 {
 			continue
 		}
-		prevLive := prevT.LiveAtInto(k, st.prevLiveK)
-		nextLive := nextT.LiveAtInto(k, st.nextLiveK)
-		st.prevLiveK, st.nextLiveK = prevLive, nextLive
+		prevLive, nextLive := prev.liveAt(k), next.liveAt(k)
 		persists := func(e cluster.LogicalEdge) bool {
 			return prevLive[e.A] && prevLive[e.B] && nextLive[e.A] && nextLive[e.B]
 		}
@@ -114,6 +194,7 @@ func (st *stateRun) countClusterLinkEvents(
 		}
 		st.migLinkEvents[k] += count
 	}
+	st.meas[0], st.meas[1] = st.meas[1], st.meas[0]
 }
 
 // sampleHops measures intra-cluster hop counts at each level by BFS

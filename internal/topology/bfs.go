@@ -1,6 +1,9 @@
 package topology
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // BFS utilities: hop counts, components, and a reusable traversal
 // scratch that avoids reallocating visit arrays on hot paths.
@@ -142,11 +145,9 @@ func GiantComponent(g *Graph, vertices []int) []int {
 // queries over graphs sharing one ID space. The slice returned by
 // Giant aliases the scratch and is valid only until the next call.
 type ComponentScratch struct {
-	seen   []bool
-	inSet  []bool
+	comp   []int32 // node -> component number (1-based); 0 unvisited, -1 outside the vertex set
 	sorted []int
 	queue  []int
-	comp   []int
 	best   []int
 }
 
@@ -154,47 +155,60 @@ type ComponentScratch struct {
 // set, matching GiantComponent's semantics (ties break toward the
 // smaller leading vertex; result sorted ascending). The returned slice
 // is owned by the scratch.
+//
+// Components are discovered from their smallest vertex by walking the
+// vertices in ascending order; an ascending vertex list (the simulator
+// passes its alive nodes, which always are) is walked in place, any
+// other is first copied and sorted. The winner is then read off that
+// ordered list by its component number, so it comes out ascending with
+// no further sort.
 func (s *ComponentScratch) Giant(g *Graph, vertices []int) []int {
 	n := g.IDSpace()
-	if cap(s.seen) < n {
-		s.seen = make([]bool, n)
-		s.inSet = make([]bool, n)
+	if cap(s.comp) < n {
+		s.comp = make([]int32, n)
 	}
-	s.seen = s.seen[:n]
-	s.inSet = s.inSet[:n]
-	for i := range s.seen {
-		s.seen[i] = false
-		s.inSet[i] = false
+	s.comp = s.comp[:n]
+	for i := range s.comp {
+		s.comp[i] = -1
 	}
 	for _, v := range vertices {
-		s.inSet[v] = true
+		s.comp[v] = 0
 	}
-	s.sorted = append(s.sorted[:0], vertices...)
-	sortInts(s.sorted)
-	s.best = s.best[:0]
-	for _, start := range s.sorted {
-		if s.seen[start] {
+	ordered := vertices
+	if !slices.IsSorted(vertices) {
+		s.sorted = append(s.sorted[:0], vertices...)
+		sortInts(s.sorted)
+		ordered = s.sorted
+	}
+	var label, bestLabel int32
+	bestSize := 0
+	for _, start := range ordered {
+		if s.comp[start] != 0 {
 			continue
 		}
-		s.seen[start] = true
+		label++
+		s.comp[start] = label
 		s.queue = append(s.queue[:0], start)
-		s.comp = append(s.comp[:0], start)
 		for head := 0; head < len(s.queue); head++ {
-			v := s.queue[head]
-			for _, w := range g.Neighbors(v) {
-				if !s.inSet[w] || s.seen[w] {
+			for _, w := range g.Neighbors(s.queue[head]) {
+				if s.comp[w] != 0 {
 					continue
 				}
-				s.seen[w] = true
+				s.comp[w] = label
 				s.queue = append(s.queue, w)
-				s.comp = append(s.comp, w)
 			}
 		}
-		if len(s.comp) > len(s.best) {
-			s.best, s.comp = s.comp, s.best
+		if len(s.queue) > bestSize {
+			bestSize, bestLabel = len(s.queue), label
 		}
 	}
-	sortInts(s.best)
+	s.best = s.best[:0]
+	for _, v := range ordered {
+		if s.comp[v] == bestLabel {
+			s.best = append(s.best, v)
+			s.comp[v] = 0 // emit a repeated vertex once
+		}
+	}
 	return s.best
 }
 

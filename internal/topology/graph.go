@@ -39,11 +39,14 @@ func (k EdgeKey) String() string {
 // clustered hierarchy (level 0 uses dense int IDs; higher levels use
 // the level-0 IDs of clusterheads, which remain < n).
 //
-// The edge set is one sorted key slice. The bulk builders (the
-// unit-disk scans and the cluster level graphs) fill it in one pass, so
-// the hot link scan does no map work and the parallel builder can
-// assemble the graph from per-shard buffers; AddEdge (used by
-// BuildUnitDiskBrute and tests) inserts at the key's sorted position.
+// The edge set is one sorted key slice. The bulk builders produce it
+// in key order by construction, with no sort: the link scans read it
+// off the finished adjacency rows (row a contributes its neighbours
+// b > a, ordered within the row), and the cluster level graphs lift
+// their edges cluster by cluster in ascending order. So the hot link
+// scan does no map work and the parallel builder can assemble the
+// graph from per-shard buffers; AddEdge (used by BuildUnitDiskBrute
+// and tests) inserts at the key's sorted position.
 type Graph struct {
 	n    int
 	adj  [][]int   // node ID -> neighbor IDs, in insertion order
@@ -207,40 +210,39 @@ func DiffEdges(prev, next *Graph) []LinkEvent {
 // returned by Diff aliases the scratch and is valid only until the
 // next Diff call; callers that retain events must copy them.
 type DiffScratch struct {
-	prevKeys, nextKeys []EdgeKey
-	ups                []EdgeKey
-	out                []LinkEvent
+	ups []EdgeKey
+	out []LinkEvent
 }
 
 // Diff compares the edge sets of prev and next and returns the link
 // events, deterministically ordered (downs then ups, each by key).
 // The returned slice is owned by the scratch.
 func (s *DiffScratch) Diff(prev, next *Graph) []LinkEvent {
-	s.prevKeys = prev.AppendEdges(s.prevKeys[:0])
-	s.nextKeys = next.AppendEdges(s.nextKeys[:0])
 	s.ups = s.ups[:0]
 	s.out = s.out[:0]
-	// Merge-walk the two sorted key lists: keys only in prev are downs
-	// (emitted immediately, already in order), keys only in next are
-	// ups (buffered so downs precede them).
+	// Merge-walk the two sorted edge stores (neither graph changes
+	// during the call): keys only in prev are downs (emitted
+	// immediately, already in order), keys only in next are ups
+	// (buffered so downs precede them).
+	pk, nk := prev.bulk, next.bulk
 	i, j := 0, 0
-	for i < len(s.prevKeys) && j < len(s.nextKeys) {
+	for i < len(pk) && j < len(nk) {
 		switch {
-		case s.prevKeys[i] == s.nextKeys[j]:
+		case pk[i] == nk[j]:
 			i++
 			j++
-		case s.prevKeys[i] < s.nextKeys[j]:
-			s.out = append(s.out, LinkEvent{Edge: s.prevKeys[i], Up: false})
+		case pk[i] < nk[j]:
+			s.out = append(s.out, LinkEvent{Edge: pk[i], Up: false})
 			i++
 		default:
-			s.ups = append(s.ups, s.nextKeys[j])
+			s.ups = append(s.ups, nk[j])
 			j++
 		}
 	}
-	for ; i < len(s.prevKeys); i++ {
-		s.out = append(s.out, LinkEvent{Edge: s.prevKeys[i], Up: false})
+	for ; i < len(pk); i++ {
+		s.out = append(s.out, LinkEvent{Edge: pk[i], Up: false})
 	}
-	s.ups = append(s.ups, s.nextKeys[j:]...)
+	s.ups = append(s.ups, nk[j:]...)
 	for _, k := range s.ups {
 		s.out = append(s.out, LinkEvent{Edge: k, Up: true})
 	}

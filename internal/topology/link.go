@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/par"
@@ -40,8 +39,9 @@ type LinkModel interface {
 // buildLinksInto is the serial core of every link-model build: the
 // grid emits each unordered pair within radius exactly once (row-major
 // over owner cells); pairs passing keep (nil = all) land in adjacency
-// lists in emission order and in the bulk edge list, sorted once at
-// the end. UnitDisk builds are this with keep == nil.
+// lists in emission order, and the bulk edge store is then read off
+// the finished rows in key order (appendRowEdges). UnitDisk builds are
+// this with keep == nil.
 func buildLinksInto(g *Graph, n int, pos []geom.Vec, radius float64, idx *spatial.Grid, keep func(a, b int) bool) *Graph {
 	if g == nil {
 		g = NewGraph(n)
@@ -55,31 +55,56 @@ func buildLinksInto(g *Graph, n int, pos []geom.Vec, radius float64, idx *spatia
 		}
 		g.adj[a] = append(g.adj[a], b)
 		g.adj[b] = append(g.adj[b], a)
-		g.bulk = append(g.bulk, MakeEdgeKey(a, b))
 	})
-	slices.Sort(g.bulk)
+	g.bulk = appendRowEdges(g.bulk, g.adj, 0, n)
 	return g
+}
+
+// appendRowEdges appends the edge keys owned by rows [lo, hi) of adj
+// to dst in ascending order: row a owns its edges to neighbours b > a,
+// and every key of row a precedes every key of row a+1, so only each
+// row's short run needs ordering — an insertion sort on the keys as
+// they are appended. adj must hold no duplicate neighbours.
+func appendRowEdges(dst []EdgeKey, adj [][]int, lo, hi int) []EdgeKey {
+	for a := lo; a < hi; a++ {
+		start := len(dst)
+		for _, b := range adj[a] {
+			if b <= a {
+				continue
+			}
+			k := MakeEdgeKey(a, b)
+			i := len(dst)
+			dst = append(dst, k)
+			for ; i > start && dst[i-1] > k; i-- {
+				dst[i] = dst[i-1]
+			}
+			dst[i] = k
+		}
+	}
+	return dst
 }
 
 // BuildScratch holds the reusable per-shard edge buffers of a sharded
 // link build. Not safe for concurrent use by two builds.
 type BuildScratch struct {
-	shards [][]EdgeKey
+	shards [][]EdgeKey // per-shard emitted pairs, in scan order
+	rows   [][]EdgeKey // per-worker edge keys of its node range
 }
 
 // buildLinksIntoPar is buildLinksInto fanned out over pool p. The scan
 // is sharded by grid row ranges: each shard enumerates the pairs owned
 // by its rows into its own edge buffer (spatial.Grid.ForEachPairRows
-// guarantees every pair lands in exactly one shard, in scan order), the
-// buffers are concatenated in shard order — reproducing the serial
-// emission order exactly — and the adjacency lists are then filled from
-// that sequence by node-range workers writing disjoint rows. The graph
-// is byte-identical to the serial build. A nil or single-worker pool
-// falls back to the serial build; sc (nil = allocate fresh) supplies
-// the per-shard buffers, and reusing one across ticks makes the
-// steady-state build allocation-free. keep may be invoked concurrently
-// from shard workers and must be safe for concurrent calls (read-only
-// state).
+// guarantees every pair lands in exactly one shard, in scan order).
+// Node-range workers then fill disjoint adjacency rows by walking the
+// shard buffers in shard order — reproducing the serial emission order
+// exactly — and each reads its rows' edge keys off into its own
+// buffer; the buffers, concatenated in worker order, are the sorted
+// edge store. The graph is byte-identical to the serial build. A nil
+// or single-worker pool falls back to the serial build; sc (nil =
+// allocate fresh) supplies the per-shard and per-worker buffers, and
+// reusing one across ticks makes the steady-state build
+// allocation-free. keep may be invoked concurrently from shard workers
+// and must be safe for concurrent calls (read-only state).
 func buildLinksIntoPar(
 	g *Graph, n int, pos []geom.Vec, radius float64, idx *spatial.Grid,
 	p *par.Pool, sc *BuildScratch, keep func(a, b int) bool,
@@ -114,33 +139,36 @@ func buildLinksIntoPar(
 		sc.shards[s] = buf
 	})
 
-	// Phase 2: ordered merge — concatenating in shard order yields the
-	// serial scan's emission order.
-	for s := 0; s < shards; s++ {
-		g.bulk = append(g.bulk, sc.shards[s]...)
-	}
-
-	// Phase 3: fill adjacency rows from the emission sequence. Worker
+	// Phase 2: fill adjacency rows from the emission sequence. Worker
 	// w owns the contiguous node range Shard(n, W, w), so all writes
-	// are disjoint and each list grows in emission order — exactly the
-	// serial insertion order.
+	// are disjoint; walking the shards in order makes each list grow in
+	// the serial scan's emission order. The worker then reads its rows'
+	// edge keys off, in key order.
+	for len(sc.rows) < p.Workers() {
+		sc.rows = append(sc.rows, nil)
+	}
 	p.Run(func(w int) {
 		lo, hi := par.Shard(n, p.Workers(), w)
-		if lo == hi {
-			return
-		}
-		for _, k := range g.bulk {
-			a, b := k.Nodes()
-			if a >= lo && a < hi {
-				g.adj[a] = append(g.adj[a], b)
+		buf := sc.rows[w][:0]
+		for s := 0; s < shards; s++ {
+			for _, k := range sc.shards[s] {
+				a, b := k.Nodes()
+				if a >= lo && a < hi {
+					g.adj[a] = append(g.adj[a], b)
+				}
+				if b >= lo && b < hi {
+					g.adj[b] = append(g.adj[b], a)
+				}
 			}
-			if b >= lo && b < hi {
-				g.adj[b] = append(g.adj[b], a)
-			}
 		}
+		sc.rows[w] = appendRowEdges(buf, g.adj, lo, hi)
 	})
 
-	slices.Sort(g.bulk)
+	// Phase 3: the node ranges ascend with w, so concatenating the
+	// workers' keys yields the sorted edge store.
+	for w := 0; w < p.Workers(); w++ {
+		g.bulk = append(g.bulk, sc.rows[w]...)
+	}
 	return g
 }
 
