@@ -25,7 +25,7 @@ race:
 # suites of the two parallel tick phases (link build, LM update) and of
 # whole runs, and a one-iteration smoke of the /par tick benchmarks,
 # GOMAXPROCS pinned so the worker pool actually fans out.
-PAR_EQUIV = ^(TestParallelMatchesSerial|TestUpdateTableParMatchesSerial|TestBuildUnitDiskParMatchesSerial|TestLogShadowParMatchesSerial|TestLinkBuildMatchesSortReference)$$
+PAR_EQUIV = ^(TestParallelMatchesSerial|TestUpdateTableParMatchesSerial|TestUpdateTableParReuse|TestUpdateWorkCounts|TestBuildUnitDiskParMatchesSerial|TestLogShadowParMatchesSerial|TestLinkBuildMatchesSortReference)$$
 multicore:
 	GOMAXPROCS=4 go test -run '$(PAR_EQUIV)' -count=1 ./internal/simnet ./internal/lm ./internal/topology
 	GOMAXPROCS=4 go test -run '^$$' -bench 'BenchmarkTick(GraphRebuild|LMUpdate)/par' -benchtime=1x -cpu=4 .

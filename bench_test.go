@@ -380,8 +380,8 @@ func BenchmarkTickLMUpdate(b *testing.B) {
 	})
 
 	// Low-churn leg: on a live world at interval=0.1s (Mu=10) the
-	// per-tick delta touches only a handful of owners, so the dirty-row
-	// update copies clean rows wholesale and recomputes dirty ones, with
+	// per-tick delta touches only a handful of clusters, so the update
+	// reuses each clean level's server and re-traces dirty ones, with
 	// the dirty set computed from the snapshot pair. Each tick patches
 	// the previous table, double-buffered exactly like the simulation
 	// loop.

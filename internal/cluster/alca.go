@@ -26,7 +26,7 @@ import (
 // Elector chooses a clusterhead for every node of one level.
 type Elector interface {
 	// Elect appends, for each node of nodes in order, the elected
-	// clusterhead (possibly the node itself) to dst and returns the
+	// clusterhead (one of nodes, possibly the node itself) to dst and returns the
 	// extended slice: result[i] is the head of nodes[i]. nodes is
 	// sorted ascending; g is the level-k graph; prevHead is the node's
 	// clusterhead in the previous snapshot at this level (or -1),

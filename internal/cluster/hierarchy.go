@@ -284,20 +284,28 @@ func elect(lvl *Level, heads []int, idSpace int, a *Arena) []int {
 	// ALCA state: electors among *neighbors* (self-election excluded),
 	// matching the paper's Fig. 3 state variable. Heads with only a
 	// self-election have state 0.
+	nHeads := 0
 	for i, u := range lvl.Nodes {
 		hd := heads[i]
 		lvl.Head[u] = int32(hd)
 		if lvl.State[hd] < 0 {
 			lvl.State[hd] = 0
-			clusters = append(clusters, hd)
+			nHeads++
 		}
 		if hd != u {
 			lvl.State[hd]++
 		}
 	}
-	slices.Sort(clusters)
-	for _, c := range clusters {
-		lvl.Members[c] = a.getInts()
+	// Every head is one of the level's nodes, which ascend, so reading
+	// the heads off them yields the cluster list sorted.
+	for _, u := range lvl.Nodes {
+		if lvl.State[u] >= 0 {
+			clusters = append(clusters, u)
+			lvl.Members[u] = a.getInts()
+		}
+	}
+	if len(clusters) != nHeads {
+		panic(fmt.Sprintf("cluster: level-%d election named a head outside the level", lvl.K))
 	}
 	// Nodes ascend, so every member list is built sorted.
 	for _, u := range lvl.Nodes {

@@ -52,29 +52,11 @@ func (ids *Identities) Logical(k, head int) (uint64, bool) {
 // Levels reports the number of cluster levels covered.
 func (ids *Identities) Levels() int { return len(ids.byLevel) }
 
-// ChainOf returns node v's logical ancestor chain: chain[0] is the
-// logical ID of v's level-1 cluster, and so on. Nodes outside the
-// hierarchy return nil.
-func (ids *Identities) ChainOf(h *Hierarchy, v int) []uint64 {
-	phys := h.AncestorChain(v)
-	if phys == nil {
-		return nil
-	}
-	out := make([]uint64, 0, len(phys))
-	for i, head := range phys {
-		id, ok := ids.Logical(i+1, head)
-		if !ok {
-			break
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
-// AppendChainOf appends v's logical ancestor chain to dst and returns
-// the extended slice — ChainOf without the per-call allocations, for
-// hot paths that batch many chains into one backing array. Nodes
-// outside the hierarchy append nothing.
+// AppendChainOf appends node v's logical ancestor chain to dst and
+// returns the extended slice: first the logical ID of v's level-1
+// cluster, then of its level-2 cluster, and so on. Callers batch many
+// chains into one backing array. Nodes outside the hierarchy append
+// nothing.
 func (ids *Identities) AppendChainOf(h *Hierarchy, v int, dst []uint64) []uint64 {
 	cur := v
 	for k := 0; k+1 < len(h.Levels); k++ {

@@ -116,7 +116,7 @@ func TestChainOfMatchesAncestors(t *testing.T) {
 	h, ids := trackedBuild(t, g, nodesUpTo(150), Config{}, nil, nil, tr, 0)
 	for _, v := range h.LevelNodes(0) {
 		phys := h.AncestorChain(v)
-		log := ids.ChainOf(h, v)
+		log := ids.AppendChainOf(h, v, nil)
 		if len(log) != len(phys) {
 			t.Fatalf("node %d: logical chain %d levels, physical %d", v, len(log), len(phys))
 		}

@@ -1,6 +1,7 @@
 package lm
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -196,6 +197,21 @@ func TestBuildTableMatchesServerFor(t *testing.T) {
 	}
 }
 
+// TestBuildTableAllocsFlat: BuildTable packs its rows into flat
+// backings sized up front, so its heap objects do not grow with the
+// owner count (a row-by-row build allocates several per owner).
+func TestBuildTableAllocsFlat(t *testing.T) {
+	s := NewSelector(nil)
+	allocs := func(n int) float64 {
+		h, ids, _ := randomHierarchy(n, 60*math.Sqrt(float64(n)), 100, 5)
+		return testing.AllocsPerRun(3, func() { s.BuildTable(h, ids) })
+	}
+	small, large := allocs(100), allocs(1600)
+	if large > small+4 {
+		t.Fatalf("BuildTable: %v heap objects at 100 owners, %v at 1600", small, large)
+	}
+}
+
 func TestServerLoadIsLogarithmic(t *testing.T) {
 	// Each node serves Θ(log|V|) entries on average (§3.2's closing
 	// observation): total entries ≈ N·L, so mean load ≈ L.
@@ -253,6 +269,16 @@ func TestUpdateTableMatchesBuildTable(t *testing.T) {
 		want := s.BuildTable(h, ids)
 		if diff := DiffTables(want, tbl); len(diff) != 0 {
 			t.Fatalf("step %d: incremental table deviates: %+v", step, diff[0])
+		}
+		// BuildTable shares the update's row loop, so also hold the
+		// incremental table against the independent ServerFor descent.
+		for _, v := range h.LevelNodes(0) {
+			L := tbl.Levels(v)
+			for k := 1; k <= L+1; k++ {
+				if got, ref := tbl.Server(v, k), s.ServerFor(h, ids, v, k); got != ref {
+					t.Fatalf("step %d: (%d,%d) server %d, ServerFor %d", step, v, k, got, ref)
+				}
+			}
 		}
 		prevH, prevIDs, prevT = h, ids, tbl
 		for i := range pos {

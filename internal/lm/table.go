@@ -29,8 +29,7 @@ type Table struct {
 	// descent without re-hashing own-clean steps.
 	paths [][]uint64
 
-	// Flat backing for the row slices when built by UpdateTableIntoPar;
-	// nil for tables built row-by-row. Owned by this table so that
+	// Flat backing for the row slices, owned by this table so that
 	// double-buffered tables never share storage.
 	srvBack   []int32
 	chainBack []uint64
@@ -318,33 +317,10 @@ func (s *Selector) serverForBufIncr(
 	return int(q), buf
 }
 
-// BuildTable computes the full assignment table for h.
+// BuildTable computes the full assignment table for h: the update
+// with no previous table, so every (owner, k) pays a full hash descent.
 func (s *Selector) BuildTable(h *cluster.Hierarchy, ids *cluster.Identities) *Table {
-	owners := h.LevelNodes(0)
-	t := &Table{
-		servers: make([][]int32, len(owners)),
-		chains:  make([][]uint64, len(owners)),
-		paths:   make([][]uint64, len(owners)),
-	}
-	t.setOwners(owners)
-	var buf []uint64
-	var w hashWork
-	for row, v := range owners {
-		chain := ids.ChainOf(h, v)
-		n := len(chain)
-		srv := make([]int32, n)
-		path := make([]uint64, pathOff(n+1))
-		for i := range chain {
-			k := i + 1
-			var sv int
-			sv, buf = s.serverForBuf(h, ids, v, k, buf, path[pathOff(k):pathOff(k)+k], &w)
-			srv[i] = int32(sv)
-		}
-		t.servers[row] = srv
-		t.chains[row] = chain
-		t.paths[row] = path
-	}
-	return t
+	return s.UpdateTableIntoPar(nil, nil, nil, nil, nil, nil, h, ids, nil, nil)
 }
 
 // UpdateTable computes the assignment table for next incrementally:
@@ -363,8 +339,8 @@ func (s *Selector) UpdateTable(
 
 // UpdateScratch holds the reusable buffers of UpdateTableIntoPar: the
 // dirty-subtree sets, member-key comparison maps and their flat
-// backings, the hash-descent key buffer, and the affected-owner bitmap
-// of the dirty-row analysis. Not safe for concurrent use.
+// backings, and the hash-descent key buffer. Not safe for concurrent
+// use.
 type UpdateScratch struct {
 	dirty          dirtySet
 	own            dirtySet
@@ -388,14 +364,6 @@ type UpdateScratch struct {
 	// one map lookup and own-dirty Selects hash over prebuilt keys.
 	rev     []map[uint64]revEntry
 	revKeys []uint64
-
-	// Dirty-row analysis (affectedOwners): affBits[v] marks owner v as
-	// possibly changed; affRows lists the affected row indices (the
-	// par shards fan out over it); walkN/walkL are the subtree DFS
-	// stack.
-	affBits      []bool
-	affRows      []int
-	walkN, walkL []int
 }
 
 // Work returns the hash work of the last update that used sc: the
@@ -438,8 +406,10 @@ type revEntry struct {
 // loop, pass the table retired two ticks ago. A nil or single-worker
 // pool fills dst's backings directly; otherwise each shard fills its
 // own buffers and the shards are concatenated in order, so the result
-// is byte-identical either way. known must be nil; the parameter is
-// kept for the bench/ replica (ROADMAP item 6).
+// is byte-identical either way. With a nil prev every row pays full
+// descents and prevH/prevIDs are not read: that is BuildTable. known
+// must be nil; the parameter is kept for the bench/ replica (ROADMAP
+// item 6).
 func (s *Selector) UpdateTableIntoPar(
 	dst *Table, sc *UpdateScratch, psc *UpdateParScratch,
 	prev *Table,
@@ -460,19 +430,25 @@ func (s *Selector) UpdateTableIntoPar(
 	if sc == nil {
 		sc = &UpdateScratch{}
 	}
-	// The dirty-subtree analysis is per cluster, not per row, and feeds
-	// every row read-only, so it stays serial.
-	dirty := sc.dirtySubtrees(prevH, prevIDs, nextH, nextIDs)
-	rev := sc.buildRev(nextH, nextIDs, dirty, sc.own)
-	in := rowInputs{
-		dirty: dirty, rev: rev, revKeys: sc.revKeys,
-		prev: prev, nextH: nextH, nextIDs: nextIDs,
-	}
-	if sc.affectedOwners(dirty, prev, prevH, prevIDs, nextH) {
-		in.aff = sc.affBits
+	in := rowInputs{prev: prev, nextH: nextH, nextIDs: nextIDs}
+	if prev != nil {
+		// The dirty-subtree analysis is per cluster, not per row, and
+		// feeds every row read-only, so it stays serial. Only rows with
+		// a previous row read it.
+		in.dirty = sc.dirtySubtrees(prevH, prevIDs, nextH, nextIDs)
+		in.rev = sc.buildRev(nextH, nextIDs, in.dirty, sc.own)
+		in.revKeys = sc.revKeys
 	}
 	owners := nextH.LevelNodes(0)
 	dst.setOwners(owners)
+	// Size the backings for the longest chains (one entry per level
+	// above the owner) up front, so that a fresh table allocates each
+	// once instead of once per doubling.
+	rows, L := len(owners), nextH.L()
+	dst.chainBack = slices.Grow(dst.chainBack[:0], rows*L)
+	dst.srvBack = slices.Grow(dst.srvBack[:0], rows*L)
+	dst.pathBack = slices.Grow(dst.pathBack[:0], rows*pathOff(L+1))
+	sc.rowEnd = slices.Grow(sc.rowEnd[:0], rows)
 	if p.Workers() == 1 {
 		b := rowBuf{
 			chain: dst.chainBack[:0], srv: dst.srvBack[:0], path: dst.pathBack[:0],
@@ -490,9 +466,9 @@ func (s *Selector) UpdateTableIntoPar(
 	// Fix up the row views only after the backings stopped growing.
 	// Path-column offsets derive from the chain lengths: a row with n
 	// levels owns pathOff(n+1) memo entries.
-	dst.servers = dst.servers[:0]
-	dst.chains = dst.chains[:0]
-	dst.paths = dst.paths[:0]
+	dst.servers = slices.Grow(dst.servers[:0], rows)
+	dst.chains = slices.Grow(dst.chains[:0], rows)
+	dst.paths = slices.Grow(dst.paths[:0], rows)
 	off, pOff := 0, 0
 	for _, end := range sc.rowEnd {
 		n := end - off
@@ -506,14 +482,12 @@ func (s *Selector) UpdateTableIntoPar(
 }
 
 // rowInputs is the read-only state every owner row of an update
-// reads: the dirty sets and their reverse index, the previous table,
-// and the next snapshot. aff is the affected-owner bitmap of the
-// dirty-row analysis, nil when every row is recomputed.
+// reads: the dirty sets and their reverse index (nil without a previous
+// table), the previous table, and the next snapshot.
 type rowInputs struct {
 	dirty   dirtySet
 	rev     []map[uint64]revEntry
 	revKeys []uint64
-	aff     []bool
 	prev    *Table
 	nextH   *cluster.Hierarchy
 	nextIDs *cluster.Identities
@@ -531,25 +505,11 @@ type rowBuf struct {
 	work   hashWork
 }
 
-// fillRows appends the rows of owners to b: a copy of prev's row for
-// an owner the dirty-row analysis left unaffected, a recomputed row
-// (appendRow) otherwise. It only reads in, so disjoint owner ranges
-// may run concurrently, each into its own b.
+// fillRows appends the rows of owners to b. It only reads in, so
+// disjoint owner ranges may run concurrently, each into its own b.
 func (s *Selector) fillRows(b *rowBuf, owners []int, in rowInputs) {
 	for _, v := range owners {
-		if in.aff != nil && !in.aff[v] {
-			if r := in.prev.row(v); r >= 0 {
-				b.chain = append(b.chain, in.prev.chains[r]...)
-				b.srv = append(b.srv, in.prev.servers[r]...)
-				b.path = append(b.path, in.prev.paths[r]...)
-				b.rowEnd = append(b.rowEnd, len(b.chain))
-				continue
-			}
-		}
-		b.chain, b.srv, b.path, b.keyBuf = s.appendRow(
-			v, in.dirty, in.rev, in.revKeys, in.prev, in.nextH, in.nextIDs,
-			b.chain, b.srv, b.path, b.keyBuf, &b.work)
-		b.rowEnd = append(b.rowEnd, len(b.chain))
+		s.appendRow(b, v, in)
 	}
 }
 
@@ -591,123 +551,50 @@ func (sc *UpdateScratch) buildRev(
 	return rev
 }
 
-// affectedOwners fills sc.affBits with the owners whose table row can
-// differ from prev: the previous-snapshot level-0 descendants of every
-// dirty top-level cluster. Dirtiness propagates to ancestors in both
-// snapshots, so every dirty cluster sits under a dirty level-L cluster
-// in the previous hierarchy, and an owner whose previous chain is
-// entirely clean keeps its chain and all its servers (the hash descent
-// for level k only inspects member lists inside the level-k ancestor's
-// subtree, all of which are clean). Returns false when every row must
-// be treated as affected: no previous table, or a hierarchy-depth
-// change (a fresh top level can extend clean chains).
-func (sc *UpdateScratch) affectedOwners(
-	dirty dirtySet, prev *Table,
-	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
-	nextH *cluster.Hierarchy,
-) bool {
-	L := prevH.L()
-	if prev == nil || len(prev.owners) == 0 || nextH.L() != L || L == 0 {
-		return false
-	}
-	need := 0
-	if n := prevH.LevelNodes(0); len(n) > 0 {
-		need = n[len(n)-1] + 1
-	}
-	if n := nextH.LevelNodes(0); len(n) > 0 && n[len(n)-1]+1 > need {
-		need = n[len(n)-1] + 1
-	}
-	for len(sc.affBits) < need {
-		sc.affBits = append(sc.affBits, false)
-	}
-	clear(sc.affBits)
-	nodes, lvls := sc.walkN[:0], sc.walkL[:0]
-	for _, hd := range prevH.LevelNodes(L) {
-		q, ok := prevIDs.Logical(L, hd)
-		if !ok || dirty.is(L, q) {
-			nodes = append(nodes, hd)
-			lvls = append(lvls, L)
-		}
-	}
-	for len(nodes) > 0 {
-		u := nodes[len(nodes)-1]
-		j := lvls[len(lvls)-1]
-		nodes, lvls = nodes[:len(nodes)-1], lvls[:len(lvls)-1]
-		if j == 0 {
-			sc.affBits[u] = true
-			continue
-		}
-		for _, c := range prevH.MembersAt(j, u) {
-			nodes = append(nodes, c)
-			lvls = append(lvls, j-1)
-		}
-	}
-	sc.walkN, sc.walkL = nodes, lvls
-	return true
-}
-
-// appendRow computes owner v's table row — its logical ancestor chain,
-// per-level servers, and descent-path memo — appending the chain to
-// chainBack, the servers to srvBack, and the paths to pathBack,
-// reusing prev's assignment wherever the logical ancestor is unchanged
-// and its subtree is clean, and re-tracing the previous descent
-// (serverForBufIncr) when the ancestor is unchanged but its subtree
-// was touched. It returns the four (possibly grown) buffers and counts
-// its Selects into w. The function only reads the snapshots, the dirty
-// sets, rev, and prev, so disjoint owner ranges may run concurrently as
-// long as each invocation owns its buffers and its w.
-func (s *Selector) appendRow(
-	v int, dirty dirtySet, rev []map[uint64]revEntry, revKeys []uint64, prev *Table,
-	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
-	chainBack []uint64, srvBack []int32, pathBack, keyBuf []uint64, w *hashWork,
-) ([]uint64, []int32, []uint64, []uint64) {
-	start := len(chainBack)
-	chainBack = nextIDs.AppendChainOf(nextH, v, chainBack)
-	chain := chainBack[start:]
+// appendRow appends owner v's table row to b: its logical ancestor
+// chain, per-level servers, descent-path memo and row end. It reuses
+// prev's assignment wherever the logical ancestor is unchanged and its
+// subtree is clean, re-traces the previous descent (serverForBufIncr)
+// when the ancestor is unchanged but its subtree was touched, and runs
+// a full descent otherwise, counting its Selects into b.work. It only
+// reads in, so disjoint owner ranges may run concurrently as long as
+// each owns its b.
+func (s *Selector) appendRow(b *rowBuf, v int, in rowInputs) {
+	start := len(b.chain)
+	b.chain = in.nextIDs.AppendChainOf(in.nextH, v, b.chain)
+	chain := b.chain[start:]
 	n := len(chain)
-	pstart := len(pathBack)
-	pathBack = slices.Grow(pathBack, pathOff(n+1))[:pstart+pathOff(n+1)]
-	paths := pathBack[pstart:]
-	var prevChain []uint64
+	pstart := len(b.path)
+	b.path = slices.Grow(b.path, pathOff(n+1))[:pstart+pathOff(n+1)]
+	paths := b.path[pstart:]
+	var prevChain, prevPath []uint64
 	var prevSrv []int32
-	var prevPath []uint64
-	if prev != nil {
-		if r := prev.row(v); r >= 0 {
-			prevChain = prev.chains[r]
-			prevSrv = prev.servers[r]
-			if r < len(prev.paths) {
-				prevPath = prev.paths[r]
-			}
+	if in.prev != nil {
+		if r := in.prev.row(v); r >= 0 {
+			prevChain, prevSrv, prevPath = in.prev.chains[r], in.prev.servers[r], in.prev.paths[r]
 		}
 	}
 	for i, c := range chain {
 		k := i + 1
 		po := pathOff(k)
 		col := paths[po : po+k]
-		if i < len(prevChain) && prevChain[i] == c && po+k <= len(prevPath) {
-			pcol := prevPath[po : po+k]
-			if !dirty.is(k, c) {
-				copy(col, pcol)
-				srvBack = append(srvBack, prevSrv[i])
-				continue
-			}
-			var srv int
-			srv, keyBuf = s.serverForBufIncr(
-				nextH, nextIDs, v, k, int(prevSrv[i]), c, pcol, col, rev, revKeys, keyBuf, w)
-			if srv < 0 {
-				clear(col)
-			}
-			srvBack = append(srvBack, int32(srv))
-			continue
-		}
 		var srv int
-		srv, keyBuf = s.serverForBuf(nextH, nextIDs, v, k, keyBuf, col, w)
+		switch {
+		case i >= len(prevChain) || prevChain[i] != c:
+			srv, b.keyBuf = s.serverForBuf(in.nextH, in.nextIDs, v, k, b.keyBuf, col, &b.work)
+		case !in.dirty.is(k, c):
+			srv = int(prevSrv[i])
+			copy(col, prevPath[po:po+k])
+		default:
+			srv, b.keyBuf = s.serverForBufIncr(in.nextH, in.nextIDs, v, k, int(prevSrv[i]), c,
+				prevPath[po:po+k], col, in.rev, in.revKeys, b.keyBuf, &b.work)
+		}
 		if srv < 0 {
 			clear(col)
 		}
-		srvBack = append(srvBack, int32(srv))
+		b.srv = append(b.srv, int32(srv))
 	}
-	return chainBack, srvBack, pathBack, keyBuf
+	b.rowEnd = append(b.rowEnd, len(b.chain))
 }
 
 // dirtySet tracks logical clusters whose subtree membership changed,

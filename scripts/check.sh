@@ -56,7 +56,7 @@ fi
 
 echo "== parallel equivalence (GOMAXPROCS=4)"
 GOMAXPROCS=4 go test -count=1 \
-    -run '^(TestParallelMatchesSerial|TestUpdateTableParMatchesSerial|TestBuildUnitDiskParMatchesSerial|TestLogShadowParMatchesSerial|TestLinkBuildMatchesSortReference)$' \
+    -run '^(TestParallelMatchesSerial|TestUpdateTableParMatchesSerial|TestUpdateTableParReuse|TestUpdateWorkCounts|TestBuildUnitDiskParMatchesSerial|TestLogShadowParMatchesSerial|TestLinkBuildMatchesSortReference)$' \
     ./internal/simnet ./internal/lm ./internal/topology || fail=1
 
 echo "== model zoo (cross-model differential matrix, race)"
