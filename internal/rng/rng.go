@@ -111,18 +111,27 @@ func (s *Source) Norm() float64 {
 		s.haveSpare = false
 		return s.spare
 	}
+	u, v, r := s.Polar()
+	f := math.Sqrt(-2 * math.Log(r) / r)
+	s.spare = v * f
+	s.haveSpare = true
+	return u * f
+}
+
+// Polar draws the point of the polar method: u, v uniform on (-1, 1),
+// redrawn until r = u²+v² lies in the open interval (0, 1). u·f and v·f,
+// with f = √(−2 ln r / r), are then two independent standard normals;
+// Norm is exactly that. Callers that only need to compare a normal
+// against thresholds can bound f from r without taking the log.
+func (s *Source) Polar() (u, v, r float64) {
 	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		r := u*u + v*v
+		u = 2*s.Float64() - 1
+		v = 2*s.Float64() - 1
+		r = u*u + v*v
 		//lint:ignore floateq polar rejection sampling excludes the exact origin
-		if r >= 1 || r == 0 {
-			continue
+		if r < 1 && r != 0 {
+			return u, v, r
 		}
-		f := math.Sqrt(-2 * math.Log(r) / r)
-		s.spare = v * f
-		s.haveSpare = true
-		return u * f
 	}
 }
 

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/par"
@@ -202,6 +203,23 @@ func (u UnitDisk) BuildInto(g *Graph, n int, pos []geom.Vec, idx *spatial.Grid, 
 // adjacent keys do not produce adjacent stream states.
 const shadowGamma = 0x9E3779B97F4A7C15
 
+// The threshold table of the quick predicate: one node per 1/shadowSteps
+// of the clamped standard-normal draw z ∈ [−shadowClamp, shadowClamp],
+// plus one node past the top for the rounded-up upper index. Tabulated
+// thresholds are widened by the relative margin shadowSlack, which
+// covers every rounding step between a node's value and the exact
+// predicate's (the bounds of −ln r, the square roots, the node index,
+// Exp and the products), with orders of magnitude to spare.
+const (
+	shadowClamp = 3
+	shadowSteps = 64
+	shadowNodes = 2*shadowClamp*shadowSteps + 2
+	shadowSlack = 0x1p-30
+)
+
+// shadowBound holds a pair's make and break d² thresholds.
+type shadowBound struct{ mk, br float64 }
+
 // LogShadow is a log-distance path-loss link model with lognormal
 // shadowing and RSSI hysteresis. Received power at distance d falls as
 // 10·η·log10(d/RTX) dB below the nominal sensitivity threshold plus a
@@ -236,7 +254,12 @@ type LogShadow struct {
 	mHi    float64 // exp(dscale · M/2): break/make threshold² ratio, halved
 	radius float64 // max d_break over the clamped shadow range
 
-	linked map[EdgeKey]struct{} // pairs up as of the last finished build
+	// lower[j] and upper[j] bound the thresholds of every draw z at or
+	// above, respectively at or below, node j (see up). With σ = 0
+	// each holds the one exact threshold pair.
+	lower, upper []shadowBound
+
+	linked []EdgeKey // pairs up as of the last finished build, ascending
 }
 
 // NewLogShadow builds the lossy link model. rtx is the nominal radius
@@ -261,7 +284,43 @@ func NewLogShadow(rtx, eta, sigmaDB, marginDB float64, seed uint64) *LogShadow {
 	}
 	m.mHi = math.Exp(m.dscale * marginDB / 2)
 	m.radius = rtx * math.Pow(10, (3*sigmaDB+marginDB/2)/(10*eta))
+	m.buildTable()
 	return m
+}
+
+// buildTable fills the threshold bounds. With σ = 0 the offset is ±0,
+// so the one node is the predicate's own arithmetic and exact. Otherwise
+// node j sits at z_j = j/shadowSteps − shadowClamp; its thresholds are
+// computed as the predicate computes them, then moved outward by
+// shadowSlack and one ulp. If any node's Exp or threshold leaves the
+// normal float range, relative error bounds no longer hold and every
+// node is made undecidable, so each pair takes the exact path.
+func (m *LogShadow) buildTable() {
+	if m.sigma <= 0 {
+		e := shadowBound{mk: m.rtx2 / m.mHi, br: m.rtx2 * m.mHi}
+		m.lower, m.upper = []shadowBound{e}, []shadowBound{e}
+		return
+	}
+	normal := func(x float64) bool { return x >= 0x1p-1000 && x <= 0x1p1000 }
+	m.lower = make([]shadowBound, shadowNodes)
+	m.upper = make([]shadowBound, shadowNodes)
+	ok := true
+	for j := range m.lower {
+		z := float64(j)/shadowSteps - shadowClamp
+		ex := math.Exp(m.dscale * (z * m.sigma))
+		e := m.rtx2 * ex
+		mk, br := e/m.mHi, e*m.mHi
+		ok = ok && normal(ex) && normal(mk) && normal(br)
+		down, up := 1-shadowSlack, 1+shadowSlack
+		m.lower[j] = shadowBound{math.Nextafter(mk*down, 0), math.Nextafter(br*down, 0)}
+		m.upper[j] = shadowBound{math.Nextafter(mk*up, math.Inf(1)), math.Nextafter(br*up, math.Inf(1))}
+	}
+	if !ok {
+		for j := range m.lower {
+			m.lower[j] = shadowBound{-1, -1}
+			m.upper[j] = shadowBound{math.Inf(1), math.Inf(1)}
+		}
+	}
 }
 
 // Name returns "logshadow".
@@ -279,41 +338,104 @@ func (m *LogShadow) Radius() float64 { return m.radius }
 func (m *LogShadow) shadow(k EdgeKey) float64 {
 	s := rng.NewLocal(m.seed ^ uint64(k)*shadowGamma)
 	x := s.Norm()
-	if x > 3 {
-		x = 3
-	} else if x < -3 {
-		x = -3
+	if x > shadowClamp {
+		x = shadowClamp
+	} else if x < -shadowClamp {
+		x = -shadowClamp
 	}
 	return x * m.sigma
 }
 
-// pairUp evaluates the hysteresis predicate for one candidate pair
-// against the state frozen at the last build. Safe for concurrent
-// calls: it only reads.
-func (m *LogShadow) pairUp(pa, pb geom.Vec, k EdgeKey) bool {
-	d2 := pa.Dist2(pb)
-	e := m.rtx2 * math.Exp(m.dscale*m.shadow(k))
-	if _, up := m.linked[k]; up {
-		return d2 <= e*m.mHi // break threshold²
+// shadowNode returns the table node at or below the clamped draw z.
+func shadowNode(z float64) int {
+	if z > shadowClamp {
+		z = shadowClamp
+	} else if z < -shadowClamp {
+		z = -shadowClamp
 	}
-	return d2 <= e/m.mHi // make threshold²
+	return int((z + shadowClamp) * shadowSteps)
+}
+
+// shadowRange returns table nodes lo < hi that bracket the clamped draw
+// z = u·√(−2 ln r / r) that rng.Source.Norm makes of the polar point
+// (u, ·, r), without the log: on (0, 1) the log-mean inequalities give
+// 2(1−r)/(1+r) ≤ −ln r ≤ (1−r)/√r.
+func shadowRange(u, r float64) (lo, hi int) {
+	w := 1 - r
+	fLo := math.Sqrt(4 * w / (r * (1 + r)))
+	fHi := math.Sqrt(2 * w / (r * math.Sqrt(r)))
+	zLo, zHi := u*fLo, u*fHi
+	if u < 0 {
+		zLo, zHi = zHi, zLo
+	}
+	return shadowNode(zLo), shadowNode(zHi) + 1
+}
+
+// up evaluates the hysteresis predicate for one candidate pair at
+// squared distance d2 against the state frozen at the last build,
+// exactly as upExact does. Most pairs are settled from bounds on the
+// pair's threshold, which only need the two uniforms of its draw:
+// beyond every break threshold the bounds allow, the pair is down;
+// inside every make threshold, it is up; otherwise the state is read
+// and d2 tested against that state's bound. Only a pair that is still
+// undecided pays for the log, the exp and the exact compare. Safe for
+// concurrent calls: it only reads.
+func (m *LogShadow) up(d2 float64, k EdgeKey) bool {
+	lo, hi := 0, 0
+	if m.sigma > 0 {
+		s := rng.NewLocal(m.seed ^ uint64(k)*shadowGamma)
+		u, _, r := s.Polar()
+		lo, hi = shadowRange(u, r)
+	}
+	if d2 > m.upper[hi].br {
+		return false
+	}
+	if d2 <= m.lower[lo].mk {
+		return true
+	}
+	linked := m.isLinked(k)
+	if linked {
+		if d2 <= m.lower[lo].br {
+			return true
+		}
+	} else if d2 > m.upper[hi].mk {
+		return false
+	}
+	return m.upExact(d2, k, linked)
+}
+
+// upExact is the plain hysteresis predicate: the pair's d² threshold
+// for the given state, compared with d2.
+func (m *LogShadow) upExact(d2 float64, k EdgeKey, linked bool) bool {
+	t := m.exact(k)
+	if linked {
+		return d2 <= t.br
+	}
+	return d2 <= t.mk
+}
+
+// exact returns the pair's make and break d² thresholds from its full
+// shadow draw.
+func (m *LogShadow) exact(k EdgeKey) shadowBound {
+	e := m.rtx2 * math.Exp(m.dscale*m.shadow(k))
+	return shadowBound{mk: e / m.mHi, br: e * m.mHi}
+}
+
+// isLinked reports whether k was up at the last finished build.
+func (m *LogShadow) isLinked(k EdgeKey) bool {
+	_, ok := slices.BinarySearch(m.linked, k)
+	return ok
 }
 
 // BuildInto rebuilds the lossy graph (serial or sharded) and then
-// refreshes the hysteresis state from the finished edge set.
+// refreshes the hysteresis state from the finished edge set, whose
+// store is already in key order.
 func (m *LogShadow) BuildInto(g *Graph, n int, pos []geom.Vec, idx *spatial.Grid, p *par.Pool, sc *BuildScratch) *Graph {
 	keep := func(a, b int) bool {
-		return m.pairUp(pos[a], pos[b], MakeEdgeKey(a, b))
+		return m.up(pos[a].Dist2(pos[b]), MakeEdgeKey(a, b))
 	}
 	g = buildLinksIntoPar(g, n, pos, m.radius, idx, p, sc, keep)
-	if m.linked == nil {
-		m.linked = make(map[EdgeKey]struct{}, len(g.bulk))
-	} else {
-		clear(m.linked)
-	}
-	for _, k := range g.bulk {
-		m.linked[k] = struct{}{}
-	}
+	m.linked = append(m.linked[:0], g.bulk...)
 	return g
 }
 
@@ -329,8 +451,7 @@ func (m *LogShadow) Thresholds(a, b int) (dMake, dBreak float64) {
 // Linked reports the pair's hysteresis state as of the last build, for
 // tests and diagnostics.
 func (m *LogShadow) Linked(a, b int) bool {
-	_, ok := m.linked[MakeEdgeKey(a, b)]
-	return ok
+	return m.isLinked(MakeEdgeKey(a, b))
 }
 
 // compile-time interface checks

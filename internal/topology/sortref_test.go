@@ -123,15 +123,13 @@ func TestLinkBuildMatchesSortReference(t *testing.T) {
 				graphsIdentical(t, want, udSpare[i])
 			}
 
-			// The reference reads ref's state frozen at the last build,
-			// then refreshes it from its own edge store, as BuildInto does.
+			// The reference applies the exact predicate to ref's state
+			// frozen at the last build, then refreshes that state from
+			// its own edge store, as BuildInto does.
 			want = refBuildLinks(n, pos, ref.Radius(), lsIdx, func(a, b int) bool {
-				return ref.pairUp(pos[a], pos[b], MakeEdgeKey(a, b))
+				return ref.upExact(pos[a].Dist2(pos[b]), MakeEdgeKey(a, b), ref.Linked(a, b))
 			})
-			ref.linked = map[EdgeKey]struct{}{}
-			for _, k := range want.bulk {
-				ref.linked[k] = struct{}{}
-			}
+			ref.linked = append(ref.linked[:0], want.bulk...)
 			for i := range workers {
 				graphsIdentical(t, want, fresh[i].BuildInto(nil, n, pos, lsIdx, pools[i], nil))
 				lsSpare[i] = reuse[i].BuildInto(lsSpare[i], n, pos, lsIdx, pools[i], &lsScr[i])
