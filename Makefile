@@ -24,7 +24,9 @@ race:
 # Multi-core determinism gate: the serial-vs-parallel equivalence
 # suites of the two parallel tick phases (link build, LM update) and of
 # whole runs, and a one-iteration smoke of the /par tick benchmarks,
-# GOMAXPROCS pinned so the worker pool actually fans out.
+# GOMAXPROCS pinned so the worker pool actually fans out. PAR_EQUIV is
+# the only copy of the test list: CI's multicore job and
+# scripts/check.sh both run this target.
 PAR_EQUIV = ^(TestParallelMatchesSerial|TestUpdateTableParMatchesSerial|TestUpdateTableParReuse|TestUpdateWorkCounts|TestBuildUnitDiskParMatchesSerial|TestLogShadowParMatchesSerial|TestLinkBuildMatchesSortReference)$$
 multicore:
 	GOMAXPROCS=4 go test -run '$(PAR_EQUIV)' -count=1 ./internal/simnet ./internal/lm ./internal/topology

@@ -4,14 +4,14 @@ import "repro/internal/topology"
 
 // MaintainInput is one tick's input to OracleMaintainer.Maintain: the
 // fresh level-0 graph, the covered (giant-component) node set, and the
-// previous snapshot the new one evolves from. Its field set goes with
-// the bench/ replica (ROADMAP item 6).
+// previous snapshot the new one evolves from.
 type MaintainInput struct {
 	// G0 is the current level-0 graph (full ID space).
 	G0 *topology.Graph
 	// PrevG0 is the previous tick's level-0 graph; nil on the first
-	// build. Unused by the build; kept for the bench/ replica
-	// (ROADMAP item 6).
+	// build. Nothing reads it: the field stays only because the
+	// bench/ replica, frozen with the benchmark, sets it (ROADMAP
+	// item 6).
 	PrevG0 *topology.Graph
 	// Nodes is the sorted giant-component node set to cover.
 	Nodes []int
@@ -22,8 +22,9 @@ type MaintainInput struct {
 	Now float64
 }
 
-// DirtyClusters is an empty placeholder kept for the bench/ replica
-// (ROADMAP item 6).
+// DirtyClusters is an empty placeholder. It stays only because the
+// bench/ replica, frozen with the benchmark, passes it to
+// lm.Selector.UpdateTableIntoPar (ROADMAP item 6).
 type DirtyClusters struct{}
 
 // OracleMaintainer produces the tick-t hierarchy snapshot from the
@@ -56,6 +57,6 @@ func (m *OracleMaintainer) Retire(h *Hierarchy, ids *Identities) {
 	m.arena.Recycle(h, ids)
 }
 
-// DirtyClusters returns nil; kept for the bench/ replica (ROADMAP
-// item 6).
+// DirtyClusters returns nil. It stays only because the bench/
+// replica, frozen with the benchmark, calls it (ROADMAP item 6).
 func (m *OracleMaintainer) DirtyClusters() *DirtyClusters { return nil }

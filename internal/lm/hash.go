@@ -83,6 +83,11 @@ func (r Rendezvous) weight(prefix, key uint64) uint64 {
 // applying this rule directly to CHLM's small, clustered candidate
 // sets concentrates load ("a disproportionately large number of nodes
 // ... selecting 45"); ablation A3 measures that skew.
+//
+// Keys equal modulo IDSpace tie, and the first in the list wins. The
+// table update reuses a stored winner wherever a cluster's key set is
+// unchanged, so when a tie meets reordered members its table can
+// differ from a fresh BuildTable.
 type Successor struct {
 	IDSpace int
 }

@@ -1,6 +1,7 @@
 package lm
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -238,19 +239,32 @@ func TestServerLoadIsLogarithmic(t *testing.T) {
 	}
 }
 
+// TestUpdateTableMatchesBuildTable: the incremental update must be
+// exactly equivalent to a full rebuild, across a sequence of perturbed
+// topologies, for both hash families (Successor breaks distance ties
+// by position) and both namings (under Passthrough a logical ID is a
+// head ID, so it repeats across levels).
 func TestUpdateTableMatchesBuildTable(t *testing.T) {
-	// The incremental dirty-subtree update must be exactly equivalent
-	// to a full rebuild, across a sequence of perturbed topologies with
-	// identity tracking.
 	const n = 140
+	for _, hash := range []HashFamily{Rendezvous{}, Successor{IDSpace: n}} {
+		for _, passthrough := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/passthrough=%v", hash.Name(), passthrough), func(t *testing.T) {
+				tr := cluster.NewIdentityTracker()
+				tr.Passthrough = passthrough
+				checkUpdateMatchesBuild(t, NewSelector(hash), tr, n)
+			})
+		}
+	}
+}
+
+func checkUpdateMatchesBuild(t *testing.T, s *Selector, tr *cluster.IdentityTracker, n int) {
+	t.Helper()
 	src := rng.New(4)
 	d := geom.Disc{R: 430}
 	pos := make([]geom.Vec, n)
 	for i := range pos {
 		pos[i] = d.Sample(src)
 	}
-	s := NewSelector(nil)
-	tr := cluster.NewIdentityTracker()
 	var prevH *cluster.Hierarchy
 	var prevIDs *cluster.Identities
 	var prevT *Table

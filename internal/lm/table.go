@@ -197,124 +197,22 @@ func memberKeys(h *cluster.Hierarchy, ids *cluster.Identities, level int, member
 	return appendMemberKeys(make([]uint64, 0, len(members)), ids, level, members)
 }
 
-// appendMemberKeys appends the hash keys of members to dst — the
-// allocation-free form used by the incremental update path.
+// appendMemberKeys appends the hash keys of members to dst, the
+// allocation-free form of memberKeys. Every cluster of a tracked
+// snapshot has a logical ID, so a member without one panics.
 func appendMemberKeys(dst []uint64, ids *cluster.Identities, level int, members []int) []uint64 {
 	for _, m := range members {
 		if level == 1 {
 			dst = append(dst, uint64(m))
 			continue
 		}
-		if id, ok := ids.Logical(level-1, m); ok {
-			dst = append(dst, id)
-		} else {
-			// Identity missing (should not happen for a tracked
-			// snapshot); degrade to the physical ID.
-			dst = append(dst, uint64(m))
+		id, ok := ids.Logical(level-1, m)
+		if !ok {
+			panic(fmt.Sprintf("lm: level-%d cluster %d has no logical ID", level-1, m))
 		}
+		dst = append(dst, id)
 	}
 	return dst
-}
-
-// serverForBuf is ServerFor with a caller-owned key buffer and no
-// intermediate allocations; it returns the server and the (possibly
-// grown) buffer, and counts its Selects into w.
-func (s *Selector) serverForBuf(
-	h *cluster.Hierarchy, ids *cluster.Identities, owner, k int, buf, path []uint64, w *hashWork,
-) (int, []uint64) {
-	cur := owner
-	for j := 0; j < k; j++ {
-		cur = h.Levels[j].MemberOf(cur)
-		if cur < 0 {
-			return -1, buf
-		}
-	}
-	return s.descendFrom(h, ids, owner, cur, k, buf, path, w)
-}
-
-// descendFrom runs the hash descent from the level-`level` cluster cur
-// down to a level-0 node, recording the winner key of every step into
-// path (nil = don't record).
-func (s *Selector) descendFrom(
-	h *cluster.Hierarchy, ids *cluster.Identities, owner, cur, level int, buf, path []uint64, w *hashWork,
-) (int, []uint64) {
-	j := 0
-	for ; level >= 1; level-- {
-		members := h.MembersAt(level, cur)
-		if len(members) == 0 {
-			// Structurally impossible in a valid hierarchy; fail loud.
-			panic(fmt.Sprintf("lm: level-%d cluster %d has no members", level, cur))
-		}
-		buf = appendMemberKeys(buf[:0], ids, level, members)
-		w.count(buf)
-		idx := s.Hash.Select(uint64(owner), level, buf)
-		if path != nil {
-			path[j] = buf[idx]
-		}
-		j++
-		cur = members[idx]
-	}
-	return cur, buf
-}
-
-// serverForBufIncr resolves owner's level-k server like serverForBuf,
-// but re-traces the previous tick's hash descent (stored, the owner's
-// previous path column) instead of paying for a full one. The caller
-// guarantees the owner's logical level-k ancestor anc is unchanged
-// (same chain entry) yet subtree-dirty. At each step, a cluster whose
-// member-key set is unchanged ("own-clean") selects the same winner
-// key as last tick — both hash families pick by key, not position —
-// so the stored winner stands without hashing; an own-dirty cluster
-// pays one Select over its cached key span. While the re-trace agrees
-// with the stored path, the first sub-clean cluster proves the
-// remaining descent identical and prevSrv stands; after the first
-// divergent winner the stored path no longer applies and every
-// remaining step pays its Select. The new path is written to pathDst
-// (len k). rev/revKeys are the buildRev index; a key missing from it
-// (an untracked identity) aborts the re-trace into a full recompute.
-// Selects are counted into w.
-func (s *Selector) serverForBufIncr(
-	h *cluster.Hierarchy, ids *cluster.Identities, owner, k, prevSrv int,
-	anc uint64, stored, pathDst []uint64,
-	rev []map[uint64]revEntry, revKeys []uint64, buf []uint64, w *hashWork,
-) (int, []uint64) {
-	q := anc
-	tracking := true
-	for level := k; level >= 1; level-- {
-		j := k - level
-		if level >= len(rev) {
-			return s.serverForBuf(h, ids, owner, k, buf, pathDst, w)
-		}
-		e, ok := rev[level][q]
-		if !ok {
-			return s.serverForBuf(h, ids, owner, k, buf, pathDst, w)
-		}
-		if tracking {
-			if !e.sub {
-				// Same path so far and nothing at or below q changed:
-				// the previous descent stands in full.
-				copy(pathDst[j:], stored[j:])
-				return prevSrv, buf
-			}
-			if !e.own {
-				// Same member keys, same hash: last tick's winner.
-				wk := stored[j]
-				pathDst[j] = wk
-				q = wk
-				continue
-			}
-		}
-		keys := revKeys[e.start:e.end]
-		w.count(keys)
-		idx := s.Hash.Select(uint64(owner), level, keys)
-		wk := keys[idx]
-		pathDst[j] = wk
-		if tracking && wk != stored[j] {
-			tracking = false
-		}
-		q = wk
-	}
-	return int(q), buf
 }
 
 // BuildTable computes the full assignment table for h: the update
@@ -338,32 +236,15 @@ func (s *Selector) UpdateTable(
 }
 
 // UpdateScratch holds the reusable buffers of UpdateTableIntoPar: the
-// dirty-subtree sets, member-key comparison maps and their flat
-// backings, and the hash-descent key buffer. Not safe for concurrent
-// use.
+// cluster index and the serial row fill's buffers. Not safe for
+// concurrent use.
 type UpdateScratch struct {
-	dirty          dirtySet
-	own            dirtySet
-	pm, nm         map[uint64][]uint64
-	pmBack, nmBack []uint64
-	spans          []keySpan
-	idsBuf         []uint64
-	keyBuf         []uint64
-	rowEnd         []int
-
-	// Logical ID -> head of one level of the previous and next
-	// snapshot, refilled for each level dirtySubtrees propagates from.
-	prevHead, nextHead map[uint64]int
+	ix     clusterIndex
+	anc    []int
+	rowEnd []int
 
 	// The last update's hash work (see Work).
 	work hashWork
-
-	// Per-tick reverse identity index (buildRev): for each level, live
-	// logical ID -> cached member-key span into revKeys plus the
-	// cluster's own/sub dirtiness, so each descent re-trace step costs
-	// one map lookup and own-dirty Selects hash over prebuilt keys.
-	rev     []map[uint64]revEntry
-	revKeys []uint64
 }
 
 // Work returns the hash work of the last update that used sc: the
@@ -384,23 +265,176 @@ func (w *hashWork) count(keys []uint64) {
 	w.hashes += len(keys)
 }
 
-type keySpan struct {
-	id         uint64
-	start, end int
+// clusterIndex is one update's index over the next snapshot's
+// clusters, dense per level by head ID like cluster.Identities: the
+// level-k cluster headed by c is levels[k][c] (levels[0] is unused).
+// Only the entries of the level's heads are written, and only those
+// are read. Each entry spans the cluster's member hash keys, in member
+// order, and its physical members in the parallel members slice, so a
+// descent step reads one span and never the hierarchy.
+type clusterIndex struct {
+	levels  [][]clusterEnt
+	ents    []clusterEnt // backing of levels
+	keys    []uint64
+	members []int32
+
+	// Logical ID -> head of one level of the previous snapshot,
+	// refilled for each level build pairs (empty without one).
+	prevOf map[uint64]int32
 }
 
-// revEntry is one buildRev index entry: the cluster's member-key span
-// within UpdateScratch.revKeys and its dirtiness classification (own =
-// member-key set changed; sub = any change in the subtree).
-type revEntry struct {
+// clusterEnt is one cluster's index entry: its span in keys and
+// members, the head of the previous snapshot's cluster with the same
+// logical ID (-1 if none), and its dirtiness. A cluster is own-dirty
+// when its member-key set differs from that previous cluster's, or
+// there is none; sub-dirty when it is own-dirty or has a sub-dirty
+// member.
+type clusterEnt struct {
 	start, end int32
+	prev       int32
 	own, sub   bool
+}
+
+// build indexes the clusters of h and classifies each against the
+// previous snapshot prevH; with a nil prevH every cluster is own- and
+// sub-dirty, as is any cluster without a logical ID (no descent
+// reaches one: a row's chain ends below it, and it is nobody's
+// member).
+//
+// Prev and next clusters are paired by logical ID, once per cluster.
+// The key-set test needs no previous keys: a member's key names its
+// counterpart one level down (the node itself at level 1, the paired
+// cluster above), and logical IDs are unique per level, so the sets
+// are equal exactly when the previous cluster has as many members and
+// holds every counterpart.
+//
+// Sub-dirtiness is propagated bottom-up through the next snapshot's
+// parents only. Propagating through the previous snapshot's parents as
+// well would mark nothing more on a next cluster: a previous member of
+// an own-clean cluster is also one of its next members, because the
+// key sets are equal.
+func (ix *clusterIndex) build(
+	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
+	h *cluster.Hierarchy, ids *cluster.Identities,
+) {
+	L, n, size := h.L(), 0, 0
+	if nodes := h.LevelNodes(0); len(nodes) > 0 {
+		n = nodes[len(nodes)-1] + 1
+	}
+	for k := 1; k <= L; k++ {
+		size += len(h.LevelNodes(k - 1))
+	}
+	ix.ents = slices.Grow(ix.ents[:0], L*n)[:L*n]
+	ix.levels = slices.Grow(ix.levels[:0], L+1)[:L+1]
+	for k := 1; k <= L; k++ {
+		ix.levels[k] = ix.ents[(k-1)*n : k*n]
+	}
+	ix.keys = slices.Grow(ix.keys[:0], size)
+	ix.members = slices.Grow(ix.members[:0], size)
+	for k := 1; k <= L; k++ {
+		clear(ix.prevOf)
+		if prevH != nil && k <= prevH.L() {
+			if ix.prevOf == nil {
+				ix.prevOf = map[uint64]int32{}
+			}
+			for _, p := range prevH.LevelNodes(k) {
+				if id, ok := prevIDs.Logical(k, p); ok {
+					ix.prevOf[id] = int32(p)
+				}
+			}
+		}
+		lv, below := ix.levels[k], ix.levels[k-1]
+		for _, c := range h.LevelNodes(k) {
+			e := clusterEnt{start: int32(len(ix.keys)), prev: -1, own: true, sub: true}
+			q, tracked := ids.Logical(k, c)
+			if tracked {
+				members := h.MembersAt(k, c)
+				if len(members) == 0 {
+					// Structurally impossible in a valid hierarchy; fail loud.
+					panic(fmt.Sprintf("lm: level-%d cluster %d has no members", k, c))
+				}
+				ix.keys = appendMemberKeys(ix.keys, ids, k, members)
+				for _, m := range members {
+					ix.members = append(ix.members, int32(m))
+				}
+				if p, ok := ix.prevOf[q]; ok {
+					e.prev = p
+					e.own = !keptMembers(prevH.Levels[k-1], k, int(p), members, below)
+				}
+				e.sub = e.own
+				if k > 1 {
+					for _, m := range members {
+						e.sub = e.sub || below[m].sub
+					}
+				}
+			}
+			e.end = int32(len(ix.keys))
+			lv[c] = e
+		}
+	}
+}
+
+// keptMembers reports whether the previous level-k cluster p, whose
+// members' election data is pl, has exactly the member keys of the
+// next cluster with the given members: as many members, each next
+// member's previous counterpart in p.
+func keptMembers(pl *cluster.Level, k, p int, members []int, below []clusterEnt) bool {
+	if len(pl.MembersOf(p)) != len(members) {
+		return false
+	}
+	for _, m := range members {
+		if k > 1 {
+			m = int(below[m].prev)
+		}
+		if pl.MemberOf(m) != p {
+			return false
+		}
+	}
+	return true
+}
+
+// descend resolves owner's level-k server by the hash descent from its
+// level-k cluster c down to a level-0 node (§3.2), writing the winner
+// key of every step to col (len k, levels k..1; the last is the
+// server). stored is the entry's previous column when its logical
+// level-k ancestor is unchanged, or nil for a full descent. While the
+// descent still follows stored, a sub-clean cluster proves the rest of
+// the path, server included, unchanged, and an own-clean one keeps its
+// stored winner without hashing: its key set is unchanged, so the
+// winner is in its span, and Rendezvous picks by key alone. (Successor
+// breaks distance ties by position, so it can pick another key when
+// the members were reordered; see Successor.) Every other step pays
+// one Select over the cluster's key span, counted into w, and a winner
+// that differs from stored ends the reuse.
+func (s *Selector) descend(ix *clusterIndex, owner, c, k int, stored, col []uint64, w *hashWork) int {
+	for level := k; level >= 1; level-- {
+		j := k - level
+		e := ix.levels[level][c]
+		keys := ix.keys[e.start:e.end]
+		var idx int
+		switch {
+		case stored != nil && !e.sub:
+			copy(col[j:], stored[j:])
+			return int(stored[k-1])
+		case stored != nil && !e.own:
+			idx = slices.Index(keys, stored[j])
+		default:
+			w.count(keys)
+			idx = s.Hash.Select(uint64(owner), level, keys)
+			if stored != nil && keys[idx] != stored[j] {
+				stored = nil
+			}
+		}
+		col[j] = keys[idx]
+		c = int(ix.members[int(e.start)+idx])
+	}
+	return c
 }
 
 // UpdateTableIntoPar is UpdateTable with caller-owned storage, its
 // owner rows fanned out over pool p: dst (nil = allocate fresh) is
 // overwritten in place, its rows packed into flat backing arrays; sc
-// (nil = allocate fresh) supplies the interior scratch and psc (nil =
+// (nil = allocate fresh) supplies the cluster index and psc (nil =
 // allocate fresh) the per-shard buffers. dst must not alias prev and
 // must no longer be referenced by any consumer — in a double-buffered
 // loop, pass the table retired two ticks ago. A nil or single-worker
@@ -408,8 +442,8 @@ type revEntry struct {
 // own buffers and the shards are concatenated in order, so the result
 // is byte-identical either way. With a nil prev every row pays full
 // descents and prevH/prevIDs are not read: that is BuildTable. known
-// must be nil; the parameter is kept for the bench/ replica (ROADMAP
-// item 6).
+// must be nil; the parameter stays only because the bench/ replica,
+// which is frozen with the benchmark, passes it (ROADMAP item 6).
 func (s *Selector) UpdateTableIntoPar(
 	dst *Table, sc *UpdateScratch, psc *UpdateParScratch,
 	prev *Table,
@@ -430,15 +464,13 @@ func (s *Selector) UpdateTableIntoPar(
 	if sc == nil {
 		sc = &UpdateScratch{}
 	}
-	in := rowInputs{prev: prev, nextH: nextH, nextIDs: nextIDs}
-	if prev != nil {
-		// The dirty-subtree analysis is per cluster, not per row, and
-		// feeds every row read-only, so it stays serial. Only rows with
-		// a previous row read it.
-		in.dirty = sc.dirtySubtrees(prevH, prevIDs, nextH, nextIDs)
-		in.rev = sc.buildRev(nextH, nextIDs, in.dirty, sc.own)
-		in.revKeys = sc.revKeys
+	if prev == nil {
+		prevH = nil
 	}
+	// The index and its dirty analysis are per cluster, not per row,
+	// and feed every row read-only, so they stay serial.
+	sc.ix.build(prevH, prevIDs, nextH, nextIDs)
+	in := rowInputs{ix: &sc.ix, prev: prev, nextH: nextH, nextIDs: nextIDs}
 	owners := nextH.LevelNodes(0)
 	dst.setOwners(owners)
 	// Size the backings for the longest chains (one entry per level
@@ -452,11 +484,11 @@ func (s *Selector) UpdateTableIntoPar(
 	if p.Workers() == 1 {
 		b := rowBuf{
 			chain: dst.chainBack[:0], srv: dst.srvBack[:0], path: dst.pathBack[:0],
-			rowEnd: sc.rowEnd[:0], keyBuf: sc.keyBuf,
+			rowEnd: sc.rowEnd[:0], anc: sc.anc,
 		}
 		s.fillRows(&b, owners, in)
 		dst.chainBack, dst.srvBack, dst.pathBack = b.chain, b.srv, b.path
-		sc.rowEnd, sc.keyBuf, sc.work = b.rowEnd, b.keyBuf, b.work
+		sc.rowEnd, sc.anc, sc.work = b.rowEnd, b.anc, b.work
 	} else {
 		if psc == nil {
 			psc = &UpdateParScratch{}
@@ -482,304 +514,76 @@ func (s *Selector) UpdateTableIntoPar(
 }
 
 // rowInputs is the read-only state every owner row of an update
-// reads: the dirty sets and their reverse index (nil without a previous
-// table), the previous table, and the next snapshot.
+// reads: the cluster index, the previous table (nil for BuildTable),
+// and the next snapshot.
 type rowInputs struct {
-	dirty   dirtySet
-	rev     []map[uint64]revEntry
-	revKeys []uint64
+	ix      *clusterIndex
 	prev    *Table
 	nextH   *cluster.Hierarchy
 	nextIDs *cluster.Identities
 }
 
 // rowBuf receives packed table rows: the flat chain, server and path
-// backings, each row's end offset within chain, the hash-descent key
-// buffer, and the hash work done.
+// backings, each row's end offset within chain, the hash work done,
+// and the row's physical ancestors.
 type rowBuf struct {
 	chain  []uint64
 	srv    []int32
 	path   []uint64
 	rowEnd []int
-	keyBuf []uint64
 	work   hashWork
+	anc    []int
 }
 
 // fillRows appends the rows of owners to b. It only reads in, so
 // disjoint owner ranges may run concurrently, each into its own b.
 func (s *Selector) fillRows(b *rowBuf, owners []int, in rowInputs) {
+	b.anc = slices.Grow(b.anc[:0], in.nextH.L())
 	for _, v := range owners {
 		s.appendRow(b, v, in)
 	}
 }
 
-// buildRev fills sc.rev with per-level reverse identity indexes over
-// the next snapshot: logical cluster ID -> prebuilt member-key span
-// (into sc.revKeys) tagged with the cluster's own/sub dirtiness. The
-// descent re-trace then follows stored winner keys with one map lookup
-// per step and hashes over cached keys, never touching physical IDs.
-// O(total clusters + total members) per tick.
-func (sc *UpdateScratch) buildRev(
-	h *cluster.Hierarchy, ids *cluster.Identities, dirty, own dirtySet,
-) []map[uint64]revEntry {
-	L := h.L()
-	for len(sc.rev) <= L {
-		sc.rev = append(sc.rev, map[uint64]revEntry{})
-	}
-	rev := sc.rev[:L+1]
-	sc.revKeys = sc.revKeys[:0]
-	for k := 1; k <= L; k++ {
-		m := rev[k]
-		clear(m)
-		for _, c := range h.LevelNodes(k) {
-			q, ok := ids.Logical(k, c)
-			if !ok {
-				continue // untracked identity: re-traces reaching it fall back
-			}
-			start := len(sc.revKeys)
-			sc.revKeys = appendMemberKeys(sc.revKeys, ids, k, h.MembersAt(k, c))
-			if len(sc.revKeys) == start {
-				// Structurally impossible in a valid hierarchy; fail loud.
-				panic(fmt.Sprintf("lm: level-%d cluster %d has no members", k, c))
-			}
-			m[q] = revEntry{
-				start: int32(start), end: int32(len(sc.revKeys)),
-				own: own.is(k, q), sub: dirty.is(k, q),
-			}
-		}
-	}
-	return rev
-}
-
 // appendRow appends owner v's table row to b: its logical ancestor
-// chain, per-level servers, descent-path memo and row end. It reuses
-// prev's assignment wherever the logical ancestor is unchanged and its
-// subtree is clean, re-traces the previous descent (serverForBufIncr)
-// when the ancestor is unchanged but its subtree was touched, and runs
-// a full descent otherwise, counting its Selects into b.work. It only
-// reads in, so disjoint owner ranges may run concurrently as long as
-// each owns its b.
+// chain, per-level servers, descent-path memo and row end. One
+// ancestor walk yields the physical ancestors every descent starts
+// from and, up to the first without a logical ID, the logical chain.
+// An entry whose logical ancestor is unchanged descends along its
+// previous path; any other pays a full descent. It only reads in, so
+// disjoint owner ranges may run concurrently as long as each owns its
+// b.
 func (s *Selector) appendRow(b *rowBuf, v int, in rowInputs) {
+	b.anc = in.nextH.AppendAncestorChain(v, b.anc[:0])
 	start := len(b.chain)
-	b.chain = in.nextIDs.AppendChainOf(in.nextH, v, b.chain)
+	for i, a := range b.anc {
+		id, ok := in.nextIDs.Logical(i+1, a)
+		if !ok {
+			break
+		}
+		b.chain = append(b.chain, id)
+	}
 	chain := b.chain[start:]
 	n := len(chain)
 	pstart := len(b.path)
 	b.path = slices.Grow(b.path, pathOff(n+1))[:pstart+pathOff(n+1)]
 	paths := b.path[pstart:]
 	var prevChain, prevPath []uint64
-	var prevSrv []int32
 	if in.prev != nil {
 		if r := in.prev.row(v); r >= 0 {
-			prevChain, prevSrv, prevPath = in.prev.chains[r], in.prev.servers[r], in.prev.paths[r]
+			prevChain, prevPath = in.prev.chains[r], in.prev.paths[r]
 		}
 	}
 	for i, c := range chain {
 		k := i + 1
 		po := pathOff(k)
-		col := paths[po : po+k]
-		var srv int
-		switch {
-		case i >= len(prevChain) || prevChain[i] != c:
-			srv, b.keyBuf = s.serverForBuf(in.nextH, in.nextIDs, v, k, b.keyBuf, col, &b.work)
-		case !in.dirty.is(k, c):
-			srv = int(prevSrv[i])
-			copy(col, prevPath[po:po+k])
-		default:
-			srv, b.keyBuf = s.serverForBufIncr(in.nextH, in.nextIDs, v, k, int(prevSrv[i]), c,
-				prevPath[po:po+k], col, in.rev, in.revKeys, b.keyBuf, &b.work)
+		var stored []uint64
+		if i < len(prevChain) && prevChain[i] == c {
+			stored = prevPath[po : po+k]
 		}
-		if srv < 0 {
-			clear(col)
-		}
+		srv := s.descend(in.ix, v, b.anc[i], k, stored, paths[po:po+k], &b.work)
 		b.srv = append(b.srv, int32(srv))
 	}
 	b.rowEnd = append(b.rowEnd, len(b.chain))
-}
-
-// dirtySet tracks logical clusters whose subtree membership changed,
-// per level.
-type dirtySet []map[uint64]bool
-
-func (d dirtySet) is(k int, id uint64) bool {
-	if k < 0 || k >= len(d) {
-		return true // unknown level: be conservative
-	}
-	return d[k][id]
-}
-
-func (d dirtySet) mark(k int, id uint64) bool {
-	if k < 0 || k >= len(d) {
-		return false
-	}
-	if d[k][id] {
-		return false
-	}
-	d[k][id] = true
-	return true
-}
-
-// sized returns *d sized and cleared for maxL levels, growing *d when
-// it has fewer.
-func (d *dirtySet) sized(maxL int) dirtySet {
-	for len(*d) <= maxL {
-		*d = append(*d, map[uint64]bool{})
-	}
-	s := (*d)[:maxL+1]
-	for k := range s {
-		clear(s[k])
-	}
-	return s
-}
-
-// dirtySubtrees returns the logical clusters whose member-key sets
-// differ between the two snapshots (including clusters present in only
-// one), with dirtiness propagated to all ancestors in both snapshots.
-// The pre-propagation marks — the clusters whose own member-key set
-// changed — are recorded in sc.own as a byproduct. The returned set
-// aliases the scratch and is valid until its next call.
-func (sc *UpdateScratch) dirtySubtrees(
-	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
-	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
-) dirtySet {
-	maxL := prevH.L()
-	if nextH.L() > maxL {
-		maxL = nextH.L()
-	}
-	dirty := sc.dirty.sized(maxL)
-	own := sc.own.sized(maxL)
-	if sc.pm == nil {
-		sc.pm = map[uint64][]uint64{}
-		sc.nm = map[uint64][]uint64{}
-	}
-	for k := 1; k <= maxL; k++ {
-		var pm, nm map[uint64][]uint64
-		pm, sc.pmBack = fillMemberKeySets(sc.pm, sc.pmBack, &sc.spans, prevH, prevIDs, k)
-		nm, sc.nmBack = fillMemberKeySets(sc.nm, sc.nmBack, &sc.spans, nextH, nextIDs, k)
-		//lint:ignore maprange order-free set marking; dirty membership is the only outcome
-		for id, keys := range pm {
-			nk, ok := nm[id]
-			if !ok || !equalUints(keys, nk) {
-				dirty.mark(k, id)
-				own.mark(k, id)
-			}
-		}
-		//lint:ignore maprange order-free set marking; dirty membership is the only outcome
-		for id := range nm {
-			if _, ok := pm[id]; !ok {
-				dirty.mark(k, id)
-				own.mark(k, id)
-			}
-		}
-	}
-	// Propagate upward in both snapshots: a descent from an ancestor
-	// may pass through a dirty cluster. Snapshot the level's IDs in
-	// sorted order first — markAncestors mutates the dirty set while
-	// we walk it, and ranging over a map under mutation is unspecified.
-	if sc.prevHead == nil {
-		sc.prevHead = map[uint64]int{}
-		sc.nextHead = map[uint64]int{}
-	}
-	for k := 1; k <= maxL; k++ {
-		sc.idsBuf = sc.idsBuf[:0]
-		for id := range dirty[k] {
-			sc.idsBuf = append(sc.idsBuf, id)
-		}
-		if len(sc.idsBuf) == 0 {
-			continue
-		}
-		slices.Sort(sc.idsBuf)
-		prevHead := fillHeadIndex(sc.prevHead, prevH, prevIDs, k)
-		nextHead := fillHeadIndex(sc.nextHead, nextH, nextIDs, k)
-		for _, id := range sc.idsBuf {
-			if hd, ok := prevHead[id]; ok {
-				markAncestors(prevH, prevIDs, k, hd, dirty)
-			}
-			if hd, ok := nextHead[id]; ok {
-				markAncestors(nextH, nextIDs, k, hd, dirty)
-			}
-		}
-	}
-	return dirty
-}
-
-// fillHeadIndex fills idx (cleared first) with the logical ID -> head
-// map of h's level k. Should two heads carry one ID, the first in
-// LevelNodes order is kept, which is the head a scan of the level
-// finds first.
-func fillHeadIndex(idx map[uint64]int, h *cluster.Hierarchy, ids *cluster.Identities, k int) map[uint64]int {
-	clear(idx)
-	for _, hd := range h.LevelNodes(k) {
-		if id, ok := ids.Logical(k, hd); ok {
-			if _, dup := idx[id]; !dup {
-				idx[id] = hd
-			}
-		}
-	}
-	return idx
-}
-
-// fillMemberKeySets fills out (cleared first) with each live logical
-// level-k cluster's sorted member hash keys, packing the key slices
-// into the back array; it returns the map and the grown backing. The
-// views are fixed up only after the backing stops growing, so slice
-// growth cannot invalidate them.
-func fillMemberKeySets(
-	out map[uint64][]uint64, back []uint64, spans *[]keySpan,
-	h *cluster.Hierarchy, ids *cluster.Identities, k int,
-) (map[uint64][]uint64, []uint64) {
-	clear(out)
-	back = back[:0]
-	*spans = (*spans)[:0]
-	if k > h.L() {
-		return out, back
-	}
-	for _, head := range h.LevelNodes(k) {
-		id, ok := ids.Logical(k, head)
-		if !ok {
-			continue
-		}
-		start := len(back)
-		back = appendMemberKeys(back, ids, k, h.MembersAt(k, head))
-		slices.Sort(back[start:])
-		*spans = append(*spans, keySpan{id: id, start: start, end: len(back)})
-	}
-	for _, sp := range *spans {
-		out[sp.id] = back[sp.start:sp.end:sp.end]
-	}
-	return out, back
-}
-
-// markAncestors marks the ancestors of the level-k cluster headed by
-// head dirty, within one snapshot.
-func markAncestors(h *cluster.Hierarchy, ids *cluster.Identities, k, head int, dirty dirtySet) {
-	cur := head
-	for j := k; j < h.L(); j++ {
-		parent := h.Levels[j].MemberOf(cur)
-		if parent < 0 {
-			return
-		}
-		pid, ok := ids.Logical(j+1, parent)
-		if !ok {
-			return
-		}
-		if !dirty.mark(j+1, pid) {
-			return // already propagated through here
-		}
-		cur = parent
-	}
-}
-
-func equalUints(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TableDiff reports every (owner, level) assignment change between two

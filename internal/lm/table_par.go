@@ -3,9 +3,9 @@ package lm
 import "repro/internal/par"
 
 // Parallel table update. The owner rows are independent — each row
-// reads only the two snapshots, the (read-only) dirty set, and prev —
-// so they are sharded into contiguous owner ranges, each shard filling
-// its own rowBuf. The shard outputs are then concatenated in shard
+// reads only the next snapshot, the (read-only) cluster index, and
+// prev — so they are sharded into contiguous owner ranges, each shard
+// filling its own rowBuf. The shard outputs are then concatenated in shard
 // order, reproducing exactly the packing of a single-worker fill: same
 // owners, same index, same flat backings, same row views.
 

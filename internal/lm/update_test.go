@@ -9,11 +9,66 @@ import (
 	"repro/internal/par"
 )
 
-// propagateUp is the linear-scan reference for the propagation step of
-// dirtySubtrees: it finds the head carrying the logical ID by scanning
-// level k, then marks that cluster's ancestors dirty within one
-// snapshot.
-func propagateUp(h *cluster.Hierarchy, ids *cluster.Identities, k int, id uint64, dirty dirtySet) {
+// idSet is a per-level set of logical cluster IDs, the reference
+// analysis's own set type.
+type idSet []map[uint64]bool
+
+func newIDSet(levels int) idSet {
+	d := make(idSet, levels)
+	for k := range d {
+		d[k] = map[uint64]bool{}
+	}
+	return d
+}
+
+func (d idSet) mark(k int, id uint64) bool {
+	if d[k][id] {
+		return false
+	}
+	d[k][id] = true
+	return true
+}
+
+// keySets returns each live logical level-k cluster's sorted member
+// hash keys.
+func keySets(h *cluster.Hierarchy, ids *cluster.Identities, k int) map[uint64][]uint64 {
+	out := map[uint64][]uint64{}
+	for _, head := range h.LevelNodes(k) {
+		if id, ok := ids.Logical(k, head); ok {
+			keys := memberKeys(h, ids, k, h.MembersAt(k, head))
+			slices.Sort(keys)
+			out[id] = keys
+		}
+	}
+	return out
+}
+
+// scanOwnDirty is the reference own-dirty analysis: per level, the
+// logical IDs whose sorted member-key sets differ between the two
+// snapshots, including IDs present in only one.
+func scanOwnDirty(
+	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
+	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
+) idSet {
+	maxL := max(prevH.L(), nextH.L())
+	own := newIDSet(maxL + 1)
+	for k := 1; k <= maxL; k++ {
+		pm, nm := keySets(prevH, prevIDs, k), keySets(nextH, nextIDs, k)
+		for _, m := range []map[uint64][]uint64{pm, nm} {
+			for _, id := range sortedIDs(m) {
+				if !slices.Equal(pm[id], nm[id]) || pm[id] == nil || nm[id] == nil {
+					own.mark(k, id)
+				}
+			}
+		}
+	}
+	return own
+}
+
+// propagateUp is the linear-scan reference for the propagation step:
+// it finds the head carrying the logical ID by scanning level k, then
+// marks that cluster's ancestors dirty within one snapshot.
+func propagateUp(h *cluster.Hierarchy, ids *cluster.Identities, k int, id uint64, dirty idSet) {
 	head := -1
 	for _, hd := range h.LevelNodes(k) {
 		if lid, ok := ids.Logical(k, hd); ok && lid == id {
@@ -41,8 +96,8 @@ func propagateUp(h *cluster.Hierarchy, ids *cluster.Identities, k int, id uint64
 	}
 }
 
-// sortedIDs returns the IDs of a dirty-set level in ascending order.
-func sortedIDs(m map[uint64]bool) []uint64 {
+// sortedIDs returns the keys of a map in ascending order.
+func sortedIDs[V any](m map[uint64]V) []uint64 {
 	out := make([]uint64, 0, len(m))
 	for id := range m {
 		out = append(out, id)
@@ -51,14 +106,15 @@ func sortedIDs(m map[uint64]bool) []uint64 {
 	return out
 }
 
-// scanDirtySubtrees propagates the own-changed marks upward with the
-// linear-scan propagateUp, level by level in sorted ID order.
+// scanDirtySubtrees propagates the own-changed marks upward through
+// the parents in both snapshots with the linear-scan propagateUp,
+// level by level in sorted ID order.
 func scanDirtySubtrees(
-	own dirtySet,
+	own idSet,
 	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
 	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
-) dirtySet {
-	dirty := make(dirtySet, len(own))
+) idSet {
+	dirty := make(idSet, len(own))
 	for k := range own {
 		dirty[k] = maps.Clone(own[k])
 	}
@@ -71,12 +127,13 @@ func scanDirtySubtrees(
 	return dirty
 }
 
-// TestDirtySubtreesMatchesScan: the indexed head lookup must mark
-// exactly the clusters the linear scan marks, on random snapshot pairs
-// (consecutive ticks and pairs several ticks apart), with one scratch
-// reused across all of them.
+// TestDirtySubtreesMatchesScan: the cluster index must flag exactly
+// the next clusters the reference analysis marks, own-dirty by member
+// keys and sub-dirty by propagation through both snapshots, on random
+// snapshot pairs (consecutive ticks and pairs several ticks apart),
+// with one index reused across all of them.
 func TestDirtySubtreesMatchesScan(t *testing.T) {
-	var sc UpdateScratch
+	var ix clusterIndex
 	pairs, dirtyAbove := 0, 0
 	for _, n := range []int{12, 60, 150, 300} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -86,17 +143,20 @@ func TestDirtySubtreesMatchesScan(t *testing.T) {
 					if b <= a || b >= len(hs) {
 						continue
 					}
-					got := sc.dirtySubtrees(hs[a], ids[a], hs[b], ids[b])
-					// sc.own keeps the levels of earlier, deeper pairs.
-					own := sc.own[:len(got)]
+					ix.build(hs[a], ids[a], hs[b], ids[b])
+					own := scanOwnDirty(hs[a], ids[a], hs[b], ids[b])
 					want := scanDirtySubtrees(own, hs[a], ids[a], hs[b], ids[b])
-					for k := range want {
-						if !maps.Equal(got[k], want[k]) {
-							t.Fatalf("n=%d seed=%d (%d,%d) level %d: dirty %v, scan %v",
-								n, seed, a, b, k, sortedIDs(got[k]), sortedIDs(want[k]))
-						}
-						if k >= 2 && len(got[k]) > len(own[k]) {
-							dirtyAbove++
+					for k := 1; k <= hs[b].L(); k++ {
+						for _, c := range hs[b].LevelNodes(k) {
+							q, _ := ids[b].Logical(k, c)
+							e := ix.levels[k][c]
+							if e.own != own[k][q] || e.sub != want[k][q] {
+								t.Fatalf("n=%d seed=%d (%d,%d) level %d cluster %d: own/sub %v/%v, scan %v/%v",
+									n, seed, a, b, k, q, e.own, e.sub, own[k][q], want[k][q])
+							}
+							if k >= 2 && e.sub && !e.own {
+								dirtyAbove++
+							}
 						}
 					}
 					pairs++

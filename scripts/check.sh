@@ -55,9 +55,9 @@ else
 fi
 
 echo "== parallel equivalence (GOMAXPROCS=4)"
-GOMAXPROCS=4 go test -count=1 \
-    -run '^(TestParallelMatchesSerial|TestUpdateTableParMatchesSerial|TestUpdateTableParReuse|TestUpdateWorkCounts|TestBuildUnitDiskParMatchesSerial|TestLogShadowParMatchesSerial|TestLinkBuildMatchesSortReference)$' \
-    ./internal/simnet ./internal/lm ./internal/topology || fail=1
+# The Makefile's PAR_EQUIV holds the one copy of the test list; CI's
+# multicore job runs the same target.
+make -s multicore || fail=1
 
 echo "== model zoo (cross-model differential matrix, race)"
 # Mirrors the CI modelzoo job: the lossy link model passes the
