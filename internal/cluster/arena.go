@@ -23,31 +23,34 @@ type Arena struct {
 	hiers  []*Hierarchy
 	idents []*Identities
 
-	// Per-build scratch, indexed by level-0 node ID. prevLog[v] spans
-	// v's previous logical chain in chainBack and anc[v] is v's deepest
-	// known ancestor in the snapshot under construction (-1 when it has
-	// none). Each build writes the entries of its own level-0 nodes
-	// before reading any, so neither needs a reset.
+	// Per-build scratch, indexed by node ID. anc[v] and prevAnc[v] are
+	// level-0 node v's ancestor at the level being built, in the
+	// snapshot under construction and in the previous snapshot (-1 when
+	// it has none); each build writes the entries of its own level-0
+	// nodes before reading any, so neither needs a reset. At the level
+	// last matched, inherit[nh] is the previous head whose logical ID
+	// next head nh took and heir[ph] the reverse (-1 when none);
+	// inherited lists the next heads set, so the next level resets only
+	// those.
 	idSpace   int
-	prevLog   []chainSpan
-	chainBack []uint64
 	anc       []int32
-	electMaps []map[uint64]uint64
-	electUsed int
-	counts    map[matchPair]int
-	pairs     []matchPair
-	usedPrev  map[uint64]bool
-	carrier   map[uint64]int
+	prevAnc   []int32
+	inherit   []int32
+	heir      []int32
+	inherited []int32
+	pairs     []uint64
+	runs      []matchRun
 	headBuf   []int
 	edgeBuf   []topology.EdgeKey
 }
 
-// chainSpan locates one node's logical chain in Arena.chainBack.
-type chainSpan struct{ start, end int32 }
-
-type matchPair struct {
-	prev uint64
-	next int
+// matchRun is one (previous head, next head) pair of matchLevel with
+// the number of level-0 nodes it shares and the previous head's
+// logical ID.
+type matchRun struct {
+	count  int
+	prev   uint64
+	ph, nh int32
 }
 
 // NewArena returns an empty arena.
@@ -103,46 +106,68 @@ func (a *Arena) Recycle(h *Hierarchy, ids *Identities) {
 	}
 }
 
-// beginBuild resets the per-build scratch and sizes the node-indexed
-// scratch for IDs below idSpace.
-func (a *Arena) beginBuild(idSpace int) {
+// beginBuild sizes the node-indexed scratch for IDs below idSpace and
+// for the heads of prevH (nil-safe), and starts every level-0 node of
+// base at itself in both snapshots (at -1 in the previous one when
+// prevH or prevIDs is nil).
+func (a *Arena) beginBuild(idSpace int, base []int, prevH *Hierarchy, prevIDs *Identities) {
 	a.idSpace = idSpace
-	a.chainBack = a.chainBack[:0]
-	a.electUsed = 0
-	if len(a.prevLog) < idSpace {
-		a.prevLog = make([]chainSpan, idSpace)
+	if len(a.anc) < idSpace {
 		a.anc = make([]int32, idSpace)
+		a.prevAnc = make([]int32, idSpace)
 	}
-}
-
-// fillPrevLog records, for every level-0 node of the snapshot under
-// construction (base), its logical ancestor chain in the previous
-// snapshot (empty for nodes it did not cover).
-func (a *Arena) fillPrevLog(base []int, prevH *Hierarchy, prevIDs *Identities) {
+	n := idSpace
+	if prevH != nil {
+		n = max(n, prevH.idSpace())
+	}
+	a.inherit = growFilled(a.inherit, n, -1)
+	a.heir = growFilled(a.heir, n, -1)
+	tracked := prevH != nil && prevIDs != nil
 	for _, v := range base {
-		a.prevLog[v] = chainSpan{}
-	}
-	if prevH == nil || prevIDs == nil {
-		return
-	}
-	for _, v := range prevH.LevelNodes(0) {
-		if v >= len(a.prevLog) {
-			continue // outside the current ID space: never read
+		a.anc[v], a.prevAnc[v] = int32(v), -1
+		if tracked {
+			a.prevAnc[v] = int32(v)
 		}
-		start := len(a.chainBack)
-		a.chainBack = prevIDs.AppendChainOf(prevH, v, a.chainBack)
-		a.prevLog[v] = chainSpan{start: int32(start), end: int32(len(a.chainBack))}
 	}
 }
 
-// prevLogical returns the logical ID of v's level-k cluster in the
-// previous snapshot, as recorded by fillPrevLog.
-func (a *Arena) prevLogical(v, k int) (uint64, bool) {
-	sp := a.prevLog[v]
-	if int(sp.end-sp.start) < k {
-		return 0, false
+// advanceAnc moves every level-0 node's ancestors in a.anc and
+// a.prevAnc up through lvl's and prevLvl's elections (to -1 where the
+// level holds no cluster for it). prevLvl is read only for nodes with
+// a previous ancestor, so it may be nil when none has one.
+func (a *Arena) advanceAnc(base []int, lvl, prevLvl *Level) {
+	for _, v := range base {
+		if an := a.anc[v]; an >= 0 {
+			a.anc[v] = int32(lvl.MemberOf(int(an)))
+		}
+		if pa := a.prevAnc[v]; pa >= 0 {
+			a.prevAnc[v] = int32(prevLvl.MemberOf(int(pa)))
+		}
 	}
-	return a.chainBack[int(sp.start)+k-1], true
+}
+
+// inheritFrom records that next head nh took previous head ph's
+// logical ID at the level being matched.
+func (a *Arena) inheritFrom(nh, ph int) {
+	a.inherit[nh], a.heir[ph] = int32(ph), int32(nh)
+	a.inherited = append(a.inherited, int32(nh))
+}
+
+// resetInherit clears the entries inheritFrom set at the last level.
+func (a *Arena) resetInherit() {
+	for _, nh := range a.inherited {
+		a.heir[a.inherit[nh]], a.inherit[nh] = -1, -1
+	}
+	a.inherited = a.inherited[:0]
+}
+
+// heirOf returns the next head that took previous head ph's logical ID
+// at the level last matched, or -1.
+func (a *Arena) heirOf(ph int) int {
+	if uint(ph) >= uint(len(a.heir)) {
+		return -1
+	}
+	return int(a.heir[ph])
 }
 
 func (a *Arena) getHier() *Hierarchy {
@@ -212,22 +237,6 @@ func (a *Arena) getIDRow(n int) []uint64 {
 	return growFilled(row, n, noLogical)
 }
 
-func (a *Arena) getElectMap() map[uint64]uint64 {
-	if a == nil {
-		return map[uint64]uint64{}
-	}
-	if a.electUsed < len(a.electMaps) {
-		m := a.electMaps[a.electUsed]
-		a.electUsed++
-		clear(m)
-		return m
-	}
-	m := map[uint64]uint64{}
-	a.electMaps = append(a.electMaps, m)
-	a.electUsed++
-	return m
-}
-
 // getHeadBuf returns the reusable positional-heads buffer electors
 // append into; hand the (possibly grown) slice back via putHeadBuf.
 func (a *Arena) getHeadBuf() []int {
@@ -256,31 +265,4 @@ func (a *Arena) putEdgeBuf(s []topology.EdgeKey) {
 	if a != nil {
 		a.edgeBuf = s
 	}
-}
-
-func (a *Arena) getCarrier() map[uint64]int {
-	if a == nil {
-		return map[uint64]int{}
-	}
-	if a.carrier == nil {
-		a.carrier = map[uint64]int{}
-	} else {
-		clear(a.carrier)
-	}
-	return a.carrier
-}
-
-func (a *Arena) matchScratch() (map[matchPair]int, []matchPair, map[uint64]bool) {
-	if a == nil {
-		return map[matchPair]int{}, nil, map[uint64]bool{}
-	}
-	if a.counts == nil {
-		a.counts = map[matchPair]int{}
-		a.usedPrev = map[uint64]bool{}
-	} else {
-		clear(a.counts)
-		clear(a.usedPrev)
-	}
-	a.pairs = a.pairs[:0]
-	return a.counts, a.pairs, a.usedPrev
 }

@@ -93,7 +93,8 @@ func (l *Level) sizeElection(n int) {
 }
 
 // growFilled extends s to length n, filling new entries with absent;
-// the capacity beyond len(s) must already hold absent.
+// the capacity beyond len(s) must already hold absent, and so does the
+// capacity of a grown slice, which append may round up beyond n.
 func growFilled[T any](s []T, n int, absent T) []T {
 	if len(s) >= n {
 		return s
@@ -103,8 +104,9 @@ func growFilled[T any](s []T, n int, absent T) []T {
 	}
 	old := len(s)
 	s = append(s, make([]T, n-old)...)
-	for i := old; i < n; i++ {
-		s[i] = absent
+	full := s[:cap(s)]
+	for i := old; i < len(full); i++ {
+		full[i] = absent
 	}
 	return s
 }
@@ -163,9 +165,10 @@ func (h *Hierarchy) idSpace() int {
 	return n
 }
 
-// Level returns the level-k stratum, or nil when k is out of range.
+// Level returns the level-k stratum, or nil when k is out of range or
+// h is nil.
 func (h *Hierarchy) Level(k int) *Level {
-	if k < 0 || k >= len(h.Levels) {
+	if h == nil || k < 0 || k >= len(h.Levels) {
 		return nil
 	}
 	return h.Levels[k]

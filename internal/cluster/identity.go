@@ -1,7 +1,5 @@
 package cluster
 
-import "repro/internal/topology"
-
 // Cluster identity continuity.
 //
 // ALCA names a cluster after its current clusterhead, so a head change
@@ -74,47 +72,6 @@ func (ids *Identities) AppendChainOf(h *Hierarchy, v int, dst []uint64) []uint64
 	return dst
 }
 
-// LogicalEdge is an undirected level-k cluster adjacency in logical ID
-// space (A < B).
-type LogicalEdge struct {
-	A, B uint64
-}
-
-// LogicalEdges returns the level-k cluster adjacencies of h under ids
-// as a set. Used to measure g'_k free of relabeling artifacts.
-func LogicalEdges(h *Hierarchy, ids *Identities, k int) map[LogicalEdge]struct{} {
-	return LogicalEdgesInto(nil, h, ids, k)
-}
-
-// LogicalEdgesInto is LogicalEdges writing into dst (cleared first; nil
-// allocates), so steady-state callers can reuse the map across ticks.
-func LogicalEdgesInto(dst map[LogicalEdge]struct{}, h *Hierarchy, ids *Identities, k int) map[LogicalEdge]struct{} {
-	out := dst
-	if out == nil {
-		out = map[LogicalEdge]struct{}{}
-	} else {
-		clear(out)
-	}
-	lvl := h.Level(k)
-	if lvl == nil || k < 1 {
-		return out
-	}
-	// Set-to-set transform; the result is order-free.
-	lvl.Graph.ForEachEdge(func(e topology.EdgeKey) {
-		pa, pb := e.Nodes()
-		a, okA := ids.Logical(k, pa)
-		b, okB := ids.Logical(k, pb)
-		if !okA || !okB {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		out[LogicalEdge{A: a, B: b}] = struct{}{}
-	})
-	return out
-}
-
 // IdentityTracker allocates logical IDs and carries them between
 // snapshots.
 type IdentityTracker struct {
@@ -163,15 +120,11 @@ func (t *IdentityTracker) Track(prevH *Hierarchy, prevIDs *Identities, nextH *Hi
 	}
 	a := NewArena()
 	base := nextH.LevelNodes(0)
-	a.beginBuild(nextH.idSpace())
-	a.fillPrevLog(base, prevH, prevIDs)
-	for _, v := range base {
-		a.anc[v] = int32(v)
-	}
+	a.beginBuild(nextH.idSpace(), base, prevH, prevIDs)
 	ids := &Identities{}
 	for k := 1; k <= nextH.L(); k++ {
-		a.advanceAnc(base, nextH.Levels[k-1])
-		ids.byLevel = append(ids.byLevel, matchLevel(a, t, k, nextH.LevelNodes(k), base))
+		a.advanceAnc(base, nextH.Levels[k-1], prevH.Level(k-1))
+		ids.byLevel = append(ids.byLevel, matchLevel(a, t, k, nextH.LevelNodes(k), base, prevIDs))
 	}
 	return ids
 }

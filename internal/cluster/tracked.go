@@ -59,41 +59,13 @@ func BuildWithIdentitiesArena(
 		a = NewArena() // fresh storage, dropped with the build
 	}
 	idSpace := g0.IDSpace()
-	a.beginBuild(idSpace)
 	base := append(a.getInts(), nodes...)
 	slices.Sort(base)
-
-	// Previous logical chains per level-0 node, and previous elections
-	// in logical space: prevElect[k][logical_u] = logical head u
-	// elected at level k (k >= 1).
-	a.fillPrevLog(base, prevH, prevIDs)
-	prevElect := map[int]map[uint64]uint64{}
-	if prevH != nil && prevIDs != nil {
-		for k := 1; k <= prevH.L(); k++ {
-			lvl := prevH.Level(k)
-			if lvl == nil || !lvl.Elected() {
-				continue
-			}
-			m := a.getElectMap()
-			for _, u := range lvl.Nodes {
-				lu, okU := prevIDs.Logical(k, u)
-				lw, okW := prevIDs.Logical(k, lvl.HeadOf(u))
-				if okU && okW {
-					m[lu] = lw
-				}
-			}
-			prevElect[k] = m
-		}
-	}
+	a.beginBuild(idSpace, base, prevH, prevIDs)
 
 	h := a.getHier()
 	h.Reach = cfg.Reach
 	ids := a.getIdents()
-	// a.anc holds each level-0 node's deepest known ancestor; it is
-	// advanced one level per election round.
-	for _, v := range base {
-		a.anc[v] = int32(v)
-	}
 
 	curNodes := base
 	curGraph := g0
@@ -104,7 +76,7 @@ func BuildWithIdentitiesArena(
 
 		if k >= 1 {
 			// Identity-match the freshly formed level-k clusters.
-			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k, curNodes, base))
+			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k, curNodes, base, prevIDs))
 		}
 
 		if len(curNodes) <= 1 || k >= cfg.MaxLevels {
@@ -113,12 +85,12 @@ func BuildWithIdentitiesArena(
 		if cfg.ForceTopAt > 0 && k >= 1 && len(curNodes) <= cfg.ForceTopAt {
 			forceTop(h, lvl, idSpace, a)
 			// Identity for the forced top level.
-			a.advanceAnc(base, lvl)
-			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k+1, h.Levels[k+1].Nodes, base))
+			a.advanceAnc(base, lvl, prevH.Level(k))
+			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k+1, h.Levels[k+1].Nodes, base, prevIDs))
 			break
 		}
 
-		prevHead := buildPrevHead(a, k, curNodes, ids, prevH, prevElect)
+		prevHead := buildPrevHead(a, k, curNodes, prevH)
 		heads := a.getHeadBuf()
 		if se, ok := cfg.Elector.(StatefulElector); ok {
 			logicalOf := func(u int) uint64 {
@@ -146,36 +118,25 @@ func BuildWithIdentitiesArena(
 			a.putInts(nextNodes)
 			break
 		}
-		a.advanceAnc(base, lvl)
+		a.advanceAnc(base, lvl, prevH.Level(k))
 		curGraph = liftGraph(curGraph, lvl, nextNodes, idSpace, a)
 		curNodes = nextNodes
 	}
 	return h, ids
 }
 
-// advanceAnc moves every level-0 node's ancestor in a.anc up through
-// lvl's election (to -1 where lvl holds no cluster for it).
-func (a *Arena) advanceAnc(base []int, lvl *Level) {
-	for _, v := range base {
-		if an := a.anc[v]; an >= 0 {
-			a.anc[v] = int32(lvl.MemberOf(int(an)))
-		}
-	}
-}
-
 // buildPrevHead returns the elector-memory closure for level k: given
 // a level-k node (cluster), the current physical node that carries the
 // logical identity of the head it elected in the previous snapshot, or
-// -1 when there is none. The closure is valid only for the duration of
-// the level's election (it may capture arena scratch).
-func buildPrevHead(
-	a *Arena,
-	k int,
-	curNodes []int,
-	ids *Identities,
-	prevH *Hierarchy,
-	prevElect map[int]map[uint64]uint64,
-) func(int) int {
+// -1 when there is none. At k >= 1 that is the heir of the previous
+// head elected by u's own previous head, read off the level's matching
+// (a.inherit, a.heir), so the closure is valid only until the next
+// level is matched.
+func buildPrevHead(a *Arena, k int, curNodes []int, prevH *Hierarchy) func(int) int {
+	pl := prevH.Level(k)
+	if pl == nil || !pl.Elected() {
+		return func(int) int { return -1 }
+	}
 	if k == 0 {
 		// Level-0 identities are the node IDs themselves, but the nodes
 		// are only persistent while they remain covered: a previous head
@@ -183,12 +144,8 @@ func buildPrevHead(
 		// current carrier and must report -1, or a grace-period elector
 		// (DebouncedLCA) would keep electing the departed node and
 		// promote a head that is not a level-0 node at all.
-		if prevH == nil || prevH.Level(0) == nil || !prevH.Level(0).Elected() {
-			return func(int) int { return -1 }
-		}
-		pl0 := prevH.Level(0)
 		return func(u int) int {
-			if hd := pl0.HeadOf(u); hd >= 0 {
+			if hd := pl.HeadOf(u); hd >= 0 {
 				if _, live := slices.BinarySearch(curNodes, hd); live {
 					return hd
 				}
@@ -196,28 +153,12 @@ func buildPrevHead(
 			return -1
 		}
 	}
-	elect := prevElect[k]
-	if len(elect) == 0 {
-		return func(int) int { return -1 }
-	}
-	// Reverse map: logical level-k ID -> current physical node.
-	carrier := a.getCarrier()
-	for _, u := range curNodes {
-		if l, ok := ids.Logical(k, u); ok {
-			carrier[l] = u
-		}
-	}
 	return func(u int) int {
-		lu, ok := ids.Logical(k, u)
-		if !ok {
+		if uint(u) >= uint(len(a.inherit)) {
 			return -1
 		}
-		lw, ok := elect[lu]
-		if !ok {
-			return -1
-		}
-		if w, ok := carrier[lw]; ok {
-			return w
+		if ph := a.inherit[u]; ph >= 0 {
+			return a.heirOf(pl.HeadOf(int(ph)))
 		}
 		return -1
 	}
@@ -225,56 +166,67 @@ func buildPrevHead(
 
 // matchLevel assigns logical IDs to the level-k clusters of the
 // snapshot under construction by maximal level-0 overlap with the
-// previous snapshot's logical clusters (greedy, largest overlap first,
-// deterministic tie-breaks). Each level-0 node of base counts once,
-// pairing its previous level-k logical (a.prevLog) with its new
-// level-k ancestor (a.anc). Clusters inheriting no identity receive
-// fresh IDs from tr. The result row comes from the arena.
-func matchLevel(a *Arena, tr *IdentityTracker, k int, newHeads, base []int) []uint64 {
+// previous snapshot's clusters (greedy, largest overlap first, then
+// smaller previous logical ID, then smaller next head). Each level-0
+// node of base counts once, pairing its previous level-k head
+// (a.prevAnc) with its new one (a.anc); a logical ID belongs to one
+// head per level, so pairs of heads count exactly what pairs of
+// logical IDs would. Each match is recorded in a.inherit and a.heir.
+// Clusters inheriting no identity receive fresh IDs from tr. Under
+// Passthrough every head keeps its own ID and inherits from itself
+// when it headed a level-k cluster before. The result row comes from
+// the arena.
+func matchLevel(a *Arena, tr *IdentityTracker, k int, newHeads, base []int, prevIDs *Identities) []uint64 {
 	row := a.getIDRow(a.idSpace)
+	a.resetInherit()
 	if tr.Passthrough {
 		for _, h := range newHeads {
 			row[h] = uint64(h)
+			if _, ok := prevIDs.Logical(k, h); ok {
+				a.inheritFrom(h, h)
+			}
 		}
 		return row
 	}
-	counts, pairs, usedPrev := a.matchScratch()
+	keys := a.pairs[:0]
 	for _, v := range base {
-		nh := a.anc[v]
-		if nh < 0 {
-			continue
-		}
-		if q, ok := a.prevLogical(v, k); ok {
-			counts[matchPair{prev: q, next: int(nh)}]++
+		if ph, nh := a.prevAnc[v], a.anc[v]; ph >= 0 && nh >= 0 {
+			keys = append(keys, uint64(ph)<<32|uint64(nh))
 		}
 	}
-	for p := range counts {
-		pairs = append(pairs, p)
+	slices.Sort(keys)
+	runs := a.runs[:0]
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
+			j++
+		}
+		ph, nh := int32(keys[i]>>32), int32(uint32(keys[i]))
+		if q, ok := prevIDs.Logical(k, int(ph)); ok {
+			runs = append(runs, matchRun{count: j - i, prev: q, ph: ph, nh: nh})
+		}
+		i = j
 	}
-	slices.SortFunc(pairs, func(x, y matchPair) int {
-		cx, cy := counts[x], counts[y]
+	slices.SortFunc(runs, func(x, y matchRun) int {
 		switch {
-		case cx != cy:
-			if cx > cy {
-				return -1
-			}
-			return 1
+		case x.count != y.count:
+			return y.count - x.count
 		case x.prev != y.prev:
 			if x.prev < y.prev {
 				return -1
 			}
 			return 1
 		default:
-			return x.next - y.next
+			return int(x.nh - y.nh)
 		}
 	})
-	a.pairs = pairs // return grown capacity to the arena
-	for _, p := range pairs {
-		if usedPrev[p.prev] || row[p.next] != noLogical {
+	a.pairs, a.runs = keys, runs // return grown capacity to the arena
+	for _, r := range runs {
+		if a.heir[r.ph] >= 0 || row[r.nh] != noLogical {
 			continue
 		}
-		row[p.next] = p.prev
-		usedPrev[p.prev] = true
+		row[r.nh] = r.prev
+		a.inheritFrom(int(r.nh), int(r.ph))
 	}
 	for _, h := range newHeads {
 		if row[h] == noLogical {
