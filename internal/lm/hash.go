@@ -27,7 +27,9 @@ import (
 // the index of the winner.
 type HashFamily interface {
 	// Select returns the winning index in keys (which must be
-	// non-empty) for the given owner and level.
+	// non-empty) for the given owner and level. The winning key must
+	// depend on the key set alone, not on its order: the table update
+	// reuses a stored winner wherever a cluster's key set is unchanged.
 	Select(owner uint64, level int, keys []uint64) int
 	// Name identifies the family in reports.
 	Name() string
@@ -84,10 +86,10 @@ func (r Rendezvous) weight(prefix, key uint64) uint64 {
 // sets concentrates load ("a disproportionately large number of nodes
 // ... selecting 45"); ablation A3 measures that skew.
 //
-// Keys equal modulo IDSpace tie, and the first in the list wins. The
-// table update reuses a stored winner wherever a cluster's key set is
-// unchanged, so when a tie meets reordered members its table can
-// differ from a fresh BuildTable.
+// Keys equal modulo IDSpace tie, and the smaller key wins, so the
+// choice depends on the key set alone, not on its order. The table
+// update relies on that when it reuses a stored winner wherever a
+// cluster's key set is unchanged.
 type Successor struct {
 	IDSpace int
 }
@@ -108,7 +110,7 @@ func (s Successor) Select(owner uint64, level int, keys []uint64) int {
 	dist := func(k uint64) uint64 { return (k%m + m - owner%m - 1) % m }
 	bestD := dist(keys[0])
 	for i := 1; i < len(keys); i++ {
-		if d := dist(keys[i]); d < bestD {
+		if d := dist(keys[i]); d < bestD || d == bestD && keys[i] < keys[best] {
 			best, bestD = i, d
 		}
 	}

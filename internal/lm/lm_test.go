@@ -251,15 +251,29 @@ func TestUpdateTableMatchesBuildTable(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/passthrough=%v", hash.Name(), passthrough), func(t *testing.T) {
 				tr := cluster.NewIdentityTracker()
 				tr.Passthrough = passthrough
-				checkUpdateMatchesBuild(t, NewSelector(hash), tr, n)
+				checkUpdateMatchesBuild(t, NewSelector(hash), tr, n, 4, 25)
 			})
 		}
 	}
 }
 
-func checkUpdateMatchesBuild(t *testing.T, s *Selector, tr *cluster.IdentityTracker, n int) {
+// TestUpdateTableMatchesBuildTableSuccessorDrift runs the drift long
+// enough for tracked logical IDs to outgrow IDSpace, so keys tie under
+// Successor while clusters keep their key sets and reorder their
+// members. These seeds reached such a tie when Successor broke ties by
+// list position.
+func TestUpdateTableMatchesBuildTableSuccessorDrift(t *testing.T) {
+	const n = 140
+	for _, seed := range []uint64{1, 15, 19, 32} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			checkUpdateMatchesBuild(t, NewSelector(Successor{IDSpace: n}), cluster.NewIdentityTracker(), n, seed, 150)
+		})
+	}
+}
+
+func checkUpdateMatchesBuild(t *testing.T, s *Selector, tr *cluster.IdentityTracker, n int, seed uint64, steps int) {
 	t.Helper()
-	src := rng.New(4)
+	src := rng.New(seed)
 	d := geom.Disc{R: 430}
 	pos := make([]geom.Vec, n)
 	for i := range pos {
@@ -268,7 +282,7 @@ func checkUpdateMatchesBuild(t *testing.T, s *Selector, tr *cluster.IdentityTrac
 	var prevH *cluster.Hierarchy
 	var prevIDs *cluster.Identities
 	var prevT *Table
-	for step := 0; step < 25; step++ {
+	for step := 0; step < steps; step++ {
 		g := topology.BuildUnitDiskBrute(pos, 100)
 		h := cluster.Build(g, nodesUpTo(n), cluster.Config{}, nil)
 		var ids *cluster.Identities

@@ -401,9 +401,9 @@ func keptMembers(pl *cluster.Level, k, p int, members []int, below []clusterEnt)
 // descent still follows stored, a sub-clean cluster proves the rest of
 // the path, server included, unchanged, and an own-clean one keeps its
 // stored winner without hashing: its key set is unchanged, so the
-// winner is in its span, and Rendezvous picks by key alone. (Successor
-// breaks distance ties by position, so it can pick another key when
-// the members were reordered; see Successor.) Every other step pays
+// winner is in its span, and both hash families pick by the key set
+// alone, whatever the member order (Successor breaks distance ties
+// toward the smaller key). Every other step pays
 // one Select over the cluster's key span, counted into w, and a winner
 // that differs from stored ends the reuse.
 func (s *Selector) descend(ix *clusterIndex, owner, c, k int, stored, col []uint64, w *hashWork) int {
