@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -62,6 +63,39 @@ func TestQuickExperimentDigests(t *testing.T) {
 			t.Errorf("%s: no stored digest", e.ID)
 		} else if got[e.ID] != w {
 			t.Errorf("%s: quick output digest %s, stored %s", e.ID, got[e.ID], w)
+		}
+	}
+}
+
+// TestRecordHasEveryExperiment: the full-scale record
+// experiments_full.txt must hold one "===== <ID> — " section per
+// registered experiment and no section for an ID the runner does not
+// register. Whether the sections' figures match the code is the
+// nightly record gate's job, which reruns the full scale.
+func TestRecordHasEveryExperiment(t *testing.T) {
+	b, err := os.ReadFile("experiments_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	sections := map[string]int{}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "===== "); ok {
+			id, _, _ := strings.Cut(rest, " — ")
+			ids = append(ids, id)
+			sections[id]++
+		}
+	}
+	registered := map[string]bool{}
+	for _, e := range Experiments() {
+		registered[e.ID] = true
+		if n := sections[e.ID]; n != 1 {
+			t.Errorf("%s: %d sections in experiments_full.txt, want 1", e.ID, n)
+		}
+	}
+	for _, id := range ids {
+		if !registered[id] {
+			t.Errorf("experiments_full.txt has a section %q for no registered experiment", id)
 		}
 	}
 }

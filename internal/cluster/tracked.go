@@ -154,9 +154,6 @@ func buildPrevHead(a *Arena, k int, curNodes []int, prevH *Hierarchy) func(int) 
 		}
 	}
 	return func(u int) int {
-		if uint(u) >= uint(len(a.inherit)) {
-			return -1
-		}
 		if ph := a.inherit[u]; ph >= 0 {
 			return a.heirOf(pl.HeadOf(int(ph)))
 		}

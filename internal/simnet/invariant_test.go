@@ -8,14 +8,16 @@ import (
 	"repro/internal/simnet"
 )
 
-// runWithChecks runs cfg with CheckLevel=every-tick, collecting
-// violations instead of panicking, and returns them alongside the
-// registry snapshot.
+// runWithChecks runs cfg with its CheckLevel (every-tick when unset),
+// collecting violations instead of panicking, and returns them
+// alongside the registry snapshot.
 func runWithChecks(t *testing.T, cfg simnet.Config) ([]invariant.Violation, obs.Snapshot) {
 	t.Helper()
 	var violations []invariant.Violation
 	reg := obs.NewRegistry()
-	cfg.CheckLevel = invariant.LevelEveryTick
+	if cfg.CheckLevel == "" {
+		cfg.CheckLevel = invariant.LevelEveryTick
+	}
 	cfg.OnViolation = func(v invariant.Violation) {
 		if len(violations) < 8 {
 			violations = append(violations, v)
@@ -103,6 +105,41 @@ func TestInvariantsSampledMode(t *testing.T) {
 	}
 	if v := snap.Counters[obs.InvariantViolations]; v != 0 {
 		t.Errorf("sampled run found %d violations, want 0", v)
+	}
+}
+
+// TestInvariantsLargeNSampled runs sampled invariant checks beyond the
+// sizes the other scenarios use: the paper's waypoint/unit-disk setting
+// at N=4096 and N=8192, and Gauss-Markov motion over log-shadow links
+// with node churn at N=4096, each for 10 s of warmup and 20 s
+// measured.
+func TestInvariantsLargeNSampled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N >= 4096 runs; skipped under -short")
+	}
+	cases := []struct {
+		name string
+		cfg  simnet.Config
+	}{
+		{"waypoint-unitdisk/n4096", simnet.Config{N: 4096}},
+		{"waypoint-unitdisk/n8192", simnet.Config{N: 8192}},
+		{"gaussmarkov-logshadow-churn/n4096", simnet.Config{N: 4096,
+			Mobility: simnet.MobilityGaussMarkov, Link: simnet.LinkLogShadow,
+			ChurnRate: 60.0 / 3600}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Seed, cfg.Warmup, cfg.Duration = 1, 10, 20
+			cfg.CheckLevel = invariant.LevelSampled
+			violations, snap := runWithChecks(t, cfg)
+			for _, v := range violations {
+				t.Errorf("%v", v)
+			}
+			if got := snap.Counters[obs.InvariantTicksChecked]; got == 0 {
+				t.Fatal("checker never ran (ticks_checked = 0)")
+			}
+		})
 	}
 }
 
