@@ -79,20 +79,21 @@ func goldenRun(t *testing.T, cfg simnet.Config) goldenCell {
 		t.Fatal("trace output is empty; the digest would be vacuous")
 	}
 	raw, err := json.Marshal(map[string]any{
-		"n":              r.Config.N,
-		"seed":           r.Config.Seed,
-		"duration_s":     r.Duration,
-		"phi_rate":       r.PhiRate,
-		"gamma_rate":     r.GammaRate,
-		"total_rate":     r.TotalRate(),
-		"f0":             r.F0,
-		"mean_levels":    r.MeanLevels,
-		"giant_fraction": r.GiantFraction,
-		"phi_by_level":   r.PhiRateByLevel,
-		"gamma_by_level": r.GammaRateByLevel,
-		"fmig_by_level":  r.FMigByLevel,
-		"nodes_by_level": r.NodesByLevel,
-		"edges_by_level": r.EdgesByLevel,
+		"n":               r.Config.N,
+		"seed":            r.Config.Seed,
+		"duration_s":      r.Duration,
+		"phi_rate":        r.PhiRate,
+		"gamma_rate":      r.GammaRate,
+		"total_rate":      r.TotalRate(),
+		"f0":              r.F0,
+		"mean_levels":     r.MeanLevels,
+		"giant_fraction":  r.GiantFraction,
+		"phi_by_level":    r.PhiRateByLevel,
+		"gamma_by_level":  r.GammaRateByLevel,
+		"fmig_by_level":   r.FMigByLevel,
+		"nodes_by_level":  r.NodesByLevel,
+		"edges_by_level":  r.EdgesByLevel,
+		"gprime_by_level": r.GPrimeByLevel,
 	})
 	if err != nil {
 		t.Fatalf("marshal results: %v", err)
