@@ -46,7 +46,7 @@ func main() {
 		all[i] = i
 	}
 	giant := topology.GiantComponent(g, all)
-	h := cluster.Build(g, giant, cluster.Config{}, nil)
+	h, _ := cluster.BuildWithIdentities(g, giant, cluster.Config{}, nil, nil, cluster.NewIdentityTracker(), 0)
 	if err := h.Validate(); err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func buildChainHierarchy() *cluster.Hierarchy {
 	g := topology.NewGraph(4)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	return cluster.Build(g, []int{1, 2, 3}, cluster.Config{}, nil)
+	return build(g, []int{1, 2, 3}, cluster.Config{})
 }
 
 func TestOfAndString(t *testing.T) {
@@ -64,7 +64,7 @@ func TestCommonLevelDisjoint(t *testing.T) {
 	g := topology.NewGraph(6)
 	g.AddEdge(1, 2)
 	g.AddEdge(4, 5)
-	h := cluster.Build(g, []int{1, 2, 4, 5}, cluster.Config{}, nil)
+	h := build(g, []int{1, 2, 4, 5}, cluster.Config{})
 	a, b := Of(h, 1), Of(h, 4)
 	if got := CommonLevel(a, b); got != -1 {
 		t.Fatalf("disjoint common level = %d", got)
@@ -103,4 +103,10 @@ func TestDivergenceLevels(t *testing.T) {
 	if got := DivergenceLevels(a, a); got != 0 {
 		t.Fatalf("self divergence = %d", got)
 	}
+}
+
+// build is the hierarchy of a first snapshot.
+func build(g *topology.Graph, nodes []int, cfg cluster.Config) *cluster.Hierarchy {
+	h, _ := cluster.BuildWithIdentities(g, nodes, cfg, nil, nil, cluster.NewIdentityTracker(), 0)
+	return h
 }

@@ -14,7 +14,7 @@ func ExampleCommonLevel() {
 	g := topology.NewGraph(4)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	h := cluster.Build(g, []int{1, 2, 3}, cluster.Config{}, nil)
+	h, _ := cluster.BuildWithIdentities(g, []int{1, 2, 3}, cluster.Config{}, nil, nil, cluster.NewIdentityTracker(), 0)
 
 	a1 := addr.Of(h, 1)
 	a3 := addr.Of(h, 3)

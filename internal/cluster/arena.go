@@ -12,36 +12,37 @@ import "repro/internal/topology"
 //	arena.Recycle(retiredH, retiredIDs) // snapshot from tick t-2
 //	h, ids := BuildWithIdentitiesArena(arena, ...)
 //
-// An Arena is not safe for concurrent use. Recycle and the storage
-// getters are nil-safe, a nil *Arena degrading to fresh allocation; a
-// build handed a nil arena runs on a fresh one.
+// An Arena is not safe for concurrent use. A build handed a nil arena
+// runs on a fresh one.
 type Arena struct {
-	levels []*Level
-	graphs []*topology.Graph
-	idRows [][]uint64
-	ints   [][]int
-	hiers  []*Hierarchy
-	idents []*Identities
+	levels   []*Level
+	graphs   []*topology.Graph
+	idRows   [][]uint64
+	prevRows [][]int32
+	ints     [][]int
+	hiers    []*Hierarchy
+	idents   []*Identities
 
 	// Per-build scratch, indexed by node ID. anc[v] and prevAnc[v] are
 	// level-0 node v's ancestor at the level being built, in the
 	// snapshot under construction and in the previous snapshot (-1 when
 	// it has none); each build writes the entries of its own level-0
 	// nodes before reading any, so neither needs a reset. At the level
-	// last matched, inherit[nh] is the previous head whose logical ID
-	// next head nh took and heir[ph] the reverse (-1 when none);
-	// inherited lists the next heads set, so the next level resets only
-	// those.
-	idSpace   int
-	anc       []int32
-	prevAnc   []int32
-	inherit   []int32
-	heir      []int32
-	inherited []int32
-	pairs     []uint64
-	runs      []matchRun
-	headBuf   []int
-	edgeBuf   []topology.EdgeKey
+	// last matched, inherit is that level's prev row of the identities
+	// under construction (inherit[nh] is the previous head whose
+	// logical ID next head nh took) and heir[ph] the reverse (-1 when
+	// none); heired lists the previous heads set in heir, so the next
+	// level resets only those.
+	idSpace int
+	anc     []int32
+	prevAnc []int32
+	inherit []int32
+	heir    []int32
+	heired  []int32
+	pairs   []uint64
+	runs    []matchRun
+	headBuf []int
+	edgeBuf []topology.EdgeKey
 }
 
 // matchRun is one (previous head, next head) pair of matchLevel with
@@ -63,26 +64,21 @@ func NewArena() *Arena { return &Arena{} }
 // the snapshot, not the ID space. The level-0 graph is NOT harvested —
 // it is owned by the caller's graph double-buffer.
 func (a *Arena) Recycle(h *Hierarchy, ids *Identities) {
-	if a == nil {
-		return
-	}
 	if ids != nil {
 		// Identity rows hold entries for exactly the level-k nodes of
 		// the paired snapshot.
 		paired := h != nil && len(h.Levels) == len(ids.byLevel)+1
-		for k, row := range ids.byLevel {
+		for k := range ids.byLevel {
+			var heads []int
 			if paired {
-				for _, hd := range h.Levels[k+1].Nodes {
-					row[hd] = noLogical
-				}
-			} else {
-				for i := range row {
-					row[i] = noLogical
-				}
+				heads = h.Levels[k+1].Nodes
 			}
-			a.idRows = append(a.idRows, row[:0])
+			a.idRows = append(a.idRows, resetRow(ids.byLevel[k], heads, paired, noLogical))
+			a.prevRows = append(a.prevRows, resetRow(ids.prev[k], heads, paired, -1))
 		}
-		ids.byLevel = ids.byLevel[:0]
+		ids.byLevel, ids.prev = ids.byLevel[:0], ids.prev[:0]
+		ids.from = nil
+		ids.gen++
 		a.idents = append(a.idents, ids)
 	}
 	if h != nil {
@@ -106,6 +102,21 @@ func (a *Arena) Recycle(h *Hierarchy, ids *Identities) {
 	}
 }
 
+// resetRow returns row emptied for the pool: with paired set only the
+// entries of heads are reset to absent, otherwise all of them.
+func resetRow[T any](row []T, heads []int, paired bool, absent T) []T {
+	if paired {
+		for _, hd := range heads {
+			row[hd] = absent
+		}
+	} else {
+		for i := range row {
+			row[i] = absent
+		}
+	}
+	return row[:0]
+}
+
 // beginBuild sizes the node-indexed scratch for IDs below idSpace and
 // for the heads of prevH (nil-safe), and starts every level-0 node of
 // base at itself in both snapshots (at -1 in the previous one when
@@ -120,7 +131,6 @@ func (a *Arena) beginBuild(idSpace int, base []int, prevH *Hierarchy, prevIDs *I
 	if prevH != nil {
 		n = max(n, prevH.idSpace())
 	}
-	a.inherit = growFilled(a.inherit, n, -1)
 	a.heir = growFilled(a.heir, n, -1)
 	tracked := prevH != nil && prevIDs != nil
 	for _, v := range base {
@@ -150,15 +160,15 @@ func (a *Arena) advanceAnc(base []int, lvl, prevLvl *Level) {
 // logical ID at the level being matched.
 func (a *Arena) inheritFrom(nh, ph int) {
 	a.inherit[nh], a.heir[ph] = int32(ph), int32(nh)
-	a.inherited = append(a.inherited, int32(nh))
+	a.heired = append(a.heired, int32(ph))
 }
 
-// resetInherit clears the entries inheritFrom set at the last level.
-func (a *Arena) resetInherit() {
-	for _, nh := range a.inherited {
-		a.heir[a.inherit[nh]], a.inherit[nh] = -1, -1
+// resetHeir clears the heir entries inheritFrom set at the last level.
+func (a *Arena) resetHeir() {
+	for _, ph := range a.heired {
+		a.heir[ph] = -1
 	}
-	a.inherited = a.inherited[:0]
+	a.heired = a.heired[:0]
 }
 
 // heirOf returns the next head that took previous head ph's logical ID
@@ -171,7 +181,7 @@ func (a *Arena) heirOf(ph int) int {
 }
 
 func (a *Arena) getHier() *Hierarchy {
-	if a == nil || len(a.hiers) == 0 {
+	if len(a.hiers) == 0 {
 		return &Hierarchy{}
 	}
 	h := a.hiers[len(a.hiers)-1]
@@ -180,7 +190,7 @@ func (a *Arena) getHier() *Hierarchy {
 }
 
 func (a *Arena) getIdents() *Identities {
-	if a == nil || len(a.idents) == 0 {
+	if len(a.idents) == 0 {
 		return &Identities{}
 	}
 	ids := a.idents[len(a.idents)-1]
@@ -189,7 +199,7 @@ func (a *Arena) getIdents() *Identities {
 }
 
 func (a *Arena) getLevel() *Level {
-	if a == nil || len(a.levels) == 0 {
+	if len(a.levels) == 0 {
 		return &Level{}
 	}
 	l := a.levels[len(a.levels)-1]
@@ -198,7 +208,7 @@ func (a *Arena) getLevel() *Level {
 }
 
 func (a *Arena) getGraph(n int) *topology.Graph {
-	if a == nil || len(a.graphs) == 0 {
+	if len(a.graphs) == 0 {
 		return topology.NewGraph(n)
 	}
 	g := a.graphs[len(a.graphs)-1]
@@ -208,7 +218,7 @@ func (a *Arena) getGraph(n int) *topology.Graph {
 }
 
 func (a *Arena) getInts() []int {
-	if a == nil || len(a.ints) == 0 {
+	if len(a.ints) == 0 {
 		return nil
 	}
 	s := a.ints[len(a.ints)-1]
@@ -220,49 +230,41 @@ func (a *Arena) getInts() []int {
 // of getInts, for callers that release individual slices outside a full
 // Recycle).
 func (a *Arena) putInts(s []int) {
-	if a == nil || s == nil {
-		return
+	if s != nil {
+		a.ints = append(a.ints, s)
 	}
-	a.ints = append(a.ints, s)
 }
 
 // getIDRow returns an identity row covering IDs below n with every
 // entry reading as absent.
 func (a *Arena) getIDRow(n int) []uint64 {
 	var row []uint64
-	if a != nil && len(a.idRows) > 0 {
+	if len(a.idRows) > 0 {
 		row = a.idRows[len(a.idRows)-1]
 		a.idRows = a.idRows[:len(a.idRows)-1]
 	}
 	return growFilled(row, n, noLogical)
 }
 
-// getHeadBuf returns the reusable positional-heads buffer electors
-// append into; hand the (possibly grown) slice back via putHeadBuf.
-func (a *Arena) getHeadBuf() []int {
-	if a == nil {
-		return nil
+// getPrevRow returns a prev row covering IDs below n with every entry
+// reading as absent.
+func (a *Arena) getPrevRow(n int) []int32 {
+	var row []int32
+	if len(a.prevRows) > 0 {
+		row = a.prevRows[len(a.prevRows)-1]
+		a.prevRows = a.prevRows[:len(a.prevRows)-1]
 	}
-	return a.headBuf[:0]
+	return growFilled(row, n, -1)
 }
 
-func (a *Arena) putHeadBuf(s []int) {
-	if a != nil {
-		a.headBuf = s
-	}
-}
+// getHeadBuf returns the reusable positional-heads buffer electors
+// append into; hand the (possibly grown) slice back via putHeadBuf.
+func (a *Arena) getHeadBuf() []int { return a.headBuf[:0] }
+
+func (a *Arena) putHeadBuf(s []int) { a.headBuf = s }
 
 // getEdgeBuf returns the reusable lifted-edge buffer of liftGraph; hand
 // the (possibly grown) slice back via putEdgeBuf.
-func (a *Arena) getEdgeBuf() []topology.EdgeKey {
-	if a == nil {
-		return nil
-	}
-	return a.edgeBuf[:0]
-}
+func (a *Arena) getEdgeBuf() []topology.EdgeKey { return a.edgeBuf[:0] }
 
-func (a *Arena) putEdgeBuf(s []topology.EdgeKey) {
-	if a != nil {
-		a.edgeBuf = s
-	}
-}
+func (a *Arena) putEdgeBuf(s []topology.EdgeKey) { a.edgeBuf = s }

@@ -16,6 +16,13 @@ func graphOf(n int, edges ...[2]int) *topology.Graph {
 	return g
 }
 
+// build is the hierarchy of a first snapshot, for tests that need no
+// identities.
+func build(g *topology.Graph, nodes []int, cfg Config) *Hierarchy {
+	h, _ := BuildWithIdentities(g, nodes, cfg, nil, nil, NewIdentityTracker(), 0)
+	return h
+}
+
 func nodesUpTo(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -27,7 +34,7 @@ func nodesUpTo(n int) []int {
 func TestElectStar(t *testing.T) {
 	// Star centered at the max-ID node: everyone elects the center.
 	g := graphOf(6, [2]int{5, 1}, [2]int{5, 2}, [2]int{5, 3}, [2]int{5, 4})
-	h := Build(g, []int{1, 2, 3, 4, 5}, Config{}, nil)
+	h := build(g, []int{1, 2, 3, 4, 5}, Config{})
 	if h.L() < 1 {
 		t.Fatal("no clustering performed")
 	}
@@ -49,7 +56,7 @@ func TestElectStar(t *testing.T) {
 func TestElectChain(t *testing.T) {
 	// 1-2-3: head(1)=2, head(2)=3, head(3)=3.
 	g := graphOf(4, [2]int{1, 2}, [2]int{2, 3})
-	h := Build(g, []int{1, 2, 3}, Config{}, nil)
+	h := build(g, []int{1, 2, 3}, Config{})
 	lvl0 := h.Level(0)
 	if lvl0.Head[1] != 2 || lvl0.Head[2] != 3 || lvl0.Head[3] != 3 {
 		t.Fatalf("heads = %v", lvl0.Head)
@@ -73,7 +80,7 @@ func TestElectPaperFig1Fragment(t *testing.T) {
 	// Mirrors the paper's node-68 example: 68 is elected by 63 even
 	// though 68 itself elects the larger neighbor 97.
 	g := graphOf(98, [2]int{63, 68}, [2]int{68, 97})
-	h := Build(g, []int{63, 68, 97}, Config{}, nil)
+	h := build(g, []int{63, 68, 97}, Config{})
 	lvl0 := h.Level(0)
 	if lvl0.Head[63] != 68 {
 		t.Fatalf("head(63) = %d, want 68", lvl0.Head[63])
@@ -89,7 +96,7 @@ func TestElectPaperFig1Fragment(t *testing.T) {
 
 func TestIsolatedNodesSelfCluster(t *testing.T) {
 	g := graphOf(3)
-	h := Build(g, []int{0, 1, 2}, Config{}, nil)
+	h := build(g, []int{0, 1, 2}, Config{})
 	// No edges: no compression, single trivial level.
 	if h.L() != 0 {
 		t.Fatalf("L = %d for edgeless graph", h.L())
@@ -104,7 +111,7 @@ func TestRecursionTerminatesSingleTop(t *testing.T) {
 	pos := randomPositions(200, 500, 1)
 	g := topology.BuildUnitDiskBrute(pos, 120)
 	giant := topology.GiantComponent(g, nodesUpTo(200))
-	h := Build(g, giant, Config{}, nil)
+	h := build(g, giant, Config{})
 	top := h.LevelNodes(h.L())
 	if len(top) != 1 {
 		t.Fatalf("top level has %d nodes, want 1 (connected input)", len(top))
@@ -131,7 +138,7 @@ func TestValidateRandomGraphs(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		pos := randomPositions(150, 450, seed)
 		g := topology.BuildUnitDiskBrute(pos, 100)
-		h := Build(g, nodesUpTo(150), Config{}, nil)
+		h := build(g, nodesUpTo(150), Config{})
 		if err := h.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -152,7 +159,7 @@ func TestHeadIsMaxOfSomeonesNeighborhood(t *testing.T) {
 	// neighborhood of at least one node.
 	pos := randomPositions(120, 400, 3)
 	g := topology.BuildUnitDiskBrute(pos, 100)
-	h := Build(g, nodesUpTo(120), Config{}, nil)
+	h := build(g, nodesUpTo(120), Config{})
 	lvl0 := h.Level(0)
 	if !lvl0.Elected() {
 		t.Skip("trivial clustering")
@@ -180,7 +187,7 @@ func TestHeadIsMaxOfSomeonesNeighborhood(t *testing.T) {
 func TestAncestorChainConsistency(t *testing.T) {
 	pos := randomPositions(150, 450, 5)
 	g := topology.BuildUnitDiskBrute(pos, 110)
-	h := Build(g, nodesUpTo(150), Config{}, nil)
+	h := build(g, nodesUpTo(150), Config{})
 	for _, v := range h.LevelNodes(0) {
 		chain := h.AncestorChain(v)
 		// chain[i] must be a level-(i+1) node and contain v among its
@@ -203,7 +210,7 @@ func TestAncestorChainConsistency(t *testing.T) {
 func TestDescendantsPartition(t *testing.T) {
 	pos := randomPositions(130, 420, 7)
 	g := topology.BuildUnitDiskBrute(pos, 100)
-	h := Build(g, nodesUpTo(130), Config{}, nil)
+	h := build(g, nodesUpTo(130), Config{})
 	for k := 1; k <= h.L(); k++ {
 		seen := map[int]int{}
 		for _, c := range h.LevelNodes(k) {
@@ -232,8 +239,8 @@ func containsInt(a []int, x int) bool {
 func TestBuildDeterminism(t *testing.T) {
 	pos := randomPositions(140, 430, 9)
 	g := topology.BuildUnitDiskBrute(pos, 105)
-	h1 := Build(g, nodesUpTo(140), Config{}, nil)
-	h2 := Build(g, nodesUpTo(140), Config{}, nil)
+	h1 := build(g, nodesUpTo(140), Config{})
+	h2 := build(g, nodesUpTo(140), Config{})
 	if h1.L() != h2.L() {
 		t.Fatal("non-deterministic level count")
 	}
@@ -254,19 +261,20 @@ func TestStickyLCARetainsHead(t *testing.T) {
 	// Triangle 1-2-3 plus new arrival 9 adjacent to 1: memoryless LCA
 	// re-elects 9 as 1's head; sticky keeps 3 while the 1-3 link lives.
 	g1 := graphOf(10, [2]int{1, 2}, [2]int{2, 3}, [2]int{1, 3})
-	hs := Build(g1, []int{1, 2, 3}, Config{Elector: StickyLCA{}}, nil)
+	tr := NewIdentityTracker()
+	hs, ids := BuildWithIdentities(g1, []int{1, 2, 3}, Config{Elector: StickyLCA{}}, nil, nil, tr, 0)
 	if hs.Level(0).Head[1] != 3 {
 		t.Fatalf("initial sticky head(1) = %d", hs.Level(0).Head[1])
 	}
 
 	g2 := graphOf(10, [2]int{1, 2}, [2]int{2, 3}, [2]int{1, 3}, [2]int{1, 9})
 	// Memoryless switches.
-	hm := Build(g2, []int{1, 2, 3, 9}, Config{}, nil)
+	hm := build(g2, []int{1, 2, 3, 9}, Config{})
 	if hm.Level(0).Head[1] != 9 {
 		t.Fatalf("memoryless head(1) = %d, want 9", hm.Level(0).Head[1])
 	}
 	// Sticky retains 3.
-	hs2 := Build(g2, []int{1, 2, 3, 9}, Config{Elector: StickyLCA{}}, hs)
+	hs2, _ := BuildWithIdentities(g2, []int{1, 2, 3, 9}, Config{Elector: StickyLCA{}}, hs, ids, tr, 1)
 	if hs2.Level(0).Head[1] != 3 {
 		t.Fatalf("sticky head(1) = %d, want 3", hs2.Level(0).Head[1])
 	}
@@ -277,13 +285,14 @@ func TestStickyLCARetainsHead(t *testing.T) {
 
 func TestStickyLCAReElectsOnLinkLoss(t *testing.T) {
 	g1 := graphOf(10, [2]int{1, 3}, [2]int{1, 2})
-	hs := Build(g1, []int{1, 2, 3}, Config{Elector: StickyLCA{}}, nil)
+	tr := NewIdentityTracker()
+	hs, ids := BuildWithIdentities(g1, []int{1, 2, 3}, Config{Elector: StickyLCA{}}, nil, nil, tr, 0)
 	if hs.Level(0).Head[1] != 3 {
 		t.Fatalf("head(1) = %d", hs.Level(0).Head[1])
 	}
 	// Link 1-3 breaks: 1 must re-elect among remaining closed nbhd.
 	g2 := graphOf(10, [2]int{1, 2})
-	hs2 := Build(g2, []int{1, 2, 3}, Config{Elector: StickyLCA{}}, hs)
+	hs2, _ := BuildWithIdentities(g2, []int{1, 2, 3}, Config{Elector: StickyLCA{}}, hs, ids, tr, 1)
 	if hs2.Level(0).Head[1] != 2 {
 		t.Fatalf("after link loss head(1) = %d, want 2", hs2.Level(0).Head[1])
 	}
@@ -292,7 +301,7 @@ func TestStickyLCAReElectsOnLinkLoss(t *testing.T) {
 func TestMaxLevelsCap(t *testing.T) {
 	pos := randomPositions(200, 500, 11)
 	g := topology.BuildUnitDiskBrute(pos, 120)
-	h := Build(g, nodesUpTo(200), Config{MaxLevels: 2}, nil)
+	h := build(g, nodesUpTo(200), Config{MaxLevels: 2})
 	if h.L() > 2 {
 		t.Fatalf("L = %d exceeds cap", h.L())
 	}
@@ -302,8 +311,8 @@ func TestMaxLevelsCap(t *testing.T) {
 
 func TestDiffEmpty(t *testing.T) {
 	g := graphOf(6, [2]int{1, 2}, [2]int{2, 3})
-	h1 := Build(g, []int{1, 2, 3}, Config{}, nil)
-	h2 := Build(g, []int{1, 2, 3}, Config{}, nil)
+	h1 := build(g, []int{1, 2, 3}, Config{})
+	h2 := build(g, []int{1, 2, 3}, Config{})
 	d := ComputeDiff(h1, h2)
 	if !d.Empty() {
 		t.Fatalf("diff of identical hierarchies not empty: %+v", d)
@@ -315,8 +324,8 @@ func TestDiffMembershipChange(t *testing.T) {
 	// adjacent to 3 instead.
 	g1 := graphOf(5, [2]int{1, 2}, [2]int{3, 4})
 	g2 := graphOf(5, [2]int{1, 4}, [2]int{3, 4}, [2]int{2, 4})
-	h1 := Build(g1, []int{1, 2, 3, 4}, Config{}, nil)
-	h2 := Build(g2, []int{1, 2, 3, 4}, Config{}, nil)
+	h1 := build(g1, []int{1, 2, 3, 4}, Config{})
+	h2 := build(g2, []int{1, 2, 3, 4}, Config{})
 	d := ComputeDiff(h1, h2)
 	found := false
 	for _, mc := range d.Memberships {
@@ -340,8 +349,8 @@ func TestDiffElection(t *testing.T) {
 	// Initially 1 and 2 isolated; then they link: 2 becomes a head.
 	g1 := graphOf(4)
 	g2 := graphOf(4, [2]int{1, 2})
-	h1 := Build(g1, []int{1, 2}, Config{}, nil)
-	h2 := Build(g2, []int{1, 2}, Config{}, nil)
+	h1 := build(g1, []int{1, 2}, Config{})
+	h2 := build(g2, []int{1, 2}, Config{})
 	d := ComputeDiff(h1, h2)
 	if !containsInt(d.Elections[1], 2) {
 		t.Fatalf("elections = %v", d.Elections)
@@ -356,8 +365,8 @@ func TestDiffMigrationLinkEvent(t *testing.T) {
 	// class i).
 	g1 := graphOf(8, [2]int{1, 5}, [2]int{2, 6})
 	g2 := graphOf(8, [2]int{1, 5}, [2]int{2, 6}, [2]int{1, 2})
-	h1 := Build(g1, []int{1, 2, 5, 6}, Config{}, nil)
-	h2 := Build(g2, []int{1, 2, 5, 6}, Config{}, nil)
+	h1 := build(g1, []int{1, 2, 5, 6}, Config{})
+	h2 := build(g2, []int{1, 2, 5, 6}, Config{})
 	d := ComputeDiff(h1, h2)
 	ev := d.MigrationLinkEvents[1]
 	if len(ev) != 1 || !ev[0].Up || ev[0].Edge != topology.MakeEdgeKey(5, 6) {
@@ -387,8 +396,8 @@ func TestDiffStructuralLinkEvent(t *testing.T) {
 	// not cluster migration.
 	g1 := graphOf(6, [2]int{1, 2}, [2]int{3, 4})
 	g2 := graphOf(6, [2]int{1, 2}, [2]int{3, 4}, [2]int{1, 3})
-	h1 := Build(g1, []int{1, 2, 3, 4}, Config{}, nil)
-	h2 := Build(g2, []int{1, 2, 3, 4}, Config{}, nil)
+	h1 := build(g1, []int{1, 2, 3, 4}, Config{})
+	h2 := build(g2, []int{1, 2, 3, 4}, Config{})
 	d := ComputeDiff(h1, h2)
 	if !containsInt(d.Elections[1], 3) {
 		t.Fatalf("elections = %v, want 3 elected", d.Elections)
@@ -405,8 +414,8 @@ func TestDiffStateDeltas(t *testing.T) {
 	// Star center gains one elector: state 2 -> 3.
 	g1 := graphOf(8, [2]int{7, 1}, [2]int{7, 2})
 	g2 := graphOf(8, [2]int{7, 1}, [2]int{7, 2}, [2]int{7, 3})
-	h1 := Build(g1, []int{1, 2, 3, 7}, Config{}, nil)
-	h2 := Build(g2, []int{1, 2, 3, 7}, Config{}, nil)
+	h1 := build(g1, []int{1, 2, 3, 7}, Config{})
+	h2 := build(g2, []int{1, 2, 3, 7}, Config{})
 	d := ComputeDiff(h1, h2)
 	found := false
 	for _, sd := range d.StateDeltas {
@@ -428,7 +437,7 @@ func TestStateTrackerOccupancy(t *testing.T) {
 	// Chain 1-2-3: head 2 is in state 1, head 3 in state 1 (elected by
 	// 2 only). Observe twice; p_1 (level-1 nodes in state 1) == 1.
 	g := graphOf(4, [2]int{1, 2}, [2]int{2, 3})
-	h := Build(g, []int{1, 2, 3}, Config{}, nil)
+	h := build(g, []int{1, 2, 3}, Config{})
 	tr := NewStateTracker()
 	tr.Observe(h)
 	tr.Observe(h)
@@ -444,8 +453,8 @@ func TestStateTrackerOccupancy(t *testing.T) {
 func TestStateTrackerUnitTransitions(t *testing.T) {
 	g1 := graphOf(8, [2]int{7, 1}, [2]int{7, 2})
 	g2 := graphOf(8, [2]int{7, 1}, [2]int{7, 2}, [2]int{7, 3})
-	h1 := Build(g1, []int{1, 2, 3, 7}, Config{}, nil)
-	h2 := Build(g2, []int{1, 2, 3, 7}, Config{}, nil)
+	h1 := build(g1, []int{1, 2, 3, 7}, Config{})
+	h2 := build(g2, []int{1, 2, 3, 7}, Config{})
 	tr := NewStateTracker()
 	tr.ObserveDiff(ComputeDiff(h1, h2))
 	frac, total := tr.UnitTransitionFraction()
@@ -463,7 +472,7 @@ func TestQDistSumsBelowOne(t *testing.T) {
 	// j = k-1, so ΣQ <= 1 always.
 	pos := randomPositions(250, 550, 13)
 	g := topology.BuildUnitDiskBrute(pos, 120)
-	h := Build(g, nodesUpTo(250), Config{}, nil)
+	h := build(g, nodesUpTo(250), Config{})
 	tr := NewStateTracker()
 	tr.Observe(h)
 	for k := 2; k <= h.L(); k++ {
@@ -482,7 +491,7 @@ func BenchmarkBuildHierarchy500(b *testing.B) {
 	nodes := nodesUpTo(500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(g, nodes, Config{}, nil)
+		build(g, nodes, Config{})
 	}
 }
 
@@ -497,8 +506,8 @@ func BenchmarkComputeDiff500(b *testing.B) {
 	}
 	g2 := topology.BuildUnitDiskBrute(pos2, 100)
 	nodes := nodesUpTo(500)
-	h1 := Build(g1, nodes, Config{}, nil)
-	h2 := Build(g2, nodes, Config{}, nil)
+	h1 := build(g1, nodes, Config{})
+	h2 := build(g2, nodes, Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ComputeDiff(h1, h2)

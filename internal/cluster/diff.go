@@ -272,44 +272,3 @@ func levelGraph(l *Level) *topology.Graph {
 	}
 	return l.Graph
 }
-
-// LogicalEdge is an undirected level-k cluster adjacency in logical ID
-// space (A < B).
-type LogicalEdge struct {
-	A, B uint64
-}
-
-// LogicalEdges returns the level-k cluster adjacencies of h under ids
-// as a set. Used to measure g'_k free of relabeling artifacts.
-func LogicalEdges(h *Hierarchy, ids *Identities, k int) map[LogicalEdge]struct{} {
-	return LogicalEdgesInto(nil, h, ids, k)
-}
-
-// LogicalEdgesInto is LogicalEdges writing into dst (cleared first; nil
-// allocates), so steady-state callers can reuse the map across ticks.
-func LogicalEdgesInto(dst map[LogicalEdge]struct{}, h *Hierarchy, ids *Identities, k int) map[LogicalEdge]struct{} {
-	out := dst
-	if out == nil {
-		out = map[LogicalEdge]struct{}{}
-	} else {
-		clear(out)
-	}
-	lvl := h.Level(k)
-	if lvl == nil || k < 1 {
-		return out
-	}
-	// Set-to-set transform; the result is order-free.
-	lvl.Graph.ForEachEdge(func(e topology.EdgeKey) {
-		pa, pb := e.Nodes()
-		a, okA := ids.Logical(k, pa)
-		b, okB := ids.Logical(k, pb)
-		if !okA || !okB {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		out[LogicalEdge{A: a, B: b}] = struct{}{}
-	})
-	return out
-}

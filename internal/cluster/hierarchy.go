@@ -113,7 +113,7 @@ func growFilled[T any](s []T, n int, absent T) []T {
 
 // resetElection removes the election data of a level whose entries
 // are named by its Nodes (Head, Member) and by clusters (State,
-// Members), returning member slices to arena a (nil-safe). The slices
+// Members), returning member slices to arena a. The slices
 // keep their capacity, all of it reset.
 func (l *Level) resetElection(clusters []int, a *Arena) {
 	if !l.Elected() {
@@ -210,57 +210,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Build constructs the clustered hierarchy over the level-0 graph g0
-// covering the given (sorted or unsorted) node set. prev, when
-// non-nil, supplies the previous snapshot for hysteresis electors;
-// levels are matched by index.
-func Build(g0 *topology.Graph, nodes []int, cfg Config, prev *Hierarchy) *Hierarchy {
-	cfg = cfg.withDefaults()
-	base := append([]int(nil), nodes...)
-	sort.Ints(base)
-
-	h := &Hierarchy{Reach: cfg.Reach}
-	idSpace := g0.IDSpace()
-	curNodes := base
-	curGraph := g0
-	for k := 0; ; k++ {
-		lvl := &Level{K: k, Nodes: curNodes, Graph: curGraph}
-		h.Levels = append(h.Levels, lvl)
-
-		if len(curNodes) <= 1 || k >= cfg.MaxLevels {
-			break
-		}
-		if cfg.ForceTopAt > 0 && k >= 1 && len(curNodes) <= cfg.ForceTopAt {
-			forceTop(h, lvl, idSpace, nil)
-			break
-		}
-
-		prevHead := func(int) int { return -1 }
-		if prev != nil {
-			if pl := prev.Level(k); pl != nil && pl.Elected() {
-				prevHead = pl.HeadOf
-			}
-		}
-
-		heads := cfg.Elector.Elect(nil, curNodes, curGraph, prevHead)
-		nextNodes := elect(lvl, heads, idSpace, nil)
-		if len(nextNodes) == len(curNodes) {
-			// No compression. This happens exactly when the level has
-			// no edges (every node self-elects), so clustering has
-			// converged; drop the trivial election data to keep the
-			// invariant that only non-top levels carry it.
-			lvl.resetElection(nextNodes, nil)
-			break
-		}
-		curGraph = liftGraph(curGraph, lvl, nextNodes, idSpace, nil)
-		curNodes = nextNodes
-	}
-	return h
-}
-
 // forceTop groups every node of lvl into a single cluster headed by
 // the maximum ID and appends the resulting one-node top level. Arena a
-// (nil-safe) supplies recycled storage.
+// supplies recycled storage.
 func forceTop(h *Hierarchy, lvl *Level, idSpace int, a *Arena) {
 	root := lvl.Nodes[len(lvl.Nodes)-1] // Nodes is sorted ascending
 	heads := a.getHeadBuf()
@@ -279,7 +231,7 @@ func forceTop(h *Hierarchy, lvl *Level, idSpace int, a *Arena) {
 // elect fills the election-derived fields of lvl from the positional
 // heads slice (heads[i] is the head elected by lvl.Nodes[i]) and
 // returns the sorted level-(k+1) node list. lvl must carry no election
-// entries (fresh, or reset by Arena.Recycle). Arena a (nil-safe)
+// entries (fresh, or reset by Arena.Recycle). Arena a
 // supplies recycled member slices and the returned list.
 func elect(lvl *Level, heads []int, idSpace int, a *Arena) []int {
 	lvl.sizeElection(idSpace)
@@ -333,7 +285,7 @@ func elect(lvl *Level, heads []int, idSpace int, a *Arena) []int {
 // its members, inserted in order into c's short run with duplicates
 // dropped. So the graph's adjacency lists come out in key order
 // whatever order g's adjacency lists hold; routing's BFS, and so the
-// experiments, depend on that order. Arena a (nil-safe) supplies a
+// experiments, depend on that order. Arena a supplies a
 // recycled graph and the key buffer.
 func liftGraph(g *topology.Graph, lvl *Level, clusters []int, idSpace int, a *Arena) *topology.Graph {
 	keys := a.getEdgeBuf()
@@ -471,8 +423,7 @@ func (h *Hierarchy) Aggregation(k int) float64 {
 }
 
 // Validate checks structural invariants and returns an error naming
-// the first violation. Used by integration tests and the simulator's
-// paranoid mode.
+// the first violation. Used by tests and tools.
 func (h *Hierarchy) Validate() error {
 	if len(h.Levels) == 0 {
 		return fmt.Errorf("cluster: empty hierarchy")

@@ -21,12 +21,22 @@ package cluster
 // reorganization handoff.
 
 // Identities maps the physical clusters (head IDs) of one hierarchy
-// snapshot to stable logical IDs, per level.
+// snapshot to stable logical IDs, per level, and records which cluster
+// of the snapshot they were matched against each cluster continues.
 type Identities struct {
 	// byLevel[k-1][head] is the logical ID of the level-k cluster led
 	// by head in this snapshot: one dense row per level, indexed by
 	// head ID, with noLogical for IDs that head no level-k cluster.
 	byLevel [][]uint64
+	// prev[k-1][head] is the head of the matched snapshot's level-k
+	// cluster whose logical ID the level-k cluster led by head took,
+	// or -1 when it took a fresh one: dense rows like byLevel.
+	prev [][]int32
+	// from and fromGen name the identities the rows were matched
+	// against (nil for a first snapshot); gen counts the recycles of
+	// this value, so a recycled from no longer matches.
+	from         *Identities
+	fromGen, gen uint64
 }
 
 // noLogical marks an identity-row entry with no cluster. Logical IDs
@@ -45,6 +55,28 @@ func (ids *Identities) Logical(k, head int) (uint64, bool) {
 	}
 	id := row[head]
 	return id, id != noLogical
+}
+
+// Prev returns the head of the level-k cluster whose logical ID the
+// level-k cluster led by head took from the snapshot these identities
+// were matched against (see MatchedFrom), or -1 when it took a fresh
+// one or head leads no level-k cluster. Under Passthrough that is head
+// itself when it led a level-k cluster before.
+func (ids *Identities) Prev(k, head int) int {
+	if ids == nil || k < 1 || k > len(ids.prev) {
+		return -1
+	}
+	row := ids.prev[k-1]
+	if uint(head) >= uint(len(row)) {
+		return -1
+	}
+	return int(row[head])
+}
+
+// MatchedFrom reports whether ids were matched against prev, so that
+// Prev names prev's clusters.
+func (ids *Identities) MatchedFrom(prev *Identities) bool {
+	return ids != nil && prev != nil && ids.from == prev && ids.fromGen == prev.gen
 }
 
 // Levels reports the number of cluster levels covered.
@@ -84,21 +116,6 @@ type IdentityTracker struct {
 // NewIdentityTracker returns a tracker with IDs starting at 1.
 func NewIdentityTracker() *IdentityTracker { return &IdentityTracker{nextID: 1} }
 
-// Init assigns fresh logical IDs to every cluster of the first
-// snapshot (deterministically, by level then head ID).
-func (t *IdentityTracker) Init(h *Hierarchy) *Identities {
-	ids := &Identities{}
-	for k := 1; k <= h.L(); k++ {
-		heads := h.LevelNodes(k)
-		row := growFilled(nil, heads[len(heads)-1]+1, noLogical)
-		for _, head := range heads {
-			row[head] = t.alloc(head)
-		}
-		ids.byLevel = append(ids.byLevel, row)
-	}
-	return ids
-}
-
 func (t *IdentityTracker) alloc(head int) uint64 {
 	if t.Passthrough {
 		return uint64(head)
@@ -106,25 +123,4 @@ func (t *IdentityTracker) alloc(head int) uint64 {
 	id := t.nextID
 	t.nextID++
 	return id
-}
-
-// Track assigns logical IDs to the clusters of next by matching them
-// against prev on level-0 descendant overlap (greedy, largest overlap
-// first; ties break toward smaller IDs for determinism). Prefer
-// BuildWithIdentities in simulation loops — it additionally feeds the
-// elector relabel-proof hysteresis; Track matches an already-built
-// hierarchy.
-func (t *IdentityTracker) Track(prevH *Hierarchy, prevIDs *Identities, nextH *Hierarchy) *Identities {
-	if t.Passthrough {
-		return t.Init(nextH)
-	}
-	a := NewArena()
-	base := nextH.LevelNodes(0)
-	a.beginBuild(nextH.idSpace(), base, prevH, prevIDs)
-	ids := &Identities{}
-	for k := 1; k <= nextH.L(); k++ {
-		a.advanceAnc(base, nextH.Levels[k-1], prevH.Level(k-1))
-		ids.byLevel = append(ids.byLevel, matchLevel(a, t, k, nextH.LevelNodes(k), base, prevIDs))
-	}
-	return ids
 }

@@ -3,8 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"repro/internal/geom"
-	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -125,69 +123,6 @@ func TestChainOfMatchesAncestors(t *testing.T) {
 			if log[i] != want {
 				t.Fatalf("node %d level %d: chain %d != %d", v, i+1, log[i], want)
 			}
-		}
-	}
-}
-
-func TestTrackMatchesBuildWithIdentities(t *testing.T) {
-	// Track (post-hoc matching) and BuildWithIdentities (interleaved)
-	// agree for memoryless electors, where election does not depend on
-	// identity state.
-	src := rng.New(22)
-	d := geom.Disc{R: 430}
-	const n = 120
-	pos := make([]geom.Vec, n)
-	for i := range pos {
-		pos[i] = d.Sample(src)
-	}
-	g1 := topology.BuildUnitDiskBrute(pos, 100)
-	trA := NewIdentityTracker()
-	trB := NewIdentityTracker()
-	hA, idsA := BuildWithIdentities(g1, nodesUpTo(n), Config{}, nil, nil, trA, 0)
-	hB := Build(g1, nodesUpTo(n), Config{}, nil)
-	idsB := trB.Init(hB)
-
-	for i := range pos {
-		pos[i] = d.Clamp(pos[i].Add(geom.Vec{X: src.Range(-15, 15), Y: src.Range(-15, 15)}))
-	}
-	g2 := topology.BuildUnitDiskBrute(pos, 100)
-	hA2, idsA2 := BuildWithIdentities(g2, nodesUpTo(n), Config{}, hA, idsA, trA, 1)
-	hB2 := Build(g2, nodesUpTo(n), Config{}, hB)
-	idsB2 := trB.Track(hB, idsB, hB2)
-
-	// Same physical hierarchies...
-	if hA2.L() != hB2.L() {
-		t.Fatalf("levels differ: %d vs %d", hA2.L(), hB2.L())
-	}
-	// ...and identical identity *partitions* (IDs themselves may differ
-	// in allocation order, so compare persistence patterns).
-	for k := 1; k <= hA2.L(); k++ {
-		for _, head := range hA2.LevelNodes(k) {
-			a1, okA1 := idsA.Logical(k, head)
-			a2, _ := idsA2.Logical(k, head)
-			b1, okB1 := idsB.Logical(k, head)
-			b2, _ := idsB2.Logical(k, head)
-			persistedA := okA1 && a1 == a2
-			persistedB := okB1 && b1 == b2
-			if persistedA != persistedB {
-				t.Fatalf("level %d head %d: persistence disagrees (interleaved %v, post-hoc %v)",
-					k, head, persistedA, persistedB)
-			}
-		}
-	}
-}
-
-func TestLogicalEdges(t *testing.T) {
-	g := graphOf(8, [2]int{1, 5}, [2]int{2, 6}, [2]int{1, 2})
-	tr := NewIdentityTracker()
-	h, ids := trackedBuild(t, g, []int{1, 2, 5, 6}, Config{}, nil, nil, tr, 0)
-	edges := LogicalEdges(h, ids, 1)
-	if len(edges) != 1 {
-		t.Fatalf("level-1 logical edges = %v", edges)
-	}
-	for e := range edges {
-		if e.A >= e.B {
-			t.Fatalf("edge not ordered: %+v", e)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -100,6 +101,34 @@ func refMatchLevel(tr *IdentityTracker, k int, newHeads, base []int, anc map[int
 		}
 	}
 	return row
+}
+
+// prevDiff checks every level-k Prev answer of ids against the
+// previous cluster with the same logical ID, found through a logical
+// ID -> head map of prevH's clusters, and returns the first mismatch.
+func prevDiff(ids *Identities, h, prevH *Hierarchy, prevIDs *Identities) string {
+	for k := 1; k <= h.L(); k++ {
+		holder := map[uint64]int{}
+		if prevH != nil {
+			for _, p := range prevH.LevelNodes(k) {
+				if q, ok := prevIDs.Logical(k, p); ok {
+					holder[q] = p
+				}
+			}
+		}
+		for _, c := range h.LevelNodes(k) {
+			want := -1
+			if q, ok := ids.Logical(k, c); ok {
+				if p, ok := holder[q]; ok {
+					want = p
+				}
+			}
+			if got := ids.Prev(k, c); got != want {
+				return fmt.Sprintf("level %d cluster %d: Prev %d, reference %d", k, c, got, want)
+			}
+		}
+	}
+	return ""
 }
 
 // refPrevElect returns the previous snapshot's elections in logical
@@ -232,9 +261,11 @@ func driftChurnGraph(pos []geom.Vec, alive []bool, rtx float64) (*topology.Graph
 // head clusters at every level) most often, so the ID space shrinks
 // below the previous snapshot's heads — and holds every level's
 // identity row and every elector-memory answer against the map-based
-// reference. The builds share one recycling arena, as in the
-// simulation loop. Track, run on each built hierarchy from the same
-// tracker state, must give the reference rows too.
+// reference. Every level's Prev row must name the previous cluster
+// holding the same logical ID, as a logical ID -> head map finds it,
+// and MatchedFrom must name the previous identities only. The builds
+// share one recycling arena, as in the simulation loop, so a recycled
+// value must not pass for the one it was before.
 func TestIdentityMatchingMatchesMapReference(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -308,11 +339,11 @@ func TestIdentityMatchingMatchesMapReference(t *testing.T) {
 				if trRef.nextID != tr.nextID {
 					t.Fatalf("step %d: next fresh ID %d, reference %d", step, tr.nextID, trRef.nextID)
 				}
-				if !tc.passthrough {
-					trTrack, trRef := trBefore, trBefore
-					if diff := identsDiff(refTrack(&trRef, prevH, prevIDs, h), trTrack.Track(prevH, prevIDs, h)); diff != "" {
-						t.Fatalf("step %d: Track differs from the reference: %s", step, diff)
-					}
+				if diff := prevDiff(ids, h, prevH, prevIDs); diff != "" {
+					t.Fatalf("step %d: %s", step, diff)
+				}
+				if prevIDs != nil && (!ids.MatchedFrom(prevIDs) || prevIDs.MatchedFrom(ids) || ids.MatchedFrom(ids)) {
+					t.Fatalf("step %d: MatchedFrom names other identities than the previous ones", step)
 				}
 
 				elect := refPrevElect(prevH, prevIDs)

@@ -24,7 +24,7 @@ func TestQuickBuildAlwaysValid(t *testing.T) {
 	f := func(raw []byte) bool {
 		const n = 40
 		g := quickGraph(n, raw)
-		h := Build(g, nodesUpTo(n), Config{}, nil)
+		h := build(g, nodesUpTo(n), Config{})
 		return h.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -39,8 +39,8 @@ func TestQuickDiffSymmetry(t *testing.T) {
 		const n = 30
 		g1 := quickGraph(n, rawA)
 		g2 := quickGraph(n, rawB)
-		h1 := Build(g1, nodesUpTo(n), Config{}, nil)
-		h2 := Build(g2, nodesUpTo(n), Config{}, nil)
+		h1 := build(g1, nodesUpTo(n), Config{})
+		h2 := build(g2, nodesUpTo(n), Config{})
 		fwd := ComputeDiff(h1, h2)
 		rev := ComputeDiff(h2, h1)
 		for k, e := range fwd.Elections {
@@ -105,7 +105,7 @@ func TestQuickDescendantsCount(t *testing.T) {
 	f := func(raw []byte) bool {
 		const n = 40
 		g := quickGraph(n, raw)
-		h := Build(g, nodesUpTo(n), Config{}, nil)
+		h := build(g, nodesUpTo(n), Config{})
 		for k := 1; k <= h.L(); k++ {
 			total := 0
 			for _, c := range h.LevelNodes(k) {

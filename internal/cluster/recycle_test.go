@@ -14,9 +14,9 @@ import (
 // through node churn — nodes die and return, so IDs leave and rejoin
 // every level, as nodes and as cluster heads — and requires every
 // tick's snapshot to equal a build from fresh storage. The dense
-// election slices and identity rows are compared over every ID, so an
-// entry that a sparse reset left behind in recycled storage shows up
-// as a difference even when no node list names it.
+// election slices, identity rows and prev rows are compared over every
+// ID, so an entry that a sparse reset left behind in recycled storage
+// shows up as a difference even when no node list names it.
 func TestRecycledStorageMatchesFresh(t *testing.T) {
 	cases := []struct {
 		name string
@@ -65,6 +65,12 @@ func TestRecycledStorageMatchesFresh(t *testing.T) {
 				}
 				if diff := identsDiff(idsF, ids); diff != "" {
 					t.Fatalf("step %d: identities differ from fresh build: %s", step, diff)
+				}
+				for k := range idsF.prev {
+					if hd := denseEqual(idsF.prev[k], ids.prev[k], -1); hd >= 0 {
+						t.Fatalf("step %d: level %d prev[%d] %d vs %d from fresh build",
+							step, k+1, hd, idsF.Prev(k+1, hd), ids.Prev(k+1, hd))
+					}
 				}
 				for i := range pos {
 					pos[i] = d.Clamp(pos[i].Add(geom.Vec{X: src.Range(-15, 15), Y: src.Range(-15, 15)}))

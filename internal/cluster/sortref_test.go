@@ -98,7 +98,7 @@ func TestLiftGraphMatchesSortReference(t *testing.T) {
 	var idsR, retiredIDs *Identities
 	deep := false
 	for step, g := range graphs {
-		hF := Build(g, giants[step], Config{}, nil)
+		hF := build(g, giants[step], Config{})
 		arena.Recycle(retiredH, retiredIDs)
 		retiredH, retiredIDs = hR, idsR
 		hR, idsR = BuildWithIdentitiesArena(arena, g, giants[step], Config{}, hR, idsR, tr, float64(step))
@@ -132,8 +132,8 @@ func TestMembershipsMatchSortReference(t *testing.T) {
 	graphs, giants := sparseLayouts(t, n, 10, 29)
 	var hs []*Hierarchy
 	for i, g := range graphs {
-		hs = append(hs, Build(g, giants[i], Config{}, nil))
-		hs = append(hs, Build(g, giants[i], Config{MaxLevels: 1 + i%3}, nil))
+		hs = append(hs, build(g, giants[i], Config{}))
+		hs = append(hs, build(g, giants[i], Config{MaxLevels: 1 + i%3}))
 	}
 	var s DiffScratch
 	var d *Diff

@@ -23,10 +23,11 @@ import (
 // literal re-election model; the A1 ablation contrasts the two.
 
 // BuildWithIdentities builds the hierarchy for the current topology
-// and assigns logical identities level by level. prevH/prevIDs may be
-// nil for the first snapshot. The result is equivalent to Build
-// followed by identity matching, except that the elector's hysteresis
-// is fed relabel-proof previous-head information.
+// and assigns logical identities level by level, recording in them
+// which cluster of prevH each cluster continues (Identities.Prev).
+// prevH/prevIDs may be nil for the first snapshot. It is the one place
+// that decides cluster succession; the elector's hysteresis, the LM
+// update and the measurements all read its answer.
 func BuildWithIdentities(
 	g0 *topology.Graph,
 	nodes []int,
@@ -66,6 +67,9 @@ func BuildWithIdentitiesArena(
 	h := a.getHier()
 	h.Reach = cfg.Reach
 	ids := a.getIdents()
+	if prevIDs != nil {
+		ids.from, ids.fromGen = prevIDs, prevIDs.gen
+	}
 
 	curNodes := base
 	curGraph := g0
@@ -76,7 +80,7 @@ func BuildWithIdentitiesArena(
 
 		if k >= 1 {
 			// Identity-match the freshly formed level-k clusters.
-			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k, curNodes, base, prevIDs))
+			matchLevel(a, tr, k, curNodes, base, prevIDs, ids)
 		}
 
 		if len(curNodes) <= 1 || k >= cfg.MaxLevels {
@@ -86,7 +90,7 @@ func BuildWithIdentitiesArena(
 			forceTop(h, lvl, idSpace, a)
 			// Identity for the forced top level.
 			a.advanceAnc(base, lvl, prevH.Level(k))
-			ids.byLevel = append(ids.byLevel, matchLevel(a, tr, k+1, h.Levels[k+1].Nodes, base, prevIDs))
+			matchLevel(a, tr, k+1, h.Levels[k+1].Nodes, base, prevIDs, ids)
 			break
 		}
 
@@ -168,14 +172,18 @@ func buildPrevHead(a *Arena, k int, curNodes []int, prevH *Hierarchy) func(int) 
 // node of base counts once, pairing its previous level-k head
 // (a.prevAnc) with its new one (a.anc); a logical ID belongs to one
 // head per level, so pairs of heads count exactly what pairs of
-// logical IDs would. Each match is recorded in a.inherit and a.heir.
-// Clusters inheriting no identity receive fresh IDs from tr. Under
-// Passthrough every head keeps its own ID and inherits from itself
-// when it headed a level-k cluster before. The result row comes from
-// the arena.
-func matchLevel(a *Arena, tr *IdentityTracker, k int, newHeads, base []int, prevIDs *Identities) []uint64 {
+// logical IDs would. Each match is recorded in a.inherit, which is the
+// level's prev row of ids, and in a.heir. Clusters inheriting no
+// identity receive fresh IDs from tr. Under Passthrough every head
+// keeps its own ID and inherits from itself when it headed a level-k
+// cluster before. The level's ID and prev rows come from the arena and
+// are appended to ids.
+func matchLevel(a *Arena, tr *IdentityTracker, k int, newHeads, base []int, prevIDs, ids *Identities) {
 	row := a.getIDRow(a.idSpace)
-	a.resetInherit()
+	a.resetHeir()
+	a.inherit = a.getPrevRow(a.idSpace)
+	ids.byLevel = append(ids.byLevel, row)
+	ids.prev = append(ids.prev, a.inherit)
 	if tr.Passthrough {
 		for _, h := range newHeads {
 			row[h] = uint64(h)
@@ -183,7 +191,7 @@ func matchLevel(a *Arena, tr *IdentityTracker, k int, newHeads, base []int, prev
 				a.inheritFrom(h, h)
 			}
 		}
-		return row
+		return
 	}
 	keys := a.pairs[:0]
 	for _, v := range base {
@@ -230,5 +238,4 @@ func matchLevel(a *Arena, tr *IdentityTracker, k int, newHeads, base []int, prev
 			row[h] = tr.alloc(h)
 		}
 	}
-	return row
 }

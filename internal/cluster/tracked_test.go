@@ -28,14 +28,15 @@ func evolveLayouts(n, steps int, seed uint64) []*topology.Graph {
 
 // TestTrackedBuildMatchesPlainBuildMemoryless: with a memoryless
 // elector the interleaved identity matching cannot influence election,
-// so BuildWithIdentities must produce the identical physical hierarchy
-// to Build at every step.
+// so a build chained to the previous snapshot must produce the
+// identical physical hierarchy to a first-snapshot build at every
+// step.
 func TestTrackedBuildMatchesPlainBuildMemoryless(t *testing.T) {
 	const n = 130
 	graphs := evolveLayouts(n, 15, 31)
 	nodes := nodesUpTo(n)
 	tr := NewIdentityTracker()
-	var hT, hP *Hierarchy
+	var hT *Hierarchy
 	var ids *Identities
 	for step, g := range graphs {
 		if hT == nil {
@@ -43,7 +44,7 @@ func TestTrackedBuildMatchesPlainBuildMemoryless(t *testing.T) {
 		} else {
 			hT, ids = BuildWithIdentities(g, nodes, Config{}, hT, ids, tr, float64(step))
 		}
-		hP = Build(g, nodes, Config{}, hP)
+		hP := build(g, nodes, Config{})
 		if hT.L() != hP.L() {
 			t.Fatalf("step %d: levels %d vs %d", step, hT.L(), hP.L())
 		}

@@ -187,7 +187,7 @@ func checkReach(s *Snapshot) error {
 }
 
 // checkCompression verifies that every level carrying election data
-// strictly compresses: |V_{k+1}| < |V_k|. Build drops the election
+// strictly compresses: |V_{k+1}| < |V_k|. The build drops the election
 // data and stops exactly when a level fails to compress, so a
 // non-compressing elected level means the recursion invariant (and
 // with it L = Θ(log |V|)) is broken.

@@ -331,3 +331,29 @@ func (a *Accountant) chainChanges(prevT, nextT *Table, totals *Totals) {
 		}
 	}
 }
+
+// LiveAt returns the set of logical cluster IDs appearing at level k
+// in any owner's chain (every live cluster has at least one level-0
+// descendant, so this enumerates the live clusters).
+func (t *Table) LiveAt(k int) map[uint64]bool {
+	return t.LiveAtInto(k, nil)
+}
+
+// LiveAtInto is LiveAt filling dst (cleared first; nil allocates) so
+// per-tick consumers can reuse one map.
+func (t *Table) LiveAtInto(k int, dst map[uint64]bool) map[uint64]bool {
+	if dst == nil {
+		dst = map[uint64]bool{}
+	} else {
+		clear(dst)
+	}
+	if k < 1 {
+		return dst
+	}
+	for _, chain := range t.chains {
+		if k <= len(chain) {
+			dst[chain[k-1]] = true
+		}
+	}
+	return dst
+}

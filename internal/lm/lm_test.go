@@ -30,9 +30,15 @@ func nodesUpTo(n int) []int {
 
 // tracked builds a hierarchy plus fresh identities.
 func tracked(g *topology.Graph, nodes []int) (*cluster.Hierarchy, *cluster.Identities, *cluster.IdentityTracker) {
-	h := cluster.Build(g, nodes, cluster.Config{}, nil)
 	tr := cluster.NewIdentityTracker()
-	return h, tr.Init(h), tr
+	h, ids := cluster.BuildWithIdentities(g, nodes, cluster.Config{}, nil, nil, tr, 0)
+	return h, ids, tr
+}
+
+// plain builds a hierarchy with no identities.
+func plain(g *topology.Graph, nodes []int) *cluster.Hierarchy {
+	h, _, _ := tracked(g, nodes)
+	return h
 }
 
 func randomHierarchy(n int, worldR, rtx float64, seed uint64) (*cluster.Hierarchy, *cluster.Identities, *topology.Graph) {
@@ -284,14 +290,11 @@ func checkUpdateMatchesBuild(t *testing.T, s *Selector, tr *cluster.IdentityTrac
 	var prevT *Table
 	for step := 0; step < steps; step++ {
 		g := topology.BuildUnitDiskBrute(pos, 100)
-		h := cluster.Build(g, nodesUpTo(n), cluster.Config{}, nil)
-		var ids *cluster.Identities
+		h, ids := cluster.BuildWithIdentities(g, nodesUpTo(n), cluster.Config{}, prevH, prevIDs, tr, float64(step))
 		var tbl *Table
 		if prevH == nil {
-			ids = tr.Init(h)
 			tbl = s.BuildTable(h, ids)
 		} else {
-			ids = tr.Track(prevH, prevIDs, h)
 			tbl = s.UpdateTable(prevT, prevH, prevIDs, h, ids)
 		}
 		want := s.BuildTable(h, ids)
@@ -333,8 +336,7 @@ func TestRelabelDoesNotMoveEntries(t *testing.T) {
 	// Node 9 appears adjacent to 5 and 1: cluster {1,5,9} now led by 9
 	// (relabel + one member added); cluster {2,6} untouched.
 	g2 := graphOf(10, [2]int{1, 5}, [2]int{2, 6}, [2]int{5, 6}, [2]int{9, 5}, [2]int{9, 1}, [2]int{9, 6})
-	h2 := cluster.Build(g2, []int{1, 2, 5, 6, 9}, cluster.Config{}, nil)
-	ids2 := tr.Track(h1, ids1, h2)
+	h2, ids2 := cluster.BuildWithIdentities(g2, []int{1, 2, 5, 6, 9}, cluster.Config{}, h1, ids1, tr, 1)
 	t2 := s.UpdateTable(t1, h1, ids1, h2, ids2)
 
 	// The logical ID of the {1,5}-descended cluster must persist.
@@ -360,8 +362,7 @@ func TestDiffTables(t *testing.T) {
 	}
 	// Node 1 moves to 6's cluster.
 	g2 := graphOf(8, [2]int{1, 6}, [2]int{2, 6}, [2]int{5, 6})
-	h2 := cluster.Build(g2, []int{1, 2, 5, 6}, cluster.Config{}, nil)
-	ids2 := tr.Track(h1, ids1, h2)
+	h2, ids2 := cluster.BuildWithIdentities(g2, []int{1, 2, 5, 6}, cluster.Config{}, h1, ids1, tr, 1)
 	t2 := s.BuildTable(h2, ids2)
 	d := DiffTables(t1, t2)
 	if len(d) == 0 {
@@ -398,8 +399,7 @@ func TestDiffTablesEdgeCases(t *testing.T) {
 
 	// Owner 2 leaves the network: all its entries retire to -1.
 	g2 := graphOf(8, [2]int{1, 5})
-	h2 := cluster.Build(g2, []int{1, 5, 6}, cluster.Config{}, nil)
-	ids2 := tr.Track(h1, ids1, h2)
+	h2, ids2 := cluster.BuildWithIdentities(g2, []int{1, 5, 6}, cluster.Config{}, h1, ids1, tr, 1)
 	t2 := s.BuildTable(h2, ids2)
 	gone := 0
 	for _, td := range DiffTables(t1, t2) {
@@ -424,8 +424,7 @@ func TestDiffTablesEdgeCases(t *testing.T) {
 	// Chain depth change: connecting the two clusters adds a level, so
 	// the new top-level entries must appear as -1 -> live.
 	g3 := graphOf(8, [2]int{1, 5}, [2]int{2, 6}, [2]int{5, 6})
-	h3 := cluster.Build(g3, []int{1, 2, 5, 6}, cluster.Config{}, nil)
-	ids3 := tr.Track(h1, ids1, h3)
+	h3, ids3 := cluster.BuildWithIdentities(g3, []int{1, 2, 5, 6}, cluster.Config{}, h1, ids1, tr, 1)
 	t3 := s.BuildTable(h3, ids3)
 	if t3.Levels(1) <= t1.Levels(1) {
 		t.Fatalf("merge did not deepen the hierarchy (%d vs %d levels)", t3.Levels(1), t1.Levels(1))
@@ -460,8 +459,7 @@ func TestDiffTablesEdgeCases(t *testing.T) {
 func evolve(t *testing.T, nodes []int, g1, g2 *topology.Graph) (*Totals, []Transfer, *Table, *Table) {
 	t.Helper()
 	h1, ids1, tr := tracked(g1, nodes)
-	h2 := cluster.Build(g2, nodes, cluster.Config{}, nil)
-	ids2 := tr.Track(h1, ids1, h2)
+	h2, ids2 := cluster.BuildWithIdentities(g2, nodes, cluster.Config{}, h1, ids1, tr, 1)
 	s := NewSelector(nil)
 	t1 := s.BuildTable(h1, ids1)
 	t2 := s.UpdateTable(t1, h1, ids1, h2, ids2)
@@ -577,8 +575,8 @@ func TestTotalsGrowAndSum(t *testing.T) {
 func TestClassifyMigrationLink(t *testing.T) {
 	g1 := graphOf(8, [2]int{1, 5}, [2]int{2, 6})
 	g2 := graphOf(8, [2]int{1, 5}, [2]int{2, 6}, [2]int{1, 2})
-	h1 := cluster.Build(g1, []int{1, 2, 5, 6}, cluster.Config{}, nil)
-	h2 := cluster.Build(g2, []int{1, 2, 5, 6}, cluster.Config{}, nil)
+	h1 := plain(g1, []int{1, 2, 5, 6})
+	h2 := plain(g2, []int{1, 2, 5, 6})
 	d := cluster.ComputeDiff(h1, h2)
 	cc := ClassifyReorg(h1, h2, d)
 	if cc[1][EventLinkUp] != 1 {
@@ -594,8 +592,8 @@ func TestClassifyMigrationLink(t *testing.T) {
 func TestClassifyElectionAndRejection(t *testing.T) {
 	g1 := graphOf(6, [2]int{1, 2}, [2]int{3, 4})
 	g2 := graphOf(6, [2]int{1, 2}, [2]int{3, 4}, [2]int{1, 3})
-	h1 := cluster.Build(g1, []int{1, 2, 3, 4}, cluster.Config{}, nil)
-	h2 := cluster.Build(g2, []int{1, 2, 3, 4}, cluster.Config{}, nil)
+	h1 := plain(g1, []int{1, 2, 3, 4})
+	h2 := plain(g2, []int{1, 2, 3, 4})
 	d := cluster.ComputeDiff(h1, h2)
 	cc := ClassifyReorg(h1, h2, d)
 	if cc[1][EventElection] == 0 {
@@ -709,8 +707,7 @@ func BenchmarkUpdateTableSmallPerturbation(b *testing.B) {
 	h1, ids1, tr := tracked(g1, nodesUpTo(n))
 	pos[7] = pos[7].Add(geom.Vec{X: 30, Y: 0})
 	g2 := topology.BuildUnitDiskBrute(pos, 110)
-	h2 := cluster.Build(g2, nodesUpTo(n), cluster.Config{}, nil)
-	ids2 := tr.Track(h1, ids1, h2)
+	h2, ids2 := cluster.BuildWithIdentities(g2, nodesUpTo(n), cluster.Config{}, h1, ids1, tr, 1)
 	s := NewSelector(nil)
 	t1 := s.BuildTable(h1, ids1)
 	b.ResetTimer()

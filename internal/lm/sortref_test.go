@@ -76,13 +76,7 @@ func TestTableDiffsMatchSortReference(t *testing.T) {
 	var ids *cluster.Identities
 	for step := 0; step < 8; step++ {
 		g := topology.BuildUnitDiskBrute(pos, 100)
-		nh := cluster.Build(g, topology.GiantComponent(g, nodesUpTo(n)), cluster.Config{}, nil)
-		if h == nil {
-			ids = tr.Init(nh)
-		} else {
-			ids = tr.Track(h, ids, nh)
-		}
-		h = nh
+		h, ids = cluster.BuildWithIdentities(g, topology.GiantComponent(g, nodesUpTo(n)), cluster.Config{}, h, ids, tr, float64(step))
 		tables = append(tables, sel.BuildTable(h, ids))
 		for i := range pos {
 			pos[i] = d.Clamp(pos[i].Add(geom.Vec{X: src.Range(-40, 40), Y: src.Range(-40, 40)}))

@@ -99,15 +99,15 @@ func (t *Table) Levels(owner int) int {
 	return len(t.servers[row])
 }
 
-// Load returns, for every node that serves at least one entry, the
-// number of (owner, level) entries it serves. This is the server-load
-// distribution whose equity the paper requires.
-func (t *Table) Load() map[int]int {
-	load := map[int]int{}
+// Load returns, indexed by node ID, the number of (owner, level)
+// entries each node serves (0 for a node serving none). This is the
+// server-load distribution whose equity the paper requires.
+func (t *Table) Load() []int {
+	load := make([]int, len(t.index)) // every server is an owner
 	for _, row := range t.servers {
 		for _, s := range row {
 			if s >= 0 {
-				load[int(s)]++
+				load[s]++
 			}
 		}
 	}
@@ -125,32 +125,6 @@ func (t *Table) EntryCount() int {
 		}
 	}
 	return n
-}
-
-// LiveAt returns the set of logical cluster IDs appearing at level k
-// in any owner's chain (every live cluster has at least one level-0
-// descendant, so this enumerates the live clusters).
-func (t *Table) LiveAt(k int) map[uint64]bool {
-	return t.LiveAtInto(k, nil)
-}
-
-// LiveAtInto is LiveAt filling dst (cleared first; nil allocates) so
-// per-tick consumers can reuse one map.
-func (t *Table) LiveAtInto(k int, dst map[uint64]bool) map[uint64]bool {
-	if dst == nil {
-		dst = map[uint64]bool{}
-	} else {
-		clear(dst)
-	}
-	if k < 1 {
-		return dst
-	}
-	for _, chain := range t.chains {
-		if k <= len(chain) {
-			dst[chain[k-1]] = true
-		}
-	}
-	return dst
 }
 
 // Selector computes CHLM server assignments over a hierarchy with
@@ -277,18 +251,13 @@ type clusterIndex struct {
 	ents    []clusterEnt // backing of levels
 	keys    []uint64
 	members []int32
-
-	// Logical ID -> head of one level of the previous snapshot,
-	// refilled for each level build pairs (empty without one).
-	prevOf map[uint64]int32
 }
 
 // clusterEnt is one cluster's index entry: its span in keys and
-// members, the head of the previous snapshot's cluster with the same
-// logical ID (-1 if none), and its dirtiness. A cluster is own-dirty
-// when its member-key set differs from that previous cluster's, or
-// there is none; sub-dirty when it is own-dirty or has a sub-dirty
-// member.
+// members, the head of the previous snapshot's cluster it continues
+// (-1 if none), and its dirtiness. A cluster is own-dirty when its
+// member-key set differs from that previous cluster's, or there is
+// none; sub-dirty when it is own-dirty or has a sub-dirty member.
 type clusterEnt struct {
 	start, end int32
 	prev       int32
@@ -296,12 +265,13 @@ type clusterEnt struct {
 }
 
 // build indexes the clusters of h and classifies each against the
-// previous snapshot prevH; with a nil prevH every cluster is own- and
-// sub-dirty, as is any cluster without a logical ID (no descent
-// reaches one: a row's chain ends below it, and it is nobody's
-// member).
+// previous snapshot prevH; with a nil prevH, or identities not matched
+// against prevIDs, every cluster is own- and sub-dirty, as is any
+// cluster without a logical ID (no descent reaches one: a row's chain
+// ends below it, and it is nobody's member).
 //
-// Prev and next clusters are paired by logical ID, once per cluster.
+// A next cluster is paired with the previous cluster the build
+// recorded it continues (ids.Prev), which holds the same logical ID.
 // The key-set test needs no previous keys: a member's key names its
 // counterpart one level down (the node itself at level 1, the paired
 // cluster above), and logical IDs are unique per level, so the sets
@@ -331,23 +301,13 @@ func (ix *clusterIndex) build(
 	}
 	ix.keys = slices.Grow(ix.keys[:0], size)
 	ix.members = slices.Grow(ix.members[:0], size)
+	paired := prevH != nil && ids.MatchedFrom(prevIDs)
 	for k := 1; k <= L; k++ {
-		clear(ix.prevOf)
-		if prevH != nil && k <= prevH.L() {
-			if ix.prevOf == nil {
-				ix.prevOf = map[uint64]int32{}
-			}
-			for _, p := range prevH.LevelNodes(k) {
-				if id, ok := prevIDs.Logical(k, p); ok {
-					ix.prevOf[id] = int32(p)
-				}
-			}
-		}
+		pairedK := paired && k <= prevH.L()
 		lv, below := ix.levels[k], ix.levels[k-1]
 		for _, c := range h.LevelNodes(k) {
 			e := clusterEnt{start: int32(len(ix.keys)), prev: -1, own: true, sub: true}
-			q, tracked := ids.Logical(k, c)
-			if tracked {
+			if _, tracked := ids.Logical(k, c); tracked {
 				members := h.MembersAt(k, c)
 				if len(members) == 0 {
 					// Structurally impossible in a valid hierarchy; fail loud.
@@ -357,9 +317,9 @@ func (ix *clusterIndex) build(
 				for _, m := range members {
 					ix.members = append(ix.members, int32(m))
 				}
-				if p, ok := ix.prevOf[q]; ok {
-					e.prev = p
-					e.own = !keptMembers(prevH.Levels[k-1], k, int(p), members, below)
+				if p := ids.Prev(k, c); pairedK && p >= 0 {
+					e.prev = int32(p)
+					e.own = !keptMembers(prevH.Levels[k-1], k, p, members, below)
 				}
 				e.sub = e.own
 				if k > 1 {
@@ -441,8 +401,12 @@ func (s *Selector) descend(ix *clusterIndex, owner, c, k int, stored, col []uint
 // pool fills dst's backings directly; otherwise each shard fills its
 // own buffers and the shards are concatenated in order, so the result
 // is byte-identical either way. With a nil prev every row pays full
-// descents and prevH/prevIDs are not read: that is BuildTable. known
-// must be nil; the parameter stays only because the bench/ replica,
+// descents and prevH/prevIDs are not read: that is BuildTable. The
+// update pairs a next cluster with a previous one only as the build of
+// nextIDs recorded (cluster.Identities.Prev), so only when nextIDs were
+// matched against prevIDs (MatchedFrom) and prevH has the level; any
+// other cluster is unpaired and its rows pay full descents, which
+// still gives BuildTable's table. known must be nil; the parameter stays only because the bench/ replica,
 // which is frozen with the benchmark, passes it (ROADMAP item 6).
 func (s *Selector) UpdateTableIntoPar(
 	dst *Table, sc *UpdateScratch, psc *UpdateParScratch,

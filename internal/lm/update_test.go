@@ -127,11 +127,13 @@ func scanDirtySubtrees(
 	return dirty
 }
 
-// TestDirtySubtreesMatchesScan: the cluster index must flag exactly
-// the next clusters the reference analysis marks, own-dirty by member
-// keys and sub-dirty by propagation through both snapshots, on random
-// snapshot pairs (consecutive ticks and pairs several ticks apart),
-// with one index reused across all of them.
+// TestDirtySubtreesMatchesScan: on consecutive snapshots the cluster
+// index must flag exactly the next clusters the reference analysis
+// marks, own-dirty by member keys and sub-dirty by propagation through
+// both snapshots. On pairs several ticks apart the next identities
+// were not matched against the previous ones, so no cluster is paired
+// and every cluster must be own- and sub-dirty. One index is reused
+// across all pairs.
 func TestDirtySubtreesMatchesScan(t *testing.T) {
 	var ix clusterIndex
 	pairs, dirtyAbove := 0, 0
@@ -150,9 +152,13 @@ func TestDirtySubtreesMatchesScan(t *testing.T) {
 						for _, c := range hs[b].LevelNodes(k) {
 							q, _ := ids[b].Logical(k, c)
 							e := ix.levels[k][c]
-							if e.own != own[k][q] || e.sub != want[k][q] {
-								t.Fatalf("n=%d seed=%d (%d,%d) level %d cluster %d: own/sub %v/%v, scan %v/%v",
-									n, seed, a, b, k, q, e.own, e.sub, own[k][q], want[k][q])
+							wantOwn, wantSub := own[k][q], want[k][q]
+							if b != a+1 {
+								wantOwn, wantSub = true, true
+							}
+							if e.own != wantOwn || e.sub != wantSub {
+								t.Fatalf("n=%d seed=%d (%d,%d) level %d cluster %d: own/sub %v/%v, want %v/%v",
+									n, seed, a, b, k, q, e.own, e.sub, wantOwn, wantSub)
 							}
 							if k >= 2 && e.sub && !e.own {
 								dirtyAbove++
@@ -203,6 +209,57 @@ func TestUpdateWorkCounts(t *testing.T) {
 		if gotSel, gotHashes := sc.Work(); gotSel != serialSel || gotHashes != serialHashes {
 			t.Fatalf("%d workers: work (%d, %d), serial (%d, %d)",
 				workers, gotSel, gotHashes, serialSel, serialHashes)
+		}
+	}
+}
+
+// TestUpdateUnmatchedIdentitiesPaysFullDescents pins the pairing
+// contract: given next identities that were not matched against the
+// previous ones — snapshots several ticks apart, or the same snapshot
+// pair from another tracker's lineage, whose logical IDs are equal —
+// the update pairs no cluster, so it must return BuildTable's table
+// and do a fresh build's hash work. A consecutive pair from one
+// lineage is the control: it must do less.
+func TestUpdateUnmatchedIdentitiesPaysFullDescents(t *testing.T) {
+	const n = 150
+	hs, ids := tableSnapshots(n, 3, 12)
+	hsB, idsB := tableSnapshots(n, 3, 12)
+	s := NewSelector(nil)
+	var sc UpdateScratch
+	cases := []struct {
+		name         string
+		prev, next   int
+		nextH        *cluster.Hierarchy
+		nextIDs      *cluster.Identities
+		wantFullWork bool
+	}{
+		{"three ticks apart", 0, 3, hs[3], ids[3], true},
+		{"other lineage", 0, 1, hsB[1], idsB[1], true},
+		{"consecutive", 0, 1, hs[1], ids[1], false},
+	}
+	for _, c := range cases {
+		prevT := s.BuildTable(hs[c.prev], ids[c.prev])
+		s.UpdateTableIntoPar(nil, &sc, nil, nil, nil, nil, c.nextH, c.nextIDs, nil, nil)
+		freshSel, freshHashes := sc.Work()
+		got := s.UpdateTableIntoPar(nil, &sc, nil, prevT, hs[c.prev], ids[c.prev], c.nextH, c.nextIDs, nil, nil)
+		if d := DiffTables(s.BuildTable(c.nextH, c.nextIDs), got); len(d) != 0 {
+			t.Fatalf("%s: update deviates from BuildTable: %+v", c.name, d[0])
+		}
+		sel, hashes := sc.Work()
+		full := sel == freshSel && hashes == freshHashes
+		if full != c.wantFullWork {
+			t.Fatalf("%s: work (%d, %d), fresh build (%d, %d); want full work %v",
+				c.name, sel, hashes, freshSel, freshHashes, c.wantFullWork)
+		}
+	}
+	// The other lineage names every cluster alike, so only the pairing
+	// record tells the two apart.
+	for k := 1; k <= hs[1].L(); k++ {
+		for _, c := range hs[1].LevelNodes(k) {
+			a, _ := ids[1].Logical(k, c)
+			if b, _ := idsB[1].Logical(k, c); a != b {
+				t.Fatalf("lineages differ at level %d cluster %d: %d vs %d", k, c, a, b)
+			}
 		}
 	}
 }

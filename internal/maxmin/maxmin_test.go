@@ -120,7 +120,7 @@ func TestHierarchyIntegration(t *testing.T) {
 	// Build a full hierarchy with the max-min elector and validate.
 	g := randomGraph(180, 480, 105, 11)
 	nodes := nodesUpTo(180)
-	h := cluster.Build(g, nodes, cluster.Config{Elector: Clusterer{D: 2}, Reach: 2}, nil)
+	h := build(g, nodes, cluster.Config{Elector: Clusterer{D: 2}, Reach: 2})
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestHierarchyIntegration(t *testing.T) {
 		t.Fatal("no clustering")
 	}
 	// d=2 aggregates at least as fast as LCA.
-	lca := cluster.Build(g, nodes, cluster.Config{}, nil)
+	lca := build(g, nodes, cluster.Config{})
 	if len(h.LevelNodes(1)) > len(lca.LevelNodes(1)) {
 		t.Fatalf("maxmin d=2 level-1 count %d > LCA %d", len(h.LevelNodes(1)), len(lca.LevelNodes(1)))
 	}
@@ -155,4 +155,10 @@ func BenchmarkElect200D2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst = c.Elect(dst[:0], nodes, g, prev)
 	}
+}
+
+// build is the hierarchy of a first snapshot.
+func build(g *topology.Graph, nodes []int, cfg cluster.Config) *cluster.Hierarchy {
+	h, _ := cluster.BuildWithIdentities(g, nodes, cfg, nil, nil, cluster.NewIdentityTracker(), 0)
+	return h
 }

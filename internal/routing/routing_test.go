@@ -26,7 +26,7 @@ func randomNet(n int, worldR, rtx float64, seed uint64) (*cluster.Hierarchy, *to
 	}
 	g := topology.BuildUnitDiskBrute(pos, rtx)
 	giant := topology.GiantComponent(g, nodesUpTo(n))
-	h := cluster.Build(g, giant, cluster.Config{}, nil)
+	h := build(g, giant, cluster.Config{})
 	return h, g
 }
 
@@ -53,7 +53,7 @@ func TestHierPathChain(t *testing.T) {
 	g := topology.NewGraph(4)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	h := cluster.Build(g, []int{1, 2, 3}, cluster.Config{}, nil)
+	h := build(g, []int{1, 2, 3}, cluster.Config{})
 	r := NewRouter(h)
 	p := r.HierPath(1, 3)
 	if p == nil {
@@ -70,7 +70,7 @@ func TestHierPathChain(t *testing.T) {
 func TestHierPathSelf(t *testing.T) {
 	g := topology.NewGraph(4)
 	g.AddEdge(1, 2)
-	h := cluster.Build(g, []int{1, 2}, cluster.Config{}, nil)
+	h := build(g, []int{1, 2}, cluster.Config{})
 	r := NewRouter(h)
 	p := r.HierPath(1, 1)
 	if len(p) != 1 || p[0] != 1 {
@@ -85,7 +85,7 @@ func TestHierPathUnreachable(t *testing.T) {
 	g := topology.NewGraph(6)
 	g.AddEdge(1, 2)
 	g.AddEdge(4, 5)
-	h := cluster.Build(g, []int{1, 2, 4, 5}, cluster.Config{}, nil)
+	h := build(g, []int{1, 2, 4, 5}, cluster.Config{})
 	r := NewRouter(h)
 	if p := r.HierPath(1, 5); p != nil {
 		t.Fatalf("path across partition: %v", p)
@@ -182,4 +182,10 @@ func BenchmarkHierPath(b *testing.B) {
 		d := nodes[src.Intn(len(nodes))]
 		r.HierPath(s, d)
 	}
+}
+
+// build is the hierarchy of a first snapshot.
+func build(g *topology.Graph, nodes []int, cfg cluster.Config) *cluster.Hierarchy {
+	h, _ := cluster.BuildWithIdentities(g, nodes, cfg, nil, nil, cluster.NewIdentityTracker(), 0)
+	return h
 }

@@ -130,15 +130,19 @@ func staticLayout(n int, seed uint64) ([]geom.Vec, *topology.Graph, geom.Disc) {
 	return pos, g, region
 }
 
-// staticHierarchy clusters the giant component of a static layout.
-func staticHierarchy(n int, seed uint64) (*cluster.Hierarchy, *topology.Graph) {
+// staticHierarchy clusters the giant component of a static layout. Its
+// identities name every cluster by its head ID (Passthrough).
+func staticHierarchy(n int, seed uint64) (*cluster.Hierarchy, *cluster.Identities, *topology.Graph) {
 	_, g, _ := staticLayout(n, seed)
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
 	giant := topology.GiantComponent(g, all)
-	return cluster.Build(g, giant, cluster.Config{}, nil), g
+	tr := cluster.NewIdentityTracker()
+	tr.Passthrough = true
+	h, ids := cluster.BuildWithIdentities(g, giant, cluster.Config{}, nil, nil, tr, 0)
+	return h, ids, g
 }
 
 func baseConfig(sc Scale) simnet.Config {
@@ -196,7 +200,7 @@ func RenderHierarchy(w io.Writer, h *cluster.Hierarchy) {
 
 func runE1(w io.Writer, sc Scale) error {
 	// A 30-node static network, like the paper's Fig. 1 scenario.
-	h, _ := staticHierarchy(30, 42)
+	h, _, _ := staticHierarchy(30, 42)
 	fmt.Fprintln(w, "E1 (Fig. 1): recursive ALCA clustering of a 30-node network")
 	RenderHierarchy(w, h)
 	fmt.Fprintf(w, "levels built: %d (paper's example: 3)\n", h.L())
@@ -305,7 +309,7 @@ func runE5(w io.Writer, sc Scale) error {
 	var sampler cluster.HopSampler
 	var hops []int
 	for _, n := range sc.Ns {
-		h, g := staticHierarchy(n, uint64(500+n))
+		h, _, g := staticHierarchy(n, uint64(500+n))
 		src := rng.New(uint64(n))
 		for k := 1; k <= h.L(); k++ {
 			hops = sampler.Sample(hops[:0], h, g, k, src, 120, 400)

@@ -175,7 +175,7 @@ func runE12(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "E12 (Eq. 13): level-k link counts vs 1/c_k (static layouts)")
 	tw := NewTable("N", "k", "|V_k|", "|E_k|", "c_k", "|E_k|·c_k/N")
 	for _, n := range sc.Ns {
-		h, _ := staticHierarchy(n, uint64(1200+n))
+		h, _, _ := staticHierarchy(n, uint64(1200+n))
 		n0 := float64(len(h.LevelNodes(0)))
 		for k := 0; k <= h.L(); k++ {
 			lvl := h.Level(k)
@@ -195,7 +195,7 @@ func runE13(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "E13 (§2.1): routing state and path stretch, hierarchical vs flat")
 	tw := NewTable("N", "flat entries", "hier entries", "reduction", "mean stretch")
 	for _, n := range sc.Ns {
-		h, _ := staticHierarchy(n, uint64(1300+n))
+		h, _, _ := staticHierarchy(n, uint64(1300+n))
 		r := routing.NewRouter(h)
 		nodes := h.LevelNodes(0)
 		hier := routing.MeanHierTableSize(h)
@@ -474,19 +474,15 @@ func runA3(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "A3 (ablation, §3.2 remark): server-load equity by hash family")
 	tw := NewTable("N", "hash", "mean load", "max load", "max/mean")
 	for _, n := range sc.Ns {
-		h, _ := staticHierarchy(n, uint64(2300+n))
-		n0 := len(h.LevelNodes(0))
 		// Head-ID (passthrough) identities: the skew the paper warns
 		// about arises from Eq. (5) applied to clustered head IDs.
-		tracker := cluster.NewIdentityTracker()
-		tracker.Passthrough = true
-		ids := tracker.Init(h)
+		h, ids, _ := staticHierarchy(n, uint64(2300+n))
+		n0 := len(h.LevelNodes(0))
 		for _, hf := range []lm.HashFamily{lm.Rendezvous{}, lm.Successor{IDSpace: n}} {
 			sel := lm.NewSelector(hf)
 			table := sel.BuildTable(h, ids)
 			load := table.Load()
 			total, max := 0, 0
-			//lint:ignore maprange commutative sum and max; the result is order-free
 			for _, c := range load {
 				total += c
 				if c > max {

@@ -195,7 +195,7 @@ func TestExperimentsSmoke(t *testing.T) {
 }
 
 func TestRenderHierarchy(t *testing.T) {
-	h, _ := staticHierarchy(25, 1)
+	h, _, _ := staticHierarchy(25, 1)
 	var buf bytes.Buffer
 	RenderHierarchy(&buf, h)
 	if !strings.Contains(buf.String(), "level 0") || !strings.Contains(buf.String(), "cluster") {

@@ -253,7 +253,7 @@ func (lp *looper) step(now float64) {
 		if cfg.TrackClasses {
 			st.classes.Merge(lm.ClassifyReorg(lp.hier, newHier, lp.diff))
 		}
-		st.countClusterLinkEvents(lp.hier, lp.idents, newHier, newIdents, lp.table, newTable)
+		st.countClusterLinkEvents(lp.hier, lp.idents, newHier, newIdents)
 		spMeasure.Stop()
 		if cfg.SampleHops > 0 && lp.tick%cfg.SampleHops == 0 {
 			spHops := lp.tm.hops.Start()
