@@ -4,7 +4,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/geom"
 	"repro/internal/lm"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -14,8 +13,10 @@ import (
 // snapshot between steps.
 //
 // Run is a Stepper driven until Step returns false, so both share one
-// ticker cadence, one horizon and one Results (TestStepperMatchesRun
+// tick cadence, one horizon and one Results (TestStepperMatchesRun
 // pins that, and the Done, step-after-done and final-clock contract).
+// The clock is the Stepper's own: tick i+1 fires at tick i's time plus
+// ScanInterval, the first at ScanInterval.
 //
 // Concurrency contract: Step mutates the live snapshot; the accessor
 // methods (Hierarchy, Positions, ...) expose storage that the *next*
@@ -23,11 +24,11 @@ import (
 // externally exclude the two (the serve runtime holds an RWMutex write
 // lock around Step and read locks around snapshot use).
 type Stepper struct {
-	cfg     Config
-	lp      *looper
-	eng     *sim.Engine
-	horizon float64
-	done    bool
+	cfg       Config
+	lp        *looper
+	now, next float64
+	horizon   float64
+	done      bool
 }
 
 // NewStepper validates cfg and builds the initial snapshot. Callers
@@ -41,27 +42,24 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stepper{cfg: cfg, lp: lp, eng: sim.NewEngine(), horizon: cfg.Warmup + cfg.Duration}
-	s.eng.Ticker(cfg.ScanInterval, cfg.ScanInterval, "scan", func(e *sim.Engine) {
-		lp.step(e.Now())
-	})
-	return s, nil
+	return &Stepper{cfg: cfg, lp: lp, next: cfg.ScanInterval, horizon: cfg.Warmup + cfg.Duration}, nil
 }
 
 // Step fires the next scan tick and returns true, or returns false
-// once the horizon is reached (leaving the clock at the horizon,
-// matching RunUntil).
+// once the next tick would pass the horizon (moving the clock forward
+// to the horizon).
 func (s *Stepper) Step() bool {
 	if s.done {
 		return false
 	}
-	t, ok := s.eng.NextTime()
-	if !ok || t > s.horizon {
-		s.eng.AdvanceTo(s.horizon)
+	if s.next > s.horizon {
+		s.now = max(s.now, s.horizon)
 		s.done = true
 		return false
 	}
-	s.eng.Step()
+	s.now = s.next
+	s.lp.step(s.now)
+	s.next = s.now + s.cfg.ScanInterval
 	return true
 }
 
@@ -69,10 +67,7 @@ func (s *Stepper) Step() bool {
 func (s *Stepper) Done() bool { return s.done }
 
 // Now returns the current virtual time.
-func (s *Stepper) Now() float64 { return s.eng.Now() }
-
-// NextTime reports when the next scan tick fires.
-func (s *Stepper) NextTime() (float64, bool) { return s.eng.NextTime() }
+func (s *Stepper) Now() float64 { return s.now }
 
 // Config returns the defaulted, validated configuration.
 func (s *Stepper) Config() Config { return s.cfg }
