@@ -27,7 +27,7 @@ func TestNaiveNamingInflatesOverhead(t *testing.T) {
 }
 
 func TestUncappedTopRuns(t *testing.T) {
-	cfg := Config{N: 100, Seed: 12, Duration: 40, Warmup: 10, TopArity: -1, Paranoid: true}
+	cfg := Config{N: 100, Seed: 12, Duration: 40, Warmup: 10, TopArity: -1, CheckLevel: "every-tick"}
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -145,8 +145,6 @@ type Config struct {
 	// HopPairs bounds the sampled pairs per cluster level per sample
 	// (default 64; 0 = default, < 0 rejected).
 	HopPairs int
-	// Paranoid validates every hierarchy snapshot (tests).
-	Paranoid bool
 
 	// IntraTickParallelism sets the worker count for parallelizing the
 	// heavy phases inside one scan tick (graph rebuild, LM table

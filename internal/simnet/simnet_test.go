@@ -10,8 +10,9 @@ import (
 func quickCfg(n int, seed uint64) Config {
 	return Config{
 		N: n, Seed: seed,
-		Duration: 40, Warmup: 10,
-		Paranoid: true,
+		Duration:   40,
+		Warmup:     10,
+		CheckLevel: "every-tick",
 	}
 }
 

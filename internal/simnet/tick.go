@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/geom"
 	"repro/internal/invariant"
@@ -206,11 +204,6 @@ func (lp *looper) step(now float64) {
 		PrevH: lp.hier, PrevIDs: lp.idents, Now: now,
 	}
 	newHier, newIdents := lp.mnt.Maintain(&lp.maintIn)
-	if cfg.Paranoid {
-		if err := newHier.Validate(); err != nil {
-			panic(fmt.Sprintf("simnet: t=%.2f: %v", now, err))
-		}
-	}
 	spCluster.Stop()
 	lp.tm.levels.Set(float64(newHier.L()))
 
