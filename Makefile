@@ -1,6 +1,6 @@
 # Verification entry points. `make check test race` is what CI runs.
 
-.PHONY: all build check test race multicore lint bench bench-json fuzz manet-fuzz
+.PHONY: all build check test race lint bench bench-json fuzz manet-fuzz
 
 all: build check test
 
@@ -21,19 +21,8 @@ test:
 race:
 	go test -race ./...
 
-# Multi-core determinism gate: the serial-vs-parallel equivalence
-# suites of the two parallel tick phases (link build, LM update) and of
-# whole runs, and a one-iteration smoke of the /par tick benchmarks,
-# GOMAXPROCS pinned so the worker pool actually fans out. PAR_EQUIV is
-# the only copy of the test list: CI's multicore job and
-# scripts/check.sh both run this target.
-PAR_EQUIV = ^(TestParallelMatchesSerial|TestUpdateTableParMatchesSerial|TestUpdateTableParReuse|TestUpdateWorkCounts|TestBuildUnitDiskParMatchesSerial|TestLogShadowParMatchesSerial|TestLinkBuildMatchesSortReference)$$
-multicore:
-	GOMAXPROCS=4 go test -run '$(PAR_EQUIV)' -count=1 ./internal/simnet ./internal/lm ./internal/topology
-	GOMAXPROCS=4 go test -run '^$$' -bench 'BenchmarkTick(GraphRebuild|LMUpdate)/par' -benchtime=1x -cpu=4 .
-
 # Property-based scenario fuzzing: random configs run with every-tick
-# invariant checks and a serial-vs-parallel differential; failures are
+# invariant checks; failures are
 # shrunk to a minimal (config, seed, tick) repro. Override the budget
 # with FUZZTIME=10m; set MANET_FUZZ_FAILURES=<dir> to persist shrunk
 # repros as corpus files.
@@ -41,7 +30,7 @@ FUZZTIME ?= 30s
 fuzz manet-fuzz:
 	go test ./internal/invariant/prop -run FuzzScenario -fuzz FuzzScenario -fuzztime $(FUZZTIME)
 
-# Steady-state tick benchmarks: fresh, reuse and par variants, the
+# Steady-state tick benchmarks: fresh and reuse variants, the
 # hierarchy-maintenance interval matrix and the low-churn LM update.
 bench:
 	go test -run '^$$' -bench 'BenchmarkTick' -benchmem -benchtime=20x .

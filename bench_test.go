@@ -9,14 +9,12 @@ package manet
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
 	"repro/internal/lm"
 	"repro/internal/mobility"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/simnet"
 	"repro/internal/spatial"
@@ -193,18 +191,6 @@ func BenchmarkTickGraphRebuild(b *testing.B) {
 			spare = link.BuildInto(spare, f.n, f.pos1, f.grid, nil, nil)
 		}
 	})
-	// One worker per available core; on a single-core host this takes
-	// the serial fallback, so /par == /reuse there.
-	b.Run("par", func(b *testing.B) {
-		p := par.NewPool(runtime.GOMAXPROCS(0))
-		defer p.Close()
-		var spare *topology.Graph
-		var sc topology.BuildScratch
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			spare = link.BuildInto(spare, f.n, f.pos1, f.grid, p, &sc)
-		}
-	})
 }
 
 func BenchmarkTickDiff(b *testing.B) {
@@ -367,17 +353,6 @@ func BenchmarkTickLMUpdate(b *testing.B) {
 			dst = f.sel.UpdateTableIntoPar(dst, &sc, nil, f.t0, f.h0, f.ids0, f.h1, f.ids1, nil, nil)
 		}
 	})
-	b.Run("par", func(b *testing.B) {
-		p := par.NewPool(runtime.GOMAXPROCS(0))
-		defer p.Close()
-		var sc lm.UpdateScratch
-		var psc lm.UpdateParScratch
-		var dst *lm.Table
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = f.sel.UpdateTableIntoPar(dst, &sc, &psc, f.t0, f.h0, f.ids0, f.h1, f.ids1, nil, p)
-		}
-	})
 
 	// Low-churn leg: on a live world at interval=0.1s (Mu=10) the
 	// per-tick delta touches only a handful of clusters, so the update
@@ -414,8 +389,7 @@ func BenchmarkTickLMUpdate(b *testing.B) {
 // per-candidate shadowing draw + hysteresis predicate AND widens the
 // candidate radius to the worst-case break distance (≈3σ + M/2 dB of
 // extra range), so its µs/simsec figure prices the lossy radio's
-// whole overhead, not just the predicate. The serial/par legs pin the
-// sharded stateful build's cost alongside its byte-identity tests.
+// whole overhead, not just the predicate.
 func BenchmarkBuildLinks(b *testing.B) {
 	const rtx, mu, interval = 100.0, 10.0, 1.0
 	n := tickN
@@ -428,39 +402,29 @@ func BenchmarkBuildLinks(b *testing.B) {
 		{"logshadow", func() topology.LinkModel { return topology.NewLogShadow(rtx, 3, 4, 3, 99) }},
 	}
 	for _, tc := range models {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s/serial", tc.name)
-			var pool *par.Pool
-			if workers > 1 {
-				name = fmt.Sprintf("%s/par", tc.name)
-				pool = par.NewPool(workers)
+		b.Run(tc.name+"/serial", func(b *testing.B) {
+			link := tc.mk()
+			model := mobility.NewWaypoint(region, mu, rng.NewRoot(99).Stream("mobility"))
+			pos := model.Init(n)
+			grid := spatial.NewGridForDisc(region, rtx, n)
+			for i, p := range pos {
+				grid.Insert(i, p)
 			}
-			b.Run(name, func(b *testing.B) {
-				link := tc.mk()
-				model := mobility.NewWaypoint(region, mu, rng.NewRoot(99).Stream("mobility"))
-				pos := model.Init(n)
-				grid := spatial.NewGridForDisc(region, rtx, n)
-				for i, p := range pos {
-					grid.Insert(i, p)
+			var g *topology.Graph
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := float64(i+1) * interval
+				model.AdvanceTo(t, pos)
+				for j, p := range pos {
+					grid.Update(j, p)
 				}
-				var g *topology.Graph
-				var sc topology.BuildScratch
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					t := float64(i+1) * interval
-					model.AdvanceTo(t, pos)
-					for j, p := range pos {
-						grid.Update(j, p)
-					}
-					g = link.BuildInto(g, n, pos, grid, pool, &sc)
-				}
-				b.StopTimer()
-				_ = g
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/(float64(b.N)*interval), "µs/simsec")
-			})
-			pool.Close()
-		}
+				g = link.BuildInto(g, n, pos, grid, nil, nil)
+			}
+			b.StopTimer()
+			_ = g
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/(float64(b.N)*interval), "µs/simsec")
+		})
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // FuzzScenario is the property-based fuzz target: arbitrary bytes
-// become a scenario (FromParams), which must survive the full battery
-// — every-tick invariant checks plus the serial/parallel/reuse
-// differential. The f.Add seeds mirror the TestParallelMatchesSerial
-// matrix plus the known-tricky degenerate configs; `go test` replays
+// become a scenario (FromParams), which must run with no panic and no
+// every-tick invariant check firing. The f.Add seeds cover the base,
+// churn, tracking and hop-sampling runs plus the known-tricky
+// degenerate configs; `go test` replays
 // them (and testdata/fuzz, once the fuzzer has found anything)
 // deterministically in tier-1, and `make fuzz` explores from there.
 //
@@ -54,7 +54,8 @@ func FuzzScenario(f *testing.F) {
 }
 
 // TestRegressionCorpusReplays replays testdata/regress in tier-1: the
-// parallel-determinism matrix plus the degenerate configs, each pinned
+// base, churn, tracking and hop-sampling runs plus the degenerate
+// configs, each pinned
 // to its expected outcome (all currently healthy — any Failure the
 // fuzzer finds lands here via WriteRepro and stays as a regression).
 func TestRegressionCorpusReplays(t *testing.T) {
@@ -162,7 +163,7 @@ func TestShrinkTruncates(t *testing.T) {
 
 // TestFromParamsTotal pins FromParams' totality: every byte pattern
 // maps to a scenario that either runs clean or is a config error —
-// never a panic or differential.
+// never a panic or a violation.
 func TestFromParamsTotal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive-ish sweep")

@@ -1,16 +1,14 @@
 // Package prop is the property-based scenario harness over the
 // runtime invariant checker: it generates random simulation
 // configurations from fuzz-provided bytes, runs short simulations with
-// every-tick invariant checks, differentially compares the serial,
-// parallel and zero-alloc-reuse paths, and
-// shrinks failing scenarios to a minimal (config, seed, tick) triple
-// written as a regression corpus file (testdata/regress). FuzzScenario
+// every-tick invariant checks, and shrinks failing scenarios to a
+// minimal (config, seed, tick) triple written as a regression corpus
+// file (testdata/regress). FuzzScenario
 // in fuzz_test.go is the Go-native fuzz target; `make fuzz` drives it
 // locally and the nightly CI job gives it a five-minute budget.
 package prop
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -18,7 +16,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/par"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Elector names accepted by Scenario.Elector ("" = memoryless LCA).
@@ -106,30 +103,29 @@ func FromParams(seed uint64, n uint16, mobility, hop, degree, speed, churn, topA
 
 // Config translates the scenario into a runnable simnet.Config with
 // every-tick invariant checks, a 1 s scan so Ticks counts scan ticks
-// directly, and no warmup (every tick is measured and traced).
-func (sc Scenario) Config(workers int) simnet.Config {
+// directly, and no warmup (every tick is measured).
+func (sc Scenario) Config() simnet.Config {
 	cfg := simnet.Config{
-		N:                    sc.N,
-		Seed:                 sc.Seed,
-		ScanInterval:         1,
-		Duration:             float64(sc.Ticks),
-		Warmup:               -1,
-		Mobility:             sc.Mobility,
-		Link:                 sc.Link,
-		HopModel:             sc.HopModel,
-		Degree:               sc.Degree,
-		Mu:                   sc.Mu,
-		ChurnRate:            sc.ChurnRate,
-		MeanDowntime:         sc.MeanDowntime,
-		TopArity:             sc.TopArity,
-		TrackStates:          sc.TrackStates,
-		TrackClasses:         sc.TrackClasses,
-		NaiveNaming:          sc.NaiveNaming,
-		SampleHops:           sc.SampleHops,
-		HopPairs:             sc.HopPairs,
-		Fault:                sc.Fault,
-		CheckLevel:           invariant.LevelEveryTick,
-		IntraTickParallelism: workers,
+		N:            sc.N,
+		Seed:         sc.Seed,
+		ScanInterval: 1,
+		Duration:     float64(sc.Ticks),
+		Warmup:       -1,
+		Mobility:     sc.Mobility,
+		Link:         sc.Link,
+		HopModel:     sc.HopModel,
+		Degree:       sc.Degree,
+		Mu:           sc.Mu,
+		ChurnRate:    sc.ChurnRate,
+		MeanDowntime: sc.MeanDowntime,
+		TopArity:     sc.TopArity,
+		TrackStates:  sc.TrackStates,
+		TrackClasses: sc.TrackClasses,
+		NaiveNaming:  sc.NaiveNaming,
+		SampleHops:   sc.SampleHops,
+		HopPairs:     sc.HopPairs,
+		Fault:        sc.Fault,
+		CheckLevel:   invariant.LevelEveryTick,
 	}
 	if sc.Colocated {
 		// A degree target of 2N guarantees the density puts every
@@ -147,9 +143,8 @@ func (sc Scenario) Config(workers int) simnet.Config {
 
 // Failure kinds reported by CheckScenario.
 const (
-	KindPanic        = "panic"        // a path panicked mid-run
-	KindViolation    = "violation"    // an invariant check fired
-	KindDifferential = "differential" // serial vs parallel paths diverged
+	KindPanic     = "panic"     // the run panicked
+	KindViolation = "violation" // an invariant check fired
 )
 
 // Failure is a failing scenario with the minimal reproduction context:
@@ -174,145 +169,26 @@ func (f *Failure) Error() string {
 // to fail and the earliest is what the shrinker keys on.
 const maxViolations = 32
 
-// runResult is one simulation attempt's outcome.
-type runResult struct {
-	configErr  error
-	panicErr   error
-	violations []invariant.Violation
-	res        []byte // Results JSON (Config stripped: funcs don't marshal)
-	trace      []byte // per-tick trace stream
-}
-
-// runScenario executes the scenario on one path (workers = 0 serial,
-// > 1 parallel) with every-tick checks, capturing violations, the
-// serialized results, and the trace.
-func runScenario(sc Scenario, workers int) runResult {
-	var out runResult
-	cfg := sc.Config(workers)
-	var buf bytes.Buffer
-	tr := trace.New(&buf)
-	cfg.Observer = tr.Observer()
-	cfg.OnViolation = func(v invariant.Violation) {
-		if len(out.violations) < maxViolations {
-			out.violations = append(out.violations, v)
-		}
-	}
-	var r *simnet.Results
-	var err error
-	if perr := par.Recover(func() { r, err = simnet.Run(cfg) }); perr != nil {
-		out.panicErr = perr
-		return out
-	}
-	if err != nil {
-		out.configErr = err
-		return out
-	}
-	if cerr := tr.Close(); cerr != nil {
-		out.panicErr = fmt.Errorf("trace close: %w", cerr)
-		return out
-	}
-	data, merr := json.Marshal(struct {
-		*simnet.Results
-		Config struct{}
-	}{Results: r})
-	if merr != nil {
-		out.panicErr = fmt.Errorf("marshal results: %w", merr)
-		return out
-	}
-	out.res = data
-	out.trace = buf.Bytes()
-	return out
-}
-
-// workerCounts are the parallel paths differentially compared against
-// the serial run (the same counts TestParallelMatchesSerial pins).
-var workerCounts = []int{2, 3}
-
-// CheckScenario runs the scenario's property battery and returns the
-// first failure, or nil:
-//
-//  1. the serial run must not panic;
-//  2. if the config is rejected, every path must reject it with the
-//     same error (a config-validation differential is still a bug);
-//  3. every-tick invariant checks must stay silent on every path;
-//  4. the parallel paths must produce byte-identical Results and
-//     traces to the serial run (which also pins the zero-alloc reuse
-//     path: every run after the first tick reuses retired storage).
+// CheckScenario runs the scenario with every-tick invariant checks
+// and returns the first failure, or nil: the run must not panic, and
+// no check may fire. A config the simulator rejects is not a failure.
 func CheckScenario(sc Scenario) *Failure {
-	serial := runScenario(sc, 0)
-	if serial.panicErr != nil {
-		return &Failure{Scenario: sc, Kind: KindPanic, Detail: serial.panicErr.Error()}
-	}
-	if serial.configErr != nil {
-		p := runScenario(sc, workerCounts[0])
-		if p.configErr == nil || p.configErr.Error() != serial.configErr.Error() {
-			return &Failure{
-				Scenario: sc, Kind: KindDifferential,
-				Detail: fmt.Sprintf("serial rejects config (%v) but %d workers says: %v",
-					serial.configErr, workerCounts[0], p.configErr),
-			}
+	var violations []invariant.Violation
+	cfg := sc.Config()
+	cfg.OnViolation = func(v invariant.Violation) {
+		if len(violations) < maxViolations {
+			violations = append(violations, v)
 		}
-		return nil // invalid config, consistently rejected everywhere
 	}
-	if len(serial.violations) > 0 {
-		v := serial.violations[0]
+	if perr := par.Recover(func() { _, _ = simnet.Run(cfg) }); perr != nil {
+		return &Failure{Scenario: sc, Kind: KindPanic, Detail: perr.Error()}
+	}
+	if len(violations) > 0 {
+		v := violations[0]
 		return &Failure{
 			Scenario: sc, Kind: KindViolation,
 			Check: v.Check, Tick: v.Tick, Detail: v.Detail,
 		}
 	}
-	for _, w := range workerCounts {
-		p := runScenario(sc, w)
-		if p.panicErr != nil {
-			return &Failure{
-				Scenario: sc, Kind: KindPanic,
-				Detail: fmt.Sprintf("%d workers: %v", w, p.panicErr),
-			}
-		}
-		if p.configErr != nil {
-			return &Failure{
-				Scenario: sc, Kind: KindDifferential,
-				Detail: fmt.Sprintf("serial accepts config but %d workers rejects it: %v", w, p.configErr),
-			}
-		}
-		if len(p.violations) > 0 {
-			v := p.violations[0]
-			return &Failure{
-				Scenario: sc, Kind: KindViolation,
-				Check: v.Check, Tick: v.Tick,
-				Detail: fmt.Sprintf("%d workers only: %s", w, v.Detail),
-			}
-		}
-		if !bytes.Equal(serial.trace, p.trace) {
-			return &Failure{
-				Scenario: sc, Kind: KindDifferential,
-				Tick:   diffTick(serial.trace, p.trace),
-				Detail: fmt.Sprintf("trace diverges between serial and %d workers", w),
-			}
-		}
-		if !bytes.Equal(serial.res, p.res) {
-			return &Failure{
-				Scenario: sc, Kind: KindDifferential,
-				Detail: fmt.Sprintf("results diverge between serial and %d workers", w),
-			}
-		}
-	}
 	return nil
-}
-
-// diffTick returns the 1-based index of the first differing trace
-// line — the tick where two paths diverged (one trace line per tick).
-func diffTick(a, b []byte) int {
-	la := bytes.Split(a, []byte{'\n'})
-	lb := bytes.Split(b, []byte{'\n'})
-	n := len(la)
-	if len(lb) < n {
-		n = len(lb)
-	}
-	for i := 0; i < n; i++ {
-		if !bytes.Equal(la[i], lb[i]) {
-			return i + 1
-		}
-	}
-	return n + 1
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // shrinkBudget bounds the number of CheckScenario executions one
-// Shrink may spend (each is up to three short simulations).
+// Shrink may spend (each is one short simulation).
 const shrinkBudget = 40
 
 // Shrink greedily reduces a failing scenario while it keeps failing:

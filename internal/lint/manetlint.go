@@ -13,7 +13,6 @@ import (
 	"repro/internal/lint/ignorecheck"
 	"repro/internal/lint/maprange"
 	"repro/internal/lint/rawrng"
-	"repro/internal/lint/shardsafe"
 	"repro/internal/lint/sharedrng"
 	"repro/internal/lint/statemut"
 )
@@ -28,7 +27,6 @@ func Analyzers() []*analysis.Analyzer {
 		rawrng.Analyzer,
 		sharedrng.Analyzer,
 		statemut.Analyzer,
-		shardsafe.Analyzer,
 		ignorecheck.Analyzer,
 	}
 	names := make([]string, 0, len(as))

@@ -210,8 +210,8 @@ func (s *Selector) UpdateTable(
 }
 
 // UpdateScratch holds the reusable buffers of UpdateTableIntoPar: the
-// cluster index and the serial row fill's buffers. Not safe for
-// concurrent use.
+// cluster index and the row fill's buffers. Not safe for concurrent
+// use.
 type UpdateScratch struct {
 	ix     clusterIndex
 	anc    []int
@@ -391,30 +391,33 @@ func (s *Selector) descend(ix *clusterIndex, owner, c, k int, stored, col []uint
 	return c
 }
 
-// UpdateTableIntoPar is UpdateTable with caller-owned storage, its
-// owner rows fanned out over pool p: dst (nil = allocate fresh) is
-// overwritten in place, its rows packed into flat backing arrays; sc
-// (nil = allocate fresh) supplies the cluster index and psc (nil =
-// allocate fresh) the per-shard buffers. dst must not alias prev and
-// must no longer be referenced by any consumer — in a double-buffered
-// loop, pass the table retired two ticks ago. A nil or single-worker
-// pool fills dst's backings directly; otherwise each shard fills its
-// own buffers and the shards are concatenated in order, so the result
-// is byte-identical either way. With a nil prev every row pays full
-// descents and prevH/prevIDs are not read: that is BuildTable. The
-// update pairs a next cluster with a previous one only as the build of
-// nextIDs recorded (cluster.Identities.Prev), so only when nextIDs were
-// matched against prevIDs (MatchedFrom) and prevH has the level; any
-// other cluster is unpaired and its rows pay full descents, which
-// still gives BuildTable's table. known must be nil; the parameter stays only because the bench/ replica,
-// which is frozen with the benchmark, passes it (ROADMAP item 6).
+// UpdateParScratch is an empty placeholder, kept only for the frozen
+// bench/ replica (ROADMAP item 6), which passes one to
+// UpdateTableIntoPar.
+type UpdateParScratch struct{}
+
+// UpdateTableIntoPar is UpdateTable with caller-owned storage: dst
+// (nil = allocate fresh) is overwritten in place, its rows packed into
+// flat backing arrays, and sc (nil = allocate fresh) supplies the
+// cluster index and the row buffers. dst must not alias prev and must
+// no longer be referenced by any consumer — in a double-buffered loop,
+// pass the table retired two ticks ago. With a nil prev every row pays
+// full descents and prevH/prevIDs are not read: that is BuildTable.
+// The update pairs a next cluster with a previous one only as the
+// build of nextIDs recorded (cluster.Identities.Prev), so only when
+// nextIDs were matched against prevIDs (MatchedFrom) and prevH has the
+// level; any other cluster is unpaired and its rows pay full descents,
+// which still gives BuildTable's table. known must be nil, and psc and
+// p are unused; the three parameters stay only because the bench/
+// replica, which is frozen with the benchmark, passes them (ROADMAP
+// item 6).
 func (s *Selector) UpdateTableIntoPar(
-	dst *Table, sc *UpdateScratch, psc *UpdateParScratch,
+	dst *Table, sc *UpdateScratch, _ *UpdateParScratch,
 	prev *Table,
 	prevH *cluster.Hierarchy, prevIDs *cluster.Identities,
 	nextH *cluster.Hierarchy, nextIDs *cluster.Identities,
 	known *cluster.DirtyClusters,
-	p *par.Pool,
+	_ *par.Pool,
 ) *Table {
 	if known != nil {
 		panic("lm: UpdateTableIntoPar takes no known dirty set")
@@ -431,10 +434,8 @@ func (s *Selector) UpdateTableIntoPar(
 	if prev == nil {
 		prevH = nil
 	}
-	// The index and its dirty analysis are per cluster, not per row,
-	// and feed every row read-only, so they stay serial.
 	sc.ix.build(prevH, prevIDs, nextH, nextIDs)
-	in := rowInputs{ix: &sc.ix, prev: prev, nextH: nextH, nextIDs: nextIDs}
+	in := rowInputs{prev: prev, nextH: nextH, nextIDs: nextIDs}
 	owners := nextH.LevelNodes(0)
 	dst.setOwners(owners)
 	// Size the backings for the longest chains (one entry per level
@@ -445,19 +446,10 @@ func (s *Selector) UpdateTableIntoPar(
 	dst.srvBack = slices.Grow(dst.srvBack[:0], rows*L)
 	dst.pathBack = slices.Grow(dst.pathBack[:0], rows*pathOff(L+1))
 	sc.rowEnd = slices.Grow(sc.rowEnd[:0], rows)
-	if p.Workers() == 1 {
-		b := rowBuf{
-			chain: dst.chainBack[:0], srv: dst.srvBack[:0], path: dst.pathBack[:0],
-			rowEnd: sc.rowEnd[:0], anc: sc.anc,
-		}
-		s.fillRows(&b, owners, in)
-		dst.chainBack, dst.srvBack, dst.pathBack = b.chain, b.srv, b.path
-		sc.rowEnd, sc.anc, sc.work = b.rowEnd, b.anc, b.work
-	} else {
-		if psc == nil {
-			psc = &UpdateParScratch{}
-		}
-		s.fillRowsPar(dst, sc, psc, owners, in, p)
+	sc.anc = slices.Grow(sc.anc[:0], L)
+	sc.work = hashWork{}
+	for _, v := range owners {
+		s.appendRow(dst, sc, v, in)
 	}
 	// Fix up the row views only after the backings stopped growing.
 	// Path-column offsets derive from the chain lengths: a row with n
@@ -478,59 +470,36 @@ func (s *Selector) UpdateTableIntoPar(
 }
 
 // rowInputs is the read-only state every owner row of an update
-// reads: the cluster index, the previous table (nil for BuildTable),
-// and the next snapshot.
+// reads besides the cluster index: the previous table (nil for
+// BuildTable) and the next snapshot.
 type rowInputs struct {
-	ix      *clusterIndex
 	prev    *Table
 	nextH   *cluster.Hierarchy
 	nextIDs *cluster.Identities
 }
 
-// rowBuf receives packed table rows: the flat chain, server and path
-// backings, each row's end offset within chain, the hash work done,
-// and the row's physical ancestors.
-type rowBuf struct {
-	chain  []uint64
-	srv    []int32
-	path   []uint64
-	rowEnd []int
-	work   hashWork
-	anc    []int
-}
-
-// fillRows appends the rows of owners to b. It only reads in, so
-// disjoint owner ranges may run concurrently, each into its own b.
-func (s *Selector) fillRows(b *rowBuf, owners []int, in rowInputs) {
-	b.anc = slices.Grow(b.anc[:0], in.nextH.L())
-	for _, v := range owners {
-		s.appendRow(b, v, in)
-	}
-}
-
-// appendRow appends owner v's table row to b: its logical ancestor
-// chain, per-level servers, descent-path memo and row end. One
-// ancestor walk yields the physical ancestors every descent starts
-// from and, up to the first without a logical ID, the logical chain.
-// An entry whose logical ancestor is unchanged descends along its
-// previous path; any other pays a full descent. It only reads in, so
-// disjoint owner ranges may run concurrently as long as each owns its
-// b.
-func (s *Selector) appendRow(b *rowBuf, v int, in rowInputs) {
-	b.anc = in.nextH.AppendAncestorChain(v, b.anc[:0])
-	start := len(b.chain)
-	for i, a := range b.anc {
+// appendRow appends owner v's table row to dst's backings: its logical
+// ancestor chain, per-level servers and descent-path memo, and the
+// row's end to sc.rowEnd. One ancestor walk yields the physical
+// ancestors every descent starts from and, up to the first without a
+// logical ID, the logical chain. An entry whose logical ancestor is
+// unchanged descends along its previous path; any other pays a full
+// descent.
+func (s *Selector) appendRow(dst *Table, sc *UpdateScratch, v int, in rowInputs) {
+	sc.anc = in.nextH.AppendAncestorChain(v, sc.anc[:0])
+	start := len(dst.chainBack)
+	for i, a := range sc.anc {
 		id, ok := in.nextIDs.Logical(i+1, a)
 		if !ok {
 			break
 		}
-		b.chain = append(b.chain, id)
+		dst.chainBack = append(dst.chainBack, id)
 	}
-	chain := b.chain[start:]
+	chain := dst.chainBack[start:]
 	n := len(chain)
-	pstart := len(b.path)
-	b.path = slices.Grow(b.path, pathOff(n+1))[:pstart+pathOff(n+1)]
-	paths := b.path[pstart:]
+	pstart := len(dst.pathBack)
+	dst.pathBack = slices.Grow(dst.pathBack, pathOff(n+1))[:pstart+pathOff(n+1)]
+	paths := dst.pathBack[pstart:]
 	var prevChain, prevPath []uint64
 	if in.prev != nil {
 		if r := in.prev.row(v); r >= 0 {
@@ -544,10 +513,10 @@ func (s *Selector) appendRow(b *rowBuf, v int, in rowInputs) {
 		if i < len(prevChain) && prevChain[i] == c {
 			stored = prevPath[po : po+k]
 		}
-		srv := s.descend(in.ix, v, b.anc[i], k, stored, paths[po:po+k], &b.work)
-		b.srv = append(b.srv, int32(srv))
+		srv := s.descend(&sc.ix, v, sc.anc[i], k, stored, paths[po:po+k], &sc.work)
+		dst.srvBack = append(dst.srvBack, int32(srv))
 	}
-	b.rowEnd = append(b.rowEnd, len(b.chain))
+	sc.rowEnd = append(sc.rowEnd, len(dst.chainBack))
 }
 
 // TableDiff reports every (owner, level) assignment change between two

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -69,52 +68,21 @@ func tableSnapshots(n, ticks int, seed uint64) ([]*cluster.Hierarchy, []*cluster
 	return hs, ids
 }
 
-// TestUpdateTableParMatchesSerial: the table update must be
-// byte-identical to the from-scratch BuildTable for every worker count,
-// including worker counts exceeding the owner count.
-func TestUpdateTableParMatchesSerial(t *testing.T) {
-	for _, n := range []int{3, 40, 150} {
-		hs, ids := tableSnapshots(n, 1, uint64(n))
-		s := NewSelector(nil)
-		base := s.BuildTable(hs[0], ids[0])
-		want := s.BuildTable(hs[1], ids[1])
-		for _, workers := range []int{1, 2, 3, 5, 8, 200} {
-			p := par.NewPool(workers)
-			parT := s.UpdateTableIntoPar(nil, nil, nil, base, hs[0], ids[0], hs[1], ids[1], nil, p)
-			p.Close()
-			tablesIdentical(t, want, parT)
-		}
-	}
-}
-
-// TestUpdateTableParReuse drives the double-buffered loop shape: two
-// recycled destination tables, one scratch pair, many ticks, each
-// compared with the from-scratch BuildTable.
+// TestUpdateTableParReuse drives UpdateTableIntoPar in the
+// double-buffered loop shape: two recycled destination tables, one
+// scratch, many ticks, each compared with the from-scratch BuildTable.
 func TestUpdateTableParReuse(t *testing.T) {
 	const n, ticks = 120, 6
 	hs, ids := tableSnapshots(n, ticks, 9)
 	s := NewSelector(nil)
-	p := par.NewPool(3)
-	defer p.Close()
 	var sc UpdateScratch
-	var psc UpdateParScratch
 	prev := s.BuildTable(hs[0], ids[0])
 	var spare [2]*Table
 	for tick := 1; tick <= ticks; tick++ {
-		next := s.UpdateTableIntoPar(spare[tick%2], &sc, &psc,
-			prev, hs[tick-1], ids[tick-1], hs[tick], ids[tick], nil, p)
+		next := s.UpdateTableIntoPar(spare[tick%2], &sc, nil,
+			prev, hs[tick-1], ids[tick-1], hs[tick], ids[tick], nil, nil)
 		tablesIdentical(t, s.BuildTable(hs[tick], ids[tick]), next)
 		spare[tick%2] = prev
 		prev = next
 	}
-}
-
-// TestUpdateTableParNilPool verifies the serial fallback: a nil pool
-// writes the rows straight into the table.
-func TestUpdateTableParNilPool(t *testing.T) {
-	hs, ids := tableSnapshots(60, 1, 4)
-	s := NewSelector(nil)
-	base := s.BuildTable(hs[0], ids[0])
-	parT := s.UpdateTableIntoPar(nil, nil, nil, base, hs[0], ids[0], hs[1], ids[1], nil, nil)
-	tablesIdentical(t, s.BuildTable(hs[1], ids[1]), parT)
 }

@@ -3,161 +3,20 @@ package par
 import (
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
-func TestShardCoversRange(t *testing.T) {
-	for _, tc := range []struct{ n, parts int }{
-		{0, 1}, {1, 1}, {1, 4}, {4, 4}, {5, 4}, {7, 3}, {100, 7}, {3, 8},
-	} {
-		covered := make([]int, tc.n)
-		prevHi := 0
-		for i := 0; i < tc.parts; i++ {
-			lo, hi := Shard(tc.n, tc.parts, i)
-			if lo != prevHi {
-				t.Fatalf("Shard(%d,%d,%d): lo=%d, want %d (contiguous)", tc.n, tc.parts, i, lo, prevHi)
-			}
-			if hi < lo {
-				t.Fatalf("Shard(%d,%d,%d): hi=%d < lo=%d", tc.n, tc.parts, i, hi, lo)
-			}
-			for j := lo; j < hi; j++ {
-				covered[j]++
-			}
-			prevHi = hi
-		}
-		if prevHi != tc.n {
-			t.Fatalf("Shard(%d,%d,·): covers [0,%d), want [0,%d)", tc.n, tc.parts, prevHi, tc.n)
-		}
-		for j, c := range covered {
-			if c != 1 {
-				t.Fatalf("Shard(%d,%d,·): index %d covered %d times", tc.n, tc.parts, j, c)
-			}
-		}
-	}
-}
-
-func TestShardBalance(t *testing.T) {
-	// Shards differ in size by at most one.
-	lo0, hi0 := Shard(10, 3, 0)
-	lo2, hi2 := Shard(10, 3, 2)
-	if (hi0-lo0)-(hi2-lo2) > 1 {
-		t.Fatalf("unbalanced shards: %d vs %d", hi0-lo0, hi2-lo2)
-	}
-}
-
-func TestPoolRunEveryWorker(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var hits [4]int32
-	p.Run(func(w int) { atomic.AddInt32(&hits[w], 1) })
-	for w, h := range hits {
-		if h != 1 {
-			t.Fatalf("worker %d ran %d times, want 1", w, h)
-		}
-	}
-}
-
-// TestRunShardsOrderedMerge is the ordered-merge contract: per-shard
-// outputs concatenated in shard order must equal the serial order, and
-// each worker must see its strided shards in increasing order (so
-// per-worker scratch reuse is well defined).
-func TestRunShardsOrderedMerge(t *testing.T) {
-	const shards = 13
-	for _, workers := range []int{1, 2, 3, 5, 16} {
-		p := NewPool(workers)
-		out := make([][]int, shards) // per-shard output buffers
-		perWorker := make([][]int, p.Workers())
-		p.RunShards(shards, func(w, s int) {
-			// Disjoint, shard-indexed output.
-			out[s] = []int{s * 10, s*10 + 1}
-			perWorker[w] = append(perWorker[w], s)
-		})
-		p.Close()
-		var merged []int
-		for s := 0; s < shards; s++ {
-			merged = append(merged, out[s]...)
-		}
-		for i, v := range merged {
-			want := (i/2)*10 + i%2
-			if v != want {
-				t.Fatalf("workers=%d: merged[%d]=%d, want %d", workers, i, v, want)
-			}
-		}
-		for w, ss := range perWorker {
-			for i, s := range ss {
-				if want := w + i*p.Workers(); s != want {
-					t.Fatalf("workers=%d: worker %d saw shard %d at position %d, want %d",
-						workers, w, s, i, want)
-				}
-			}
-		}
-	}
-}
-
-func TestRunShardsFewerShardsThanWorkers(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
-	var n int32
-	p.RunShards(3, func(w, s int) {
-		if w != s {
-			t.Errorf("shard %d ran on worker %d", s, w)
-		}
-		atomic.AddInt32(&n, 1)
-	})
-	if n != 3 {
-		t.Fatalf("ran %d shards, want 3", n)
-	}
-}
-
-func TestNilPoolRunsInline(t *testing.T) {
-	var p *Pool
-	if p.Workers() != 1 {
-		t.Fatalf("nil pool Workers = %d, want 1", p.Workers())
-	}
-	var order []int
-	p.Run(func(w int) { order = append(order, -1-w) })
-	p.RunShards(3, func(w, s int) { order = append(order, s) })
-	p.Close() // must not panic
-	want := []int{-1, 0, 1, 2}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestPoolPanicPropagation(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	err := Recover(func() {
-		p.RunShards(6, func(w, s int) {
-			if s == 2 || s == 4 {
-				panic("boom at shard 2")
-			}
-		})
-	})
-	if err == nil {
-		t.Fatal("expected panic to propagate")
-	}
+func TestRecoverCapturesPanic(t *testing.T) {
+	err := Recover(func() { panic("boom") })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %T, want *PanicError", err)
 	}
-	if !strings.Contains(pe.Error(), "boom at shard 2") {
+	if pe.Value != "boom" || !strings.Contains(pe.Error(), "boom") {
 		t.Fatalf("panic error lost its value: %v", pe)
 	}
 	if len(pe.Stack) == 0 {
 		t.Fatal("panic error lost its stack")
-	}
-	// The pool must remain usable after a captured panic.
-	var ok int32
-	p.Run(func(w int) { atomic.AddInt32(&ok, 1) })
-	if ok != 3 {
-		t.Fatalf("pool unusable after panic: ran %d workers, want 3", ok)
 	}
 }
 
@@ -165,10 +24,4 @@ func TestRecoverNormalReturn(t *testing.T) {
 	if err := Recover(func() {}); err != nil {
 		t.Fatalf("Recover of clean fn = %v, want nil", err)
 	}
-}
-
-func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	p.Close()
 }

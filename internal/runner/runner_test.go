@@ -236,88 +236,6 @@ func TestSweepRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestSweepCoreBudget: spare cores flow into intra-tick parallelism
-// when the sweep is smaller than the budget, and an explicit
-// Base.IntraTickParallelism divides the cell-level worker count
-// instead of multiplying total concurrency.
-func TestSweepCoreBudget(t *testing.T) {
-	spec := SweepSpec{
-		Ns: []int{10}, Seeds: 1, Parallelism: 8,
-		Base: simnet.Config{Duration: 2, Warmup: -1},
-	}
-	cells := Sweep(spec)
-	if cells[0].Err != nil {
-		t.Fatal(cells[0].Err)
-	}
-	if got := cells[0].R.Config.IntraTickParallelism; got != 8 {
-		t.Fatalf("auto split: IntraTickParallelism = %d, want 8", got)
-	}
-
-	spec.Base.IntraTickParallelism = 2
-	spec.Seeds = 3
-	cells = Sweep(spec)
-	for _, c := range cells {
-		if c.Err != nil {
-			t.Fatal(c.Err)
-		}
-		if got := c.R.Config.IntraTickParallelism; got != 2 {
-			t.Fatalf("explicit split: IntraTickParallelism = %d, want 2", got)
-		}
-	}
-
-	// A sweep with more cells than cores must stay fully serial per cell.
-	spec.Base.IntraTickParallelism = 0
-	spec.Seeds = 3
-	spec.Parallelism = 2
-	cells = Sweep(spec)
-	for _, c := range cells {
-		if got := c.R.Config.IntraTickParallelism; got != 0 {
-			t.Fatalf("oversubscribed sweep: IntraTickParallelism = %d, want 0", got)
-		}
-	}
-}
-
-// TestCoreBudgetMatrix pins the invariant cellPar·max(intra,1) ≤ cores
-// across the budget matrix, including the former oversubscription bug
-// (cores=4, intra=8 used to yield cellPar=1 with intra=8 → 8 workers).
-func TestCoreBudgetMatrix(t *testing.T) {
-	cases := []struct {
-		cores, intra, jobs     int
-		wantCellPar, wantIntra int
-	}{
-		{cores: 4, intra: 8, jobs: 16, wantCellPar: 1, wantIntra: 4}, // the bug: clamp intra to cores
-		{cores: 4, intra: 2, jobs: 16, wantCellPar: 2, wantIntra: 2}, // exact split
-		{cores: 8, intra: 3, jobs: 16, wantCellPar: 2, wantIntra: 3}, // floor division
-		{cores: 1, intra: 8, jobs: 16, wantCellPar: 1, wantIntra: 1}, // single core
-		{cores: 4, intra: 1, jobs: 16, wantCellPar: 4, wantIntra: 1}, // explicitly serial cells
-		{cores: 4, intra: 0, jobs: 16, wantCellPar: 4, wantIntra: 0}, // enough jobs: serial cells
-		{cores: 8, intra: 0, jobs: 2, wantCellPar: 2, wantIntra: 4},  // spare cores → intra
-		{cores: 8, intra: 0, jobs: 3, wantCellPar: 3, wantIntra: 2},  // spare floor
-		{cores: 4, intra: 0, jobs: 3, wantCellPar: 3, wantIntra: 0},  // spare of 1 is no split
-		{cores: 0, intra: 0, jobs: 4, wantCellPar: 1, wantIntra: 0},  // degenerate cores
-		{cores: 4, intra: 0, jobs: 0, wantCellPar: 4, wantIntra: 0},  // empty sweep
-	}
-	for _, c := range cases {
-		cellPar, intra := coreBudget(c.cores, c.intra, c.jobs)
-		if cellPar != c.wantCellPar || intra != c.wantIntra {
-			t.Errorf("coreBudget(%d,%d,%d) = (%d,%d), want (%d,%d)",
-				c.cores, c.intra, c.jobs, cellPar, intra, c.wantCellPar, c.wantIntra)
-		}
-		eff := intra
-		if eff < 1 {
-			eff = 1
-		}
-		budget := c.cores
-		if budget < 1 {
-			budget = 1
-		}
-		if cellPar < 1 || cellPar*eff > budget {
-			t.Errorf("coreBudget(%d,%d,%d) = (%d,%d) violates cellPar·max(intra,1) ≤ cores",
-				c.cores, c.intra, c.jobs, cellPar, intra)
-		}
-	}
-}
-
 // TestAggregateRaggedLevels: per-seed Results may carry per-level
 // slices of different lengths (one seed's hierarchy a level shallower,
 // or slices populated by other tooling). Aggregate used to index every

@@ -46,16 +46,8 @@ type CellResult struct {
 // in deterministic (N-major, seed-minor) order regardless of
 // completion order. A panic inside one cell is captured into that
 // cell's Err (as a *par.PanicError with the worker's stack) instead of
-// tearing down the whole sweep.
-//
-// Core budget: Parallelism (default GOMAXPROCS) bounds the total
-// concurrency. When Base.IntraTickParallelism is set, the cell-level
-// worker count shrinks to Parallelism / IntraTickParallelism so the
-// product stays within budget. When it is unset and the sweep has
-// fewer cells than the budget, the spare cores are handed to every
-// cell as intra-tick workers — a sweep of a few large cells then uses
-// the machine instead of idling most of it. In every case
-// cellPar·intra ≤ cores holds (see coreBudget).
+// tearing down the whole sweep. Each cell runs serially; at most
+// min(Parallelism, cells) cells run at once.
 func Sweep(spec SweepSpec) []CellResult {
 	cores := spec.Parallelism
 	if cores <= 0 {
@@ -76,12 +68,11 @@ func Sweep(spec SweepSpec) []CellResult {
 			jobs = append(jobs, job{idx: idx, n: n, seed: spec.SeedBase + uint64(idx)*1000003})
 		}
 	}
-	cellPar, intra := coreBudget(cores, spec.Base.IntraTickParallelism, len(jobs))
 	prog := obs.NewProgress(spec.Progress, len(jobs), spec.Base.Metrics)
 	out := make([]CellResult, len(jobs))
 	ch := make(chan job)
 	var wg sync.WaitGroup
-	for w := 0; w < cellPar; w++ {
+	for w := 0; w < min(cores, len(jobs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -89,7 +80,6 @@ func Sweep(spec SweepSpec) []CellResult {
 				cfg := spec.Base
 				cfg.N = j.n
 				cfg.Seed = j.seed
-				cfg.IntraTickParallelism = intra
 				out[j.idx] = runCell(cfg, j.n, j.seed, prog)
 			}
 		}()
@@ -133,45 +123,6 @@ func runCell(cfg simnet.Config, n int, seed uint64, prog *obs.Progress) CellResu
 	}()
 	<-done
 	return res
-}
-
-// coreBudget splits a budget of cores between cell-level workers and
-// per-cell intra-tick workers. Invariants, for any input:
-//
-//	cellPar ≥ 1
-//	cellPar · max(intra, 1) ≤ max(cores, 1)
-//
-// intra > 1 is an explicit per-cell worker request: it is clamped to
-// the budget (cores/intra used to round to 0 and leave cellPar at 1
-// with the full intra — cores=4, intra=8 oversubscribed to 8 workers).
-// intra == 0 with fewer jobs than cores hands the spare cores to every
-// cell; intra == 0 is returned unchanged when no spare exists, meaning
-// "serial cells". The returned intra, not the requested one, must be
-// written into each cell's config.
-func coreBudget(cores, intra, jobs int) (cellPar, intraOut int) {
-	if cores < 1 {
-		cores = 1
-	}
-	switch {
-	case intra > 1:
-		if intra > cores {
-			intra = cores
-		}
-		cellPar = cores / intra
-	case intra == 0 && jobs > 0 && jobs < cores:
-		cellPar = jobs
-		if spare := cores / cellPar; spare > 1 {
-			intra = spare
-		}
-	default:
-		// intra == 1 (explicitly serial cells) or enough jobs to fill
-		// the budget with serial cells.
-		cellPar = cores
-	}
-	if cellPar < 1 {
-		cellPar = 1
-	}
-	return cellPar, intra
 }
 
 // AggRow aggregates all seeds of one N.

@@ -42,16 +42,13 @@ func marshalResults(t *testing.T, r *simnet.Results) []byte {
 
 // TestServeDoesNotPerturbSim is the tentpole's determinism contract:
 // the embedded simulation's Results and trace must be byte-identical
-// with serving enabled vs disabled, serial and parallel.
+// with serving enabled vs disabled.
 func TestServeDoesNotPerturbSim(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  simnet.Config
 	}{
 		{"serial", simnet.Config{N: 48, Seed: 7, Duration: 10, Warmup: 2}},
-		{"parallel", simnet.Config{
-			N: 48, Seed: 5, Duration: 10, Warmup: 2, IntraTickParallelism: 3,
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

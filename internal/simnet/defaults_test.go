@@ -142,7 +142,7 @@ func TestValidateRejectsExplicitZeros(t *testing.T) {
 // reusable buffers leave only the elector's per-level head maps, a few
 // closures and occasional adjacency regrowth. Measured per tick on Go
 // 1.24/linux-amd64 at N=256, under a budget of 64: oracle 32, churn
-// 32, two workers 42, log-shadow links 49, sticky elector 34,
+// 32, log-shadow links 49, sticky elector 34,
 // debounced elector 37-38 and hop sampling every tick 32. The N=2048
 // leg measures 295 under a budget of 384; most of it is adjacency
 // regrowth in liftGraph's BuildFromSortedEdgesInto and in
@@ -157,7 +157,6 @@ func TestSteadyStateTickAllocs(t *testing.T) {
 	}{
 		{"oracle", Config{N: 256}, 64},
 		{"churn", Config{N: 256, ChurnRate: 60.0 / 3600}, 64},
-		{"par2", Config{N: 256, IntraTickParallelism: 2}, 64},
 		{"logshadow", Config{N: 256, Link: LinkLogShadow}, 64},
 		{"sticky", Config{N: 256, Elector: cluster.StickyLCA{}}, 64},
 		{"debounced", Config{N: 256, Elector: &cluster.DebouncedLCA{Grace: 10, LevelScale: 1.9}}, 64},
@@ -179,7 +178,6 @@ func TestSteadyStateTickAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer lp.close()
 			now := 0.0
 			step := func() {
 				now += cfg.ScanInterval

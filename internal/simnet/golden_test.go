@@ -32,7 +32,7 @@ type goldenCell struct {
 
 // goldenConfigs is the pinned scenario matrix: every mobility × link
 // cell, plus waypoint/unit-disk legs for the stateful elector, churn,
-// BFS hops, intra-tick parallelism and the paper's scale (N=2048).
+// BFS hops and the paper's scale (N=2048).
 func goldenConfigs() map[string]simnet.Config {
 	base := simnet.Config{N: 64, Seed: 1, Duration: 25, Warmup: 5}
 	cells := map[string]simnet.Config{}
@@ -55,7 +55,6 @@ func goldenConfigs() map[string]simnet.Config {
 	leg("bfs-hops", func(c *simnet.Config) {
 		c.HopModel, c.SampleHops, c.HopPairs = simnet.HopBFS, 5, 16
 	})
-	leg("par2", func(c *simnet.Config) { c.IntraTickParallelism = 2 })
 	leg("n2048", func(c *simnet.Config) { c.N, c.Warmup, c.Duration = 2048, 10, 10 })
 	return cells
 }

@@ -49,8 +49,6 @@ func TestInvariantsCleanScenarios(t *testing.T) {
 			NaiveNaming: true}},
 		{"no-top-cap", simnet.Config{N: 48, Seed: 3, Duration: 12, Warmup: 3,
 			TopArity: -1}},
-		{"parallel", simnet.Config{N: 48, Seed: 7, Duration: 15, Warmup: 4,
-			IntraTickParallelism: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -91,7 +91,6 @@ func carryConfig(t *testing.T, seed uint64) (Config, *looper) {
 // depth grows and shrinks.
 func TestClusterLinkEventsCarryMatchesRecompute(t *testing.T) {
 	cfg, lp := carryConfig(t, 5)
-	defer lp.close()
 	var want []int64
 	grew, shrank := false, false
 	now, measured := 0.0, 0
@@ -129,9 +128,7 @@ func TestClusterLinkEventsCarryMatchesRecompute(t *testing.T) {
 // one accumulator is fed their tick pairs alternately.
 func TestClusterLinkEventsUnchainedCalls(t *testing.T) {
 	cfg, a := carryConfig(t, 5)
-	defer a.close()
 	_, b := carryConfig(t, 6)
-	defer b.close()
 	st := newStateRun(cfg, cfg.Region())
 	var want []int64
 	for now := cfg.ScanInterval; now <= 40; now += cfg.ScanInterval {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/lm"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/spatial"
 	"repro/internal/topology"
@@ -146,13 +145,6 @@ type Config struct {
 	// (default 64; 0 = default, < 0 rejected).
 	HopPairs int
 
-	// IntraTickParallelism sets the worker count for parallelizing the
-	// heavy phases inside one scan tick (graph rebuild, LM table
-	// update). 0 or 1 means serial (the default);
-	// negative is rejected. Results are byte-identical to a serial run
-	// for every worker count — see internal/par's determinism contract.
-	IntraTickParallelism int
-
 	// Observer, when non-nil, is invoked after every scan tick with
 	// the live state. Used by examples and the trace tool.
 	Observer func(ObsEvent)
@@ -280,9 +272,6 @@ func (c Config) validate() error {
 	if c.HopPairs < 0 {
 		return fmt.Errorf("simnet: HopPairs must be positive (got %d)", c.HopPairs)
 	}
-	if c.IntraTickParallelism < 0 {
-		return fmt.Errorf("simnet: IntraTickParallelism must be >= 0 (got %d)", c.IntraTickParallelism)
-	}
 	if _, ok := mobilityRegistry[c.Mobility]; !ok {
 		return fmt.Errorf("simnet: unknown mobility model %q (want one of %v)", c.Mobility, mobilityNames)
 	}
@@ -318,7 +307,6 @@ func Run(cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	for s.Step() {
 	}
 	return s.Results()
@@ -367,9 +355,7 @@ func setupRun(cfg Config) (*looper, error) {
 	// The paper's analysis assumes a connected network (§1.2). The
 	// clustered hierarchy and LM therefore cover the giant component;
 	// stragglers outside it re-register when they rejoin (counted as
-	// registration overhead, not handoff). The setup build is serial
-	// (nil pool) — serial and sharded builds are byte-identical, so the
-	// choice is unobservable.
+	// registration overhead, not handoff).
 	graph := link.BuildInto(nil, cfg.N, pos, grid, nil, nil)
 	tracker := cluster.NewIdentityTracker()
 	tracker.Passthrough = cfg.NaiveNaming
@@ -393,14 +379,6 @@ func setupRun(cfg Config) (*looper, error) {
 	}
 	accountant := lm.NewAccountant(hop)
 
-	// One worker pool serves every parallel phase of the run; it is
-	// released by looper.close. 0 or 1 workers keep every phase on the
-	// serial code path.
-	var pool *par.Pool
-	if cfg.IntraTickParallelism > 1 {
-		pool = par.NewPool(cfg.IntraTickParallelism)
-	}
-
 	st := newStateRun(cfg, region)
 	st.observe(hier)
 
@@ -415,7 +393,6 @@ func setupRun(cfg Config) (*looper, error) {
 	}
 
 	lp := &looper{
-		pool:       pool,
 		checker:    checker,
 		tm:         newPhaseTimers(cfg.Metrics),
 		cfg:        cfg,

@@ -31,8 +31,7 @@ type Stepper struct {
 	done      bool
 }
 
-// NewStepper validates cfg and builds the initial snapshot. Callers
-// own the returned Stepper and must Close it.
+// NewStepper validates cfg and builds the initial snapshot.
 func NewStepper(cfg Config) (*Stepper, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -94,5 +93,6 @@ func (s *Stepper) Positions() []geom.Vec { return s.lp.pos }
 // returned false.
 func (s *Stepper) Results() (*Results, error) { return s.lp.st.results(s.cfg) }
 
-// Close releases the run's worker pool.
-func (s *Stepper) Close() { s.lp.close() }
+// Close does nothing. It is kept only for the frozen bench/ replica
+// (ROADMAP item 6), which calls it.
+func (s *Stepper) Close() {}

@@ -10,17 +10,13 @@ import (
 )
 
 // TestStepperMatchesRun pins the Stepper's contract: driving the run
-// tick-by-tick produces byte-identical Results and traces to Run(cfg),
-// serial and parallel.
+// tick-by-tick produces byte-identical Results and traces to Run(cfg).
 func TestStepperMatchesRun(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  simnet.Config
 	}{
 		{"base", simnet.Config{N: 48, Seed: 7, Duration: 15, Warmup: 4}},
-		{"parallel", simnet.Config{
-			N: 48, Seed: 5, Duration: 12, Warmup: 3, IntraTickParallelism: 3,
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,7 +30,6 @@ func TestStepperMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewStepper: %v", err)
 			}
-			defer st.Close()
 			ticks := 0
 			for st.Step() {
 				ticks++

@@ -7,7 +7,6 @@ import (
 	"repro/internal/lm"
 	"repro/internal/mobility"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/spatial"
 	"repro/internal/topology"
@@ -125,14 +124,6 @@ type looper struct {
 	giantScr    topology.ComponentScratch
 	updScratch  lm.UpdateScratch
 
-	// Intra-tick parallelism (Config.IntraTickParallelism > 1): the
-	// worker pool shared by every parallel phase, and the per-shard
-	// scratches of the parallel graph build and table update. nil pool
-	// means every phase runs its serial path.
-	pool         *par.Pool
-	buildScratch topology.BuildScratch
-	updParScr    lm.UpdateParScratch
-
 	// Invariant checker (Config.CheckLevel); nil checks nothing.
 	checker *invariant.Checker
 
@@ -187,8 +178,7 @@ func (lp *looper) step(now float64) {
 	spAdvance.Stop()
 
 	spRebuild := lp.tm.rebuild.Start()
-	newGraph := lp.link.BuildInto(
-		lp.spareGraph, cfg.N, lp.pos, lp.grid, lp.pool, &lp.buildScratch)
+	newGraph := lp.link.BuildInto(lp.spareGraph, cfg.N, lp.pos, lp.grid, nil, nil)
 	lp.spareGraph = nil
 	if lp.bfsHop != nil {
 		lp.bfsHop.Rebind(newGraph)
@@ -213,9 +203,9 @@ func (lp *looper) step(now float64) {
 
 	spLM := lp.tm.lmUpdate.Start()
 	newTable := lp.selector.UpdateTableIntoPar(
-		lp.spareTable, &lp.updScratch, &lp.updParScr,
+		lp.spareTable, &lp.updScratch, nil,
 		lp.table, lp.hier, lp.idents, newHier, newIdents,
-		nil, lp.pool)
+		nil, nil)
 	lp.spareTable = nil
 	spLM.Stop()
 	selects, hashes := lp.updScratch.Work()
@@ -283,7 +273,3 @@ func (lp *looper) step(now float64) {
 	lp.graph, lp.hier, lp.idents, lp.table = newGraph, newHier, newIdents, newTable
 	spTick.Stop()
 }
-
-// close releases the worker pool (a no-op for serial runs). The looper
-// must not step again afterwards.
-func (lp *looper) close() { lp.pool.Close() }

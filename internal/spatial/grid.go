@@ -199,37 +199,16 @@ func (g *Grid) Neighbors(dst []int, id int, p geom.Vec, r float64, pos func(int)
 	return dst
 }
 
-// Rows returns the number of cell rows in the grid — the shard axis
-// for parallel pair scans (see ForEachPairRows).
-func (g *Grid) Rows() int { return g.rows }
-
 // ForEachPair invokes fn once for every unordered pair (a, b), a < b,
 // of indexed nodes within radius r of each other. This is the bulk
-// link-scan primitive. Radii larger than the cell side widen the scan
-// to enough rings (ceil(r/cell)).
+// link-scan primitive. Every pair is owned by exactly one cell — the
+// lexicographically first of the two cells in row-major order — and
+// owner cells are scanned in row-major order. Radii larger than the
+// cell side widen the scan to enough rings (ceil(r/cell)).
 func (g *Grid) ForEachPair(r float64, pos func(int) geom.Vec, fn func(a, b int)) {
-	g.ForEachPairRows(r, 0, g.rows, pos, fn)
-}
-
-// ForEachPairRows is ForEachPair restricted to owner cells in rows
-// [rowLo, rowHi). Every pair is owned by exactly one cell — the
-// lexicographically first of the two cells in row-major order — so
-// scanning disjoint row ranges that cover [0, Rows()) reports every
-// pair exactly once, each pair in exactly one range, in the same
-// relative order as the full ForEachPair scan. Rows at or beyond rowHi
-// are read (a pair may span the boundary) but never owned, so
-// concurrent scans over disjoint ranges are safe as long as the grid
-// is not mutated.
-func (g *Grid) ForEachPairRows(r float64, rowLo, rowHi int, pos func(int) geom.Vec, fn func(a, b int)) {
 	r2 := r * r
 	k := g.rings(r)
-	if rowLo < 0 {
-		rowLo = 0
-	}
-	if rowHi > g.rows {
-		rowHi = g.rows
-	}
-	for cy := rowLo; cy < rowHi; cy++ {
+	for cy := 0; cy < g.rows; cy++ {
 		for cx := 0; cx < g.cols; cx++ {
 			cell := g.cells[cy*g.cols+cx]
 			if len(cell) == 0 {

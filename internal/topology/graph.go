@@ -44,9 +44,8 @@ func (k EdgeKey) String() string {
 // off the finished adjacency rows (row a contributes its neighbours
 // b > a, ordered within the row), and the cluster level graphs lift
 // their edges cluster by cluster in ascending order. So the hot link
-// scan does no map work and the parallel builder can assemble the
-// graph from per-shard buffers; AddEdge (used by BuildUnitDiskBrute
-// and tests) inserts at the key's sorted position.
+// scan does no map work; AddEdge (used by BuildUnitDiskBrute and
+// tests) inserts at the key's sorted position.
 type Graph struct {
 	n    int
 	adj  [][]int   // node ID -> neighbor IDs, in insertion order

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/par"
-	"repro/internal/rng"
 	"repro/internal/spatial"
 )
 
@@ -48,59 +46,9 @@ func buildFixture(n int, rtx float64, seed uint64) ([]geom.Vec, *spatial.Grid) {
 	return pos, idx
 }
 
-// buildUnitDisk is the fresh serial unit-disk build the parallel and
-// reuse paths are checked against.
+// buildUnitDisk is a fresh unit-disk build.
 func buildUnitDisk(n int, pos []geom.Vec, rtx float64, idx *spatial.Grid) *Graph {
 	return NewUnitDisk(rtx).BuildInto(nil, n, pos, idx, nil, nil)
-}
-
-// TestBuildUnitDiskParMatchesSerial is the ordered-merge contract for
-// the parallel graph build: for every (n, workers) combination —
-// including n smaller than the worker count and node/row counts that
-// do not divide evenly into shards — the parallel build must be
-// byte-identical to the serial one.
-func TestBuildUnitDiskParMatchesSerial(t *testing.T) {
-	for _, n := range []int{2, 3, 17, 100, 401} {
-		pos, idx := buildFixture(n, 90, uint64(n))
-		serial := buildUnitDisk(n, pos, 90, idx)
-		for _, workers := range []int{1, 2, 3, 5, 8, 32} {
-			p := par.NewPool(workers)
-			parg := NewUnitDisk(90).BuildInto(nil, n, pos, idx, p, nil)
-			p.Close()
-			graphsIdentical(t, serial, parg)
-		}
-	}
-}
-
-// TestBuildUnitDiskParReuse checks the scratch/double-buffer path:
-// alternating builds into recycled storage with a reused BuildScratch
-// must still match serial builds, including after node positions move.
-func TestBuildUnitDiskParReuse(t *testing.T) {
-	const n, rtx = 200, 80.0
-	pos, idx := buildFixture(n, rtx, 7)
-	p := par.NewPool(3)
-	defer p.Close()
-	var sc BuildScratch
-	var spare *Graph
-	src := rng.New(99)
-	for tick := 0; tick < 5; tick++ {
-		for i := range pos {
-			pos[i].X += src.Range(-20, 20)
-			pos[i].Y += src.Range(-20, 20)
-			idx.Update(i, pos[i])
-		}
-		serial := buildUnitDisk(n, pos, rtx, idx)
-		spare = NewUnitDisk(rtx).BuildInto(spare, n, pos, idx, p, &sc)
-		graphsIdentical(t, serial, spare)
-	}
-}
-
-// TestBuildUnitDiskParNilPool verifies the nil-pool fallback.
-func TestBuildUnitDiskParNilPool(t *testing.T) {
-	pos, idx := buildFixture(50, 90, 3)
-	serial := buildUnitDisk(50, pos, 90, idx)
-	parg := NewUnitDisk(90).BuildInto(nil, 50, pos, idx, nil, nil)
-	graphsIdentical(t, serial, parg)
 }
 
 // TestAddEdgeAfterBulkBuild checks AddEdge over a bulk-built graph:

@@ -18,10 +18,9 @@ import (
 //
 // Determinism contract: BuildInto must produce byte-identical graphs
 // (adjacency order and sorted edge list) for the same positions across
-// serial and parallel builds, and across fresh and reused destination
-// storage. Stateful models must evolve their state identically in all
-// of those cases — state may be read during a build but only updated
-// from the finished, deterministic edge set.
+// fresh and reused destination storage. Stateful models must evolve
+// their state identically in both cases — state may be read during a
+// build but only updated from the finished, deterministic edge set.
 type LinkModel interface {
 	// Name returns the registry key of the model (e.g. "unitdisk").
 	Name() string
@@ -31,13 +30,12 @@ type LinkModel interface {
 	Radius() float64
 	// BuildInto rebuilds the level-0 graph over positions into g (nil
 	// allocates; non-nil is Reset and refilled, allocation-free in
-	// steady state). idx must already index every node. A nil or
-	// single-worker pool builds serially; otherwise the build is
-	// sharded over p with byte-identical output.
+	// steady state). idx must already index every node. p and sc are
+	// unused.
 	BuildInto(g *Graph, n int, pos []geom.Vec, idx *spatial.Grid, p *par.Pool, sc *BuildScratch) *Graph
 }
 
-// buildLinksInto is the serial core of every link-model build: the
+// buildLinksInto is the core of every link-model build: the
 // grid emits each unordered pair within radius exactly once (row-major
 // over owner cells); pairs passing keep (nil = all) land in adjacency
 // lists in emission order, and the bulk edge store is then read off
@@ -57,19 +55,19 @@ func buildLinksInto(g *Graph, n int, pos []geom.Vec, radius float64, idx *spatia
 		g.adj[a] = append(g.adj[a], b)
 		g.adj[b] = append(g.adj[b], a)
 	})
-	g.bulk = appendRowEdges(g.bulk, g.adj, 0, n)
+	g.bulk = appendRowEdges(g.bulk, g.adj)
 	return g
 }
 
-// appendRowEdges appends the edge keys owned by rows [lo, hi) of adj
-// to dst in ascending order: row a owns its edges to neighbours b > a,
-// and every key of row a precedes every key of row a+1, so only each
-// row's short run needs ordering — an insertion sort on the keys as
-// they are appended. adj must hold no duplicate neighbours.
-func appendRowEdges(dst []EdgeKey, adj [][]int, lo, hi int) []EdgeKey {
-	for a := lo; a < hi; a++ {
+// appendRowEdges appends the edge keys owned by the rows of adj to dst
+// in ascending order: row a owns its edges to neighbours b > a, and
+// every key of row a precedes every key of row a+1, so only each row's
+// short run needs ordering — an insertion sort on the keys as they are
+// appended. adj must hold no duplicate neighbours.
+func appendRowEdges(dst []EdgeKey, adj [][]int) []EdgeKey {
+	for a, row := range adj {
 		start := len(dst)
-		for _, b := range adj[a] {
+		for _, b := range row {
 			if b <= a {
 				continue
 			}
@@ -85,93 +83,9 @@ func appendRowEdges(dst []EdgeKey, adj [][]int, lo, hi int) []EdgeKey {
 	return dst
 }
 
-// BuildScratch holds the reusable per-shard edge buffers of a sharded
-// link build. Not safe for concurrent use by two builds.
-type BuildScratch struct {
-	shards [][]EdgeKey // per-shard emitted pairs, in scan order
-	rows   [][]EdgeKey // per-worker edge keys of its node range
-}
-
-// buildLinksIntoPar is buildLinksInto fanned out over pool p. The scan
-// is sharded by grid row ranges: each shard enumerates the pairs owned
-// by its rows into its own edge buffer (spatial.Grid.ForEachPairRows
-// guarantees every pair lands in exactly one shard, in scan order).
-// Node-range workers then fill disjoint adjacency rows by walking the
-// shard buffers in shard order — reproducing the serial emission order
-// exactly — and each reads its rows' edge keys off into its own
-// buffer; the buffers, concatenated in worker order, are the sorted
-// edge store. The graph is byte-identical to the serial build. A nil
-// or single-worker pool falls back to the serial build; sc (nil =
-// allocate fresh) supplies the per-shard and per-worker buffers, and
-// reusing one across ticks makes the steady-state build
-// allocation-free. keep may be invoked concurrently from shard workers
-// and must be safe for concurrent calls (read-only state).
-func buildLinksIntoPar(
-	g *Graph, n int, pos []geom.Vec, radius float64, idx *spatial.Grid,
-	p *par.Pool, sc *BuildScratch, keep func(a, b int) bool,
-) *Graph {
-	if p.Workers() == 1 {
-		return buildLinksInto(g, n, pos, radius, idx, keep)
-	}
-	if g == nil {
-		g = NewGraph(n)
-	} else {
-		g.Reset(n)
-	}
-	if sc == nil {
-		sc = &BuildScratch{}
-	}
-	shards := par.Shards(p.Workers(), idx.Rows())
-	for len(sc.shards) < shards {
-		sc.shards = append(sc.shards, nil)
-	}
-	at := func(i int) geom.Vec { return pos[i] }
-
-	// Phase 1: enumerate surviving pairs per row-range shard.
-	p.RunShards(shards, func(_, s int) {
-		lo, hi := par.Shard(idx.Rows(), shards, s)
-		buf := sc.shards[s][:0]
-		idx.ForEachPairRows(radius, lo, hi, at, func(a, b int) {
-			if keep != nil && !keep(a, b) {
-				return
-			}
-			buf = append(buf, MakeEdgeKey(a, b))
-		})
-		sc.shards[s] = buf
-	})
-
-	// Phase 2: fill adjacency rows from the emission sequence. Worker
-	// w owns the contiguous node range Shard(n, W, w), so all writes
-	// are disjoint; walking the shards in order makes each list grow in
-	// the serial scan's emission order. The worker then reads its rows'
-	// edge keys off, in key order.
-	for len(sc.rows) < p.Workers() {
-		sc.rows = append(sc.rows, nil)
-	}
-	p.Run(func(w int) {
-		lo, hi := par.Shard(n, p.Workers(), w)
-		buf := sc.rows[w][:0]
-		for s := 0; s < shards; s++ {
-			for _, k := range sc.shards[s] {
-				a, b := k.Nodes()
-				if a >= lo && a < hi {
-					g.adj[a] = append(g.adj[a], b)
-				}
-				if b >= lo && b < hi {
-					g.adj[b] = append(g.adj[b], a)
-				}
-			}
-		}
-		sc.rows[w] = appendRowEdges(buf, g.adj, lo, hi)
-	})
-
-	// Phase 3: the node ranges ascend with w, so concatenating the
-	// workers' keys yields the sorted edge store.
-	for w := 0; w < p.Workers(); w++ {
-		g.bulk = append(g.bulk, sc.rows[w]...)
-	}
-	return g
-}
+// BuildScratch is an empty placeholder, kept only for the frozen
+// bench/ replica (ROADMAP item 6), which passes one to BuildInto.
+type BuildScratch struct{}
 
 // UnitDisk is the paper's link model: a link exists iff the pair is
 // within RTX.
@@ -193,9 +107,9 @@ func (u UnitDisk) Name() string { return "unitdisk" }
 // Radius returns RTX.
 func (u UnitDisk) Radius() float64 { return u.RTX }
 
-// BuildInto rebuilds the unit-disk graph (serial or sharded).
-func (u UnitDisk) BuildInto(g *Graph, n int, pos []geom.Vec, idx *spatial.Grid, p *par.Pool, sc *BuildScratch) *Graph {
-	return buildLinksIntoPar(g, n, pos, u.RTX, idx, p, sc, nil)
+// BuildInto rebuilds the unit-disk graph.
+func (u UnitDisk) BuildInto(g *Graph, n int, pos []geom.Vec, idx *spatial.Grid, _ *par.Pool, _ *BuildScratch) *Graph {
+	return buildLinksInto(g, n, pos, u.RTX, idx, nil)
 }
 
 // shadowGamma decorrelates per-pair shadowing streams: the edge key is
@@ -239,9 +153,8 @@ type shadowBound struct{ mk, br float64 }
 // RSSI cannot flap the link on and off every scan.
 //
 // The model keeps per-pair link state, updated only from the
-// finished edge set of each build, never during one, so serial and
-// parallel builds (which may evaluate pairs in different orders and on
-// different goroutines) read an identical, frozen snapshot.
+// finished edge set of each build, never during one, so every pair of
+// a build reads the same frozen snapshot.
 type LogShadow struct {
 	rtx    float64 // nominal (unshadowed, zero-margin) radius, m
 	eta    float64 // path-loss exponent η
@@ -378,8 +291,7 @@ func shadowRange(u, r float64) (lo, hi int) {
 // beyond every break threshold the bounds allow, the pair is down;
 // inside every make threshold, it is up; otherwise the state is read
 // and d2 tested against that state's bound. Only a pair that is still
-// undecided pays for the log, the exp and the exact compare. Safe for
-// concurrent calls: it only reads.
+// undecided pays for the log, the exp and the exact compare.
 func (m *LogShadow) up(d2 float64, k EdgeKey) bool {
 	lo, hi := 0, 0
 	if m.sigma > 0 {
@@ -427,14 +339,14 @@ func (m *LogShadow) isLinked(k EdgeKey) bool {
 	return ok
 }
 
-// BuildInto rebuilds the lossy graph (serial or sharded) and then
-// refreshes the hysteresis state from the finished edge set, whose
-// store is already in key order.
-func (m *LogShadow) BuildInto(g *Graph, n int, pos []geom.Vec, idx *spatial.Grid, p *par.Pool, sc *BuildScratch) *Graph {
+// BuildInto rebuilds the lossy graph and then refreshes the hysteresis
+// state from the finished edge set, whose store is already in key
+// order.
+func (m *LogShadow) BuildInto(g *Graph, n int, pos []geom.Vec, idx *spatial.Grid, _ *par.Pool, _ *BuildScratch) *Graph {
 	keep := func(a, b int) bool {
 		return m.up(pos[a].Dist2(pos[b]), MakeEdgeKey(a, b))
 	}
-	g = buildLinksIntoPar(g, n, pos, m.radius, idx, p, sc, keep)
+	g = buildLinksInto(g, n, pos, m.radius, idx, keep)
 	m.linked = append(m.linked[:0], g.bulk...)
 	return g
 }

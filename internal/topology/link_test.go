@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/spatial"
 )
@@ -137,40 +136,6 @@ func TestLogShadowFreshVsReuse(t *testing.T) {
 		want := fresh.BuildInto(nil, n, pos, idx, nil, nil)
 		spare = reuse.BuildInto(spare, n, pos, idx, nil, nil)
 		graphsIdentical(t, want, spare)
-	}
-}
-
-// TestLogShadowParMatchesSerial: the sharded build must match the
-// serial one byte-for-byte at every tick for every worker count, with
-// hysteresis state staying in lockstep (the parallel build reads a
-// frozen state snapshot and refreshes it from the same finished edge
-// set).
-func TestLogShadowParMatchesSerial(t *testing.T) {
-	const n, rtx = 150, 90.0
-	serialM := NewLogShadow(rtx, 3, 4, 3, 13)
-	workers := []int{2, 3, 8}
-	parMs := make([]*LogShadow, len(workers))
-	pools := make([]*par.Pool, len(workers))
-	for i, w := range workers {
-		parMs[i] = NewLogShadow(rtx, 3, 4, 3, 13)
-		pools[i] = par.NewPool(w)
-		defer pools[i].Close()
-	}
-	pos := layout(n, 500, 29)
-	idx := lossyFixture(n, pos, serialM.Radius())
-	src := rng.New(37)
-	scratches := make([]BuildScratch, len(workers))
-	for tick := 0; tick < 5; tick++ {
-		for i := range pos {
-			pos[i].X += src.Range(-15, 15)
-			pos[i].Y += src.Range(-15, 15)
-			idx.Update(i, pos[i])
-		}
-		serial := serialM.BuildInto(nil, n, pos, idx, nil, nil)
-		for i := range workers {
-			parg := parMs[i].BuildInto(nil, n, pos, idx, pools[i], &scratches[i])
-			graphsIdentical(t, serial, parg)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/spatial"
 )
@@ -74,17 +73,10 @@ func jiggle(pos []geom.Vec, idx *spatial.Grid, src *rng.Source, step float64) {
 }
 
 // TestLinkBuildMatchesSortReference: over randomized layouts and
-// motion, every link build — unit-disk and log-shadow, serial and
-// sharded, into fresh and into reused storage — must equal the
-// sort-based reference byte for byte: the same sorted edge store and
-// the same adjacency order.
+// motion, every link build — unit-disk and log-shadow, into fresh and
+// into reused storage — must equal the sort-based reference byte for
+// byte: the same sorted edge store and the same adjacency order.
 func TestLinkBuildMatchesSortReference(t *testing.T) {
-	workers := []int{1, 2, 3, 8}
-	pools := make([]*par.Pool, len(workers))
-	for i, w := range workers {
-		pools[i] = par.NewPool(w)
-		defer pools[i].Close()
-	}
 	src := rng.New(41)
 	for trial := 0; trial < 6; trial++ {
 		n := 20 + src.Intn(300)
@@ -93,22 +85,16 @@ func TestLinkBuildMatchesSortReference(t *testing.T) {
 
 		ud := NewUnitDisk(rtx)
 		udIdx := lossyFixture(n, pos, rtx)
-		udSpare := make([]*Graph, len(workers))
-		udScr := make([]BuildScratch, len(workers))
+		var udSpare *Graph
 
-		// One log-shadow twin per (worker count, storage) variant, so
-		// each variant's hysteresis state evolves from its own builds.
+		// One log-shadow twin per storage variant, so each variant's
+		// hysteresis state evolves from its own builds.
 		seed := uint64(trial) + 7
 		ref := NewLogShadow(rtx, 3, 4, 3, seed)
 		lsIdx := lossyFixture(n, pos, ref.Radius())
-		fresh := make([]*LogShadow, len(workers))
-		reuse := make([]*LogShadow, len(workers))
-		lsSpare := make([]*Graph, len(workers))
-		lsScr := make([]BuildScratch, len(workers))
-		for i := range workers {
-			fresh[i] = NewLogShadow(rtx, 3, 4, 3, seed)
-			reuse[i] = NewLogShadow(rtx, 3, 4, 3, seed)
-		}
+		fresh := NewLogShadow(rtx, 3, 4, 3, seed)
+		reuse := NewLogShadow(rtx, 3, 4, 3, seed)
+		var lsSpare *Graph
 
 		for tick := 0; tick < 4; tick++ {
 			jiggle(pos, udIdx, src, 20)
@@ -117,11 +103,9 @@ func TestLinkBuildMatchesSortReference(t *testing.T) {
 			}
 
 			want := refBuildLinks(n, pos, rtx, udIdx, nil)
-			for i := range workers {
-				graphsIdentical(t, want, ud.BuildInto(nil, n, pos, udIdx, pools[i], nil))
-				udSpare[i] = ud.BuildInto(udSpare[i], n, pos, udIdx, pools[i], &udScr[i])
-				graphsIdentical(t, want, udSpare[i])
-			}
+			graphsIdentical(t, want, ud.BuildInto(nil, n, pos, udIdx, nil, nil))
+			udSpare = ud.BuildInto(udSpare, n, pos, udIdx, nil, nil)
+			graphsIdentical(t, want, udSpare)
 
 			// The reference applies the exact predicate to ref's state
 			// frozen at the last build, then refreshes that state from
@@ -130,11 +114,9 @@ func TestLinkBuildMatchesSortReference(t *testing.T) {
 				return ref.upExact(pos[a].Dist2(pos[b]), MakeEdgeKey(a, b), ref.Linked(a, b))
 			})
 			ref.linked = append(ref.linked[:0], want.bulk...)
-			for i := range workers {
-				graphsIdentical(t, want, fresh[i].BuildInto(nil, n, pos, lsIdx, pools[i], nil))
-				lsSpare[i] = reuse[i].BuildInto(lsSpare[i], n, pos, lsIdx, pools[i], &lsScr[i])
-				graphsIdentical(t, want, lsSpare[i])
-			}
+			graphsIdentical(t, want, fresh.BuildInto(nil, n, pos, lsIdx, nil, nil))
+			lsSpare = reuse.BuildInto(lsSpare, n, pos, lsIdx, nil, nil)
+			graphsIdentical(t, want, lsSpare)
 		}
 	}
 }

@@ -7,9 +7,9 @@
 #
 # Only the Tick* and BuildLinks sub-benchmarks are recorded: they
 # isolate the scan tick's hot stages (graph rebuild, diff, hierarchy,
-# LM update) in fresh vs reuse vs par variants, plus the per-link-model build cost
-# (unitdisk vs logshadow µs/simsec, serial and par), which is the
-# comparison worth tracking. The
+# LM update) in fresh vs reuse variants, plus the per-link-model build
+# cost (unitdisk vs logshadow µs/simsec), which is the comparison worth
+# tracking. The
 # ClusterMaintain matrix (hierarchy maintenance across scan intervals)
 # and the LMUpdate lowchurn leg (dirty-row table update at a 0.1 s
 # scan) report µs/simsec. The -count

@@ -54,15 +54,10 @@ else
     echo "govulncheck: not installed, skipping" >&2
 fi
 
-echo "== parallel equivalence (GOMAXPROCS=4)"
-# The Makefile's PAR_EQUIV holds the one copy of the test list; CI's
-# multicore job runs the same target.
-make -s multicore || fail=1
-
-echo "== model zoo (cross-model differential matrix, race)"
+echo "== model zoo (cross-model invariant matrix, race)"
 # Mirrors the CI modelzoo job: the lossy link model passes the
-# every-tick battery and its serial/parallel differential, and the zoo
-# unit suites hold.
+# every-tick battery and its repeat-run byte-identity, and the zoo unit
+# suites hold.
 go test -race -run 'TestZoo|TestGaussMarkov|TestManhattan|TestHotspot' -count=1 ./internal/mobility || fail=1
 go test -race -run 'TestLogShadow' -count=1 ./internal/topology || fail=1
 go test -race -run 'TestLogShadow|TestLinkConfigValidation' -count=1 ./internal/simnet || fail=1
