@@ -3,9 +3,9 @@
 // configurations from fuzz-provided bytes, runs short simulations with
 // every-tick invariant checks, and shrinks failing scenarios to a
 // minimal (config, seed, tick) triple written as a regression corpus
-// file (testdata/regress). FuzzScenario
-// in fuzz_test.go is the Go-native fuzz target; `make fuzz` drives it
-// locally and the nightly CI job gives it a five-minute budget.
+// file (testdata/regress). FuzzScenario in fuzz_test.go is the
+// Go-native fuzz target; `make fuzz` drives it locally and the nightly
+// CI job gives it a five-minute budget.
 package prop
 
 import (
