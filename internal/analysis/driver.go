@@ -58,9 +58,6 @@ type Driver struct {
 // non-nil error means the module itself could not be loaded; per-file
 // parse and type problems become "typecheck" findings instead.
 func (d *Driver) Run(root, base string, patterns []string) ([]Finding, error) {
-	if err := Validate(d.Analyzers); err != nil {
-		return nil, err
-	}
 	m, err := NewModule(root)
 	if err != nil {
 		return nil, err
@@ -70,113 +67,73 @@ func (d *Driver) Run(root, base string, patterns []string) ([]Finding, error) {
 		return nil, err
 	}
 
-	seq := Sequence(d.Analyzers)
 	var all []Finding
 	for _, p := range paths {
 		pkg, err := m.Load(p)
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, d.runPackage(m, pkg, seq)...)
+		all = append(all, d.runPackage(m, pkg)...)
 	}
 	SortFindings(all)
 	return all, nil
 }
 
-// Sequence flattens the analyzer graph into a run order where every
-// analyzer follows its Requires.
-func Sequence(analyzers []*Analyzer) []*Analyzer {
-	var out []*Analyzer
-	seen := map[*Analyzer]bool{}
-	var visit func(a *Analyzer)
-	visit = func(a *Analyzer) {
-		if seen[a] {
-			return
-		}
-		seen[a] = true
-		for _, req := range a.Requires {
-			visit(req)
-		}
-		out = append(out, a)
-	}
-	for _, a := range analyzers {
-		visit(a)
-	}
-	return out
-}
-
-// runPackage runs the analyzer sequence over one package and applies
-// the suppression layer to its diagnostics.
-func (d *Driver) runPackage(m *Module, pkg *Package, seq []*Analyzer) []Finding {
-	type ruled struct {
-		rule string
-		f    Finding
-	}
-	var raw []ruled
+// runPackage runs every analyzer over one package and applies the
+// suppression layer to its diagnostics.
+func (d *Driver) runPackage(m *Module, pkg *Package) []Finding {
+	var raw []Finding
 
 	for _, err := range pkg.ParseErrs {
 		if list, ok := err.(scanner.ErrorList); ok {
 			for _, e := range list {
-				raw = append(raw, ruled{"typecheck", Finding{
+				raw = append(raw, Finding{
 					File: m.relFile(e.Pos.Filename), Line: e.Pos.Line, Col: e.Pos.Column,
 					Rule: "typecheck", Message: e.Msg,
-				}})
+				})
 			}
 			continue
 		}
-		raw = append(raw, ruled{"typecheck", Finding{
+		raw = append(raw, Finding{
 			File: pkg.RelPathOrDot(), Line: 1, Col: 1, Rule: "typecheck", Message: err.Error(),
-		}})
+		})
 	}
 	for _, te := range pkg.TypeErrors {
 		pos := m.fset.Position(te.Pos)
-		raw = append(raw, ruled{"typecheck", Finding{
+		raw = append(raw, Finding{
 			File: m.relFile(pos.Filename), Line: pos.Line, Col: pos.Column,
 			Rule: "typecheck", Message: te.Msg,
-		}})
+		})
 	}
 
-	results := map[*Analyzer]any{}
-	for _, a := range seq {
-		if len(pkg.TypeErrors) > 0 && !a.RunDespiteErrors {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:   a,
-			Fset:       m.fset,
-			Files:      pkg.Files,
-			TestFiles:  pkg.TestFiles,
-			PkgPath:    pkg.ImportPath,
-			Pkg:        pkg.Types,
-			TypesInfo:  pkg.Info,
-			TypeErrors: pkg.TypeErrors,
-			ResultOf:   map[*Analyzer]any{},
-		}
-		for _, req := range a.Requires {
-			pass.ResultOf[req] = results[req]
-		}
+	for _, a := range d.Analyzers {
 		rule := a.Name
-		pass.Report = func(diag Diagnostic) {
-			pos := m.fset.Position(diag.Pos)
-			raw = append(raw, ruled{rule, Finding{
-				File: m.relFile(pos.Filename), Line: pos.Line, Col: pos.Column,
-				Rule: rule, Message: diag.Message,
-				strict: diag.Category == CategoryStrict,
-			}})
+		pass := &Pass{
+			Fset:      m.fset,
+			Files:     pkg.Files,
+			TestFiles: pkg.TestFiles,
+			PkgPath:   pkg.ImportPath,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+			Report: func(diag Diagnostic) {
+				pos := m.fset.Position(diag.Pos)
+				raw = append(raw, Finding{
+					File: m.relFile(pos.Filename), Line: pos.Line, Col: pos.Column,
+					Rule: rule, Message: diag.Message,
+					strict: diag.Category == CategoryStrict,
+				})
+			},
 		}
-		res, err := a.Run(pass)
-		if err != nil {
-			raw = append(raw, ruled{rule, Finding{
+		if _, err := a.Run(pass); err != nil {
+			raw = append(raw, Finding{
 				File: pkg.RelPathOrDot(), Line: 1, Col: 1, Rule: rule,
 				Message: fmt.Sprintf("analyzer failed: %v", err), strict: true,
-			}})
-			continue
+			})
 		}
-		results[a] = res
 	}
 
 	active := map[string]bool{"typecheck": true}
-	for _, a := range seq {
+	for _, a := range d.Analyzers {
 		active[a.Name] = true
 	}
 	allFiles := append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...)
@@ -187,18 +144,18 @@ func (d *Driver) runPackage(m *Module, pkg *Package, seq []*Analyzer) []Finding 
 	}
 
 	var out []Finding
-	for _, r := range raw {
+	for _, f := range raw {
 		suppressed := false
-		if !r.f.strict {
+		if !f.strict {
 			for i, dir := range directives {
-				if dir.File != r.f.File {
+				if dir.File != f.File {
 					continue
 				}
-				if dir.Line != r.f.Line && dir.Line != r.f.Line-1 {
+				if dir.Line != f.Line && dir.Line != f.Line-1 {
 					continue
 				}
 				for _, rule := range dir.Rules {
-					if rule == r.rule {
+					if rule == f.Rule {
 						matched[i][rule] = true
 						suppressed = true
 					}
@@ -206,7 +163,7 @@ func (d *Driver) runPackage(m *Module, pkg *Package, seq []*Analyzer) []Finding 
 			}
 		}
 		if !suppressed {
-			out = append(out, r.f)
+			out = append(out, f)
 		}
 	}
 

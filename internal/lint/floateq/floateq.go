@@ -21,10 +21,9 @@ import (
 var EpsilonMarkers = []string{"approx", "almost", "close", "eps"}
 
 var Analyzer = &analysis.Analyzer{
-	Name:             "floateq",
-	Doc:              "flag exact floating-point == / != comparisons outside epsilon helpers",
-	Run:              run,
-	RunDespiteErrors: true,
+	Name: "floateq",
+	Doc:  "flag exact floating-point == / != comparisons outside epsilon helpers",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

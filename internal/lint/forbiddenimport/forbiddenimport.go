@@ -37,10 +37,9 @@ var (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:             "forbiddenimport",
-	Doc:              "flag math/rand, crypto/rand, and time imports that bypass internal/rng and the DES clock",
-	Run:              run,
-	RunDespiteErrors: true,
+	Name: "forbiddenimport",
+	Doc:  "flag math/rand, crypto/rand, and time imports that bypass internal/rng and the DES clock",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -26,10 +26,9 @@ import (
 var KnownRules = []string{"typecheck"}
 
 var Analyzer = &analysis.Analyzer{
-	Name:             "ignorecheck",
-	Doc:              "flag malformed, catch-all, unknown-rule, and (via the driver) stale //lint:ignore directives",
-	Run:              run,
-	RunDespiteErrors: true,
+	Name: "ignorecheck",
+	Doc:  "flag malformed, catch-all, unknown-rule, and (via the driver) stale //lint:ignore directives",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

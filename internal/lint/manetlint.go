@@ -1,7 +1,7 @@
 // Package lint assembles the manetlint analyzer suite: the full
-// catalog of repro's determinism gates, each a
-// standalone *analysis.Analyzer runnable on its own (or, via
-// cmd/manetlint, as a multichecker or a `go vet -vettool`).
+// catalog of repro's determinism gates, each a standalone
+// *analysis.Analyzer that cmd/manetlint and the root lint test run
+// together through analysis.Driver.
 //
 // See DESIGN.md §10 for the catalog with rationale per analyzer.
 package lint
@@ -17,8 +17,7 @@ import (
 	"repro/internal/lint/statemut"
 )
 
-// Analyzers returns the full manetlint suite in reporting order. The
-// slice is freshly allocated; callers may filter it.
+// Analyzers returns the full manetlint suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	as := []*analysis.Analyzer{
 		forbiddenimport.Analyzer,

@@ -18,10 +18,9 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:             "maprange",
-	Doc:              "flag nondeterministic map iteration outside the sorted-key-harvest idiom",
-	Run:              run,
-	RunDespiteErrors: true,
+	Name: "maprange",
+	Doc:  "flag nondeterministic map iteration outside the sorted-key-harvest idiom",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

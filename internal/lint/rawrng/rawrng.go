@@ -13,10 +13,9 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:             "rawrng",
-	Doc:              "flag rng.Source values constructed outside rng.New / Root.Stream / Split",
-	Run:              run,
-	RunDespiteErrors: true,
+	Name: "rawrng",
+	Doc:  "flag rng.Source values constructed outside rng.New / Root.Stream / Split",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

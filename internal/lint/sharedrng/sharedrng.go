@@ -14,10 +14,9 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:             "sharedrng",
-	Doc:              "flag goroutines capturing an rng stream from the enclosing scope",
-	Run:              run,
-	RunDespiteErrors: true,
+	Name: "sharedrng",
+	Doc:  "flag goroutines capturing an rng stream from the enclosing scope",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -30,10 +30,9 @@ var (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:             "statemut",
-	Doc:              "confine simulator-state writes to the state types' own methods and registered mutators",
-	Run:              run,
-	RunDespiteErrors: true,
+	Name: "statemut",
+	Doc:  "confine simulator-state writes to the state types' own methods and registered mutators",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

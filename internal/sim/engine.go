@@ -91,28 +91,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// NextTime reports the firing time of the earliest pending event, and
-// false when the queue is empty.
-func (e *Engine) NextTime() (float64, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].time, true
-}
-
-// AdvanceTo moves the clock forward to t without firing anything — the
-// step-driven equivalent of RunUntil's final clock advance. Advancing
-// past a pending event panics (it would silently skip it); t at or
-// before the current clock is a no-op.
-func (e *Engine) AdvanceTo(t float64) {
-	if next, ok := e.NextTime(); ok && next < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) would skip event pending at %v", t, next))
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // ScheduleAt queues h to run at absolute time t. Scheduling in the past
 // panics: it would silently corrupt causality.
 func (e *Engine) ScheduleAt(t float64, name string, h Handler) *Event {

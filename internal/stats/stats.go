@@ -1,13 +1,12 @@
 // Package stats provides the statistical machinery for the benchmark
-// harness: streaming moments (Welford), histograms, per-level counter
-// tables, and least-squares fitting of candidate scaling laws used to
-// test the paper's Θ(log²|V|) claims against power-law alternatives.
+// harness: streaming moments (Welford), per-level moment tables, and
+// least-squares fitting of candidate scaling laws used to test the
+// paper's Θ(log²|V|) claims against power-law alternatives.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates mean and variance in one pass, numerically
@@ -69,102 +68,6 @@ func (w *Welford) Merge(o Welford) {
 	mean := w.mean + d*float64(o.n)/float64(n)
 	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
 	w.n, w.mean, w.m2 = n, mean, m2
-}
-
-// Histogram is a fixed-width bucket histogram over [0, width*buckets),
-// with an overflow bucket.
-type Histogram struct {
-	width    float64
-	counts   []int64
-	overflow int64
-	total    int64
-	sum      float64
-}
-
-// NewHistogram creates a histogram with the given bucket width and
-// bucket count.
-func NewHistogram(width float64, buckets int) *Histogram {
-	if width <= 0 || buckets <= 0 {
-		panic("stats: histogram needs positive width and buckets")
-	}
-	return &Histogram{width: width, counts: make([]int64, buckets)}
-}
-
-// Add records one observation (negative values clamp to bucket 0).
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	if x < 0 {
-		h.counts[0]++
-		return
-	}
-	i := int(x / h.width)
-	if i >= len(h.counts) {
-		h.overflow++
-		return
-	}
-	h.counts[i]++
-}
-
-// Total returns the observation count.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Mean returns the mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Quantile returns an approximate quantile (q in [0,1]) using bucket
-// midpoints; overflow observations return +Inf.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.total))
-	if target >= h.total {
-		target = h.total - 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum > target {
-			return (float64(i) + 0.5) * h.width
-		}
-	}
-	return math.Inf(1)
-}
-
-// Counts returns a copy of the bucket counts plus the overflow count.
-func (h *Histogram) Counts() (buckets []int64, overflow int64) {
-	return append([]int64(nil), h.counts...), h.overflow
-}
-
-// Counter is a labeled monotone counter set with deterministic
-// iteration order.
-type Counter struct {
-	m map[string]float64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{m: map[string]float64{}} }
-
-// Add increments label by delta.
-func (c *Counter) Add(label string, delta float64) { c.m[label] += delta }
-
-// Get returns the current value of label.
-func (c *Counter) Get(label string) float64 { return c.m[label] }
-
-// Labels returns all labels, sorted.
-func (c *Counter) Labels() []string {
-	out := make([]string, 0, len(c.m))
-	for k := range c.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PerLevel accumulates a Welford series indexed by small non-negative

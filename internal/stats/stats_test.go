@@ -102,60 +102,6 @@ func TestWelfordMergeProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(1.0, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(100) // overflow
-	h.Add(-1)  // clamps to bucket 0
-	buckets, overflow := h.Counts()
-	if overflow != 1 {
-		t.Fatalf("overflow = %d", overflow)
-	}
-	if buckets[0] != 2 {
-		t.Fatalf("bucket 0 = %d", buckets[0])
-	}
-	if h.Total() != 12 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// Median lands near 5.
-	q := h.Quantile(0.5)
-	if q < 3 || q > 7 {
-		t.Fatalf("median = %v", q)
-	}
-}
-
-func TestHistogramQuantileMonotone(t *testing.T) {
-	h := NewHistogram(0.5, 100)
-	src := rng.New(3)
-	for i := 0; i < 10000; i++ {
-		h.Add(src.Exp(0.2))
-	}
-	prev := -1.0
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Fatalf("quantiles not monotone at %v: %v < %v", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("b", 2)
-	c.Add("a", 1)
-	c.Add("b", 3)
-	if c.Get("b") != 5 || c.Get("a") != 1 || c.Get("zz") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	labels := c.Labels()
-	if len(labels) != 2 || labels[0] != "a" || labels[1] != "b" {
-		t.Fatalf("labels = %v", labels)
-	}
-}
-
 func TestPerLevel(t *testing.T) {
 	var p PerLevel
 	p.Add(2, 10)

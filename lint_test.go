@@ -12,9 +12,8 @@ import (
 // violates an invariant the internal/lint analyzer suite enforces
 // (map-order-dependent iteration, stray randomness or wall-clock time
 // in simulation code, exact float comparison, unseeded or
-// goroutine-shared rng streams, out-of-band state mutation, unsafe
-// writes in par.Pool callbacks, and stale or catch-all //lint:ignore
-// directives).
+// goroutine-shared rng streams, out-of-band state mutation, and stale
+// or catch-all //lint:ignore directives).
 // Run `go run ./cmd/manetlint ./...` for the same report from the
 // command line; DESIGN.md §10 catalogs the analyzers.
 func TestManetlintClean(t *testing.T) {

@@ -22,14 +22,6 @@ go vet ./... || fail=1
 echo "== manetlint"
 go run ./cmd/manetlint ./... || fail=1
 
-echo "== manetlint as go vet -vettool"
-# Mirrors the CI verify step: the same suite through cmd/go's vettool
-# (unitchecker) protocol.
-vettool_dir=$(mktemp -d)
-{ go build -o "$vettool_dir/manetlint" ./cmd/manetlint &&
-    go vet -vettool="$vettool_dir/manetlint" ./...; } || fail=1
-rm -rf "$vettool_dir"
-
 # Third-party static gates. Pinned versions match .github/workflows/
 # ci.yml; install with
 #   go install honnef.co/go/tools/cmd/staticcheck@2023.1.7
