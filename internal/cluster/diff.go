@@ -23,19 +23,22 @@ type StateDelta struct {
 
 // Diff captures every hierarchy change between two consecutive
 // snapshots, organized the way the paper's Sections 4 and 5 consume
-// them.
+// them. The four per-level fields are indexed by level and sized to
+// the deeper of the two snapshots; row 0 is always empty.
 type Diff struct {
-	// Elections[k] lists nodes that became level-k nodes (k >= 1).
-	Elections map[int][]int
-	// Rejections[k] lists nodes that lost level-k status (k >= 1).
-	Rejections map[int][]int
+	// Elections[k] lists nodes that became level-k nodes (k >= 1), in
+	// ascending ID order.
+	Elections [][]int
+	// Rejections[k] lists nodes that lost level-k status (k >= 1), in
+	// ascending ID order.
+	Rejections [][]int
 	// MigrationLinkEvents[k] lists level-k link changes (k >= 1) whose
 	// endpoints are level-k nodes in both snapshots — the paper's
 	// "cluster migration" events (i) and (ii).
-	MigrationLinkEvents map[int][]topology.LinkEvent
+	MigrationLinkEvents [][]topology.LinkEvent
 	// StructuralLinkEvents[k] lists the remaining level-k link changes,
 	// consequences of clusterhead election/rejection (events iii–vii).
-	StructuralLinkEvents map[int][]topology.LinkEvent
+	StructuralLinkEvents [][]topology.LinkEvent
 	// Memberships lists per-node ancestor changes, ordered by
 	// (level, node).
 	Memberships []MembershipChange
@@ -51,32 +54,11 @@ func ComputeDiff(prev, next *Hierarchy) *Diff {
 }
 
 // DiffScratch holds the reusable buffers of ComputeDiffInto: the
-// edge-diff scratch, ancestor buffers, and pools for the per-level
-// event slices harvested from recycled Diffs.
+// edge-diff scratch and the per-node ancestor buffers.
 type DiffScratch struct {
 	edges  topology.DiffScratch
 	pc, nc []int // per level-0 node: its current-level ancestor
-	ints   [][]int
-	evs    [][]topology.LinkEvent
 	emptyG *topology.Graph
-}
-
-func (s *DiffScratch) getInts() []int {
-	if n := len(s.ints); n > 0 {
-		out := s.ints[n-1]
-		s.ints = s.ints[:n-1]
-		return out[:0]
-	}
-	return nil
-}
-
-func (s *DiffScratch) getEvs() []topology.LinkEvent {
-	if n := len(s.evs); n > 0 {
-		out := s.evs[n-1]
-		s.evs = s.evs[:n-1]
-		return out[:0]
-	}
-	return nil
 }
 
 func (s *DiffScratch) empty() *topology.Graph {
@@ -86,53 +68,34 @@ func (s *DiffScratch) empty() *topology.Graph {
 	return s.emptyG
 }
 
-// reset prepares d for refilling, harvesting its slices into the
-// scratch pools. d must no longer be referenced by any consumer.
-func (s *DiffScratch) reset(d *Diff) {
-	if d.Elections == nil {
-		d.Elections = map[int][]int{}
-		d.Rejections = map[int][]int{}
-		d.MigrationLinkEvents = map[int][]topology.LinkEvent{}
-		d.StructuralLinkEvents = map[int][]topology.LinkEvent{}
-		return
+// resetRows returns rows resized to n levels, each emptied in place:
+// rows beyond the previous length reuse whatever capacity they held.
+func resetRows[T any](rows [][]T, n int) [][]T {
+	if cap(rows) < n {
+		rows = append(rows[:cap(rows)], make([][]T, n-cap(rows))...)
 	}
-	//lint:ignore maprange slice harvesting; only pooled capacity depends on order
-	for _, v := range d.Elections {
-		s.ints = append(s.ints, v)
+	rows = rows[:n]
+	for k := range rows {
+		rows[k] = rows[k][:0]
 	}
-	//lint:ignore maprange slice harvesting; only pooled capacity depends on order
-	for _, v := range d.Rejections {
-		s.ints = append(s.ints, v)
-	}
-	//lint:ignore maprange slice harvesting; only pooled capacity depends on order
-	for _, v := range d.MigrationLinkEvents {
-		s.evs = append(s.evs, v)
-	}
-	//lint:ignore maprange slice harvesting; only pooled capacity depends on order
-	for _, v := range d.StructuralLinkEvents {
-		s.evs = append(s.evs, v)
-	}
-	clear(d.Elections)
-	clear(d.Rejections)
-	clear(d.MigrationLinkEvents)
-	clear(d.StructuralLinkEvents)
-	d.Memberships = d.Memberships[:0]
-	d.StateDeltas = d.StateDeltas[:0]
+	return rows
 }
 
 // ComputeDiffInto is ComputeDiff with caller-owned storage: d (nil =
-// allocate fresh) is reset and refilled, drawing slice storage from
-// the scratch. A reused d must be dead to all consumers — the diff is
-// valid only until the next ComputeDiffInto call with the same d or s.
+// allocate fresh) is reset and refilled in place. A reused d must be
+// dead to all consumers — the diff is valid only until the next
+// ComputeDiffInto call with the same d or s.
 func ComputeDiffInto(d *Diff, prev, next *Hierarchy, s *DiffScratch) *Diff {
 	if d == nil {
 		d = &Diff{}
 	}
-	s.reset(d)
-	maxL := len(prev.Levels)
-	if len(next.Levels) > maxL {
-		maxL = len(next.Levels)
-	}
+	maxL := max(len(prev.Levels), len(next.Levels))
+	d.Elections = resetRows(d.Elections, maxL)
+	d.Rejections = resetRows(d.Rejections, maxL)
+	d.MigrationLinkEvents = resetRows(d.MigrationLinkEvents, maxL)
+	d.StructuralLinkEvents = resetRows(d.StructuralLinkEvents, maxL)
+	d.Memberships = d.Memberships[:0]
+	d.StateDeltas = d.StateDeltas[:0]
 
 	// Node-set and link-set changes per level k >= 1. Level.Nodes is
 	// sorted, so membership tests are binary searches and walking the
@@ -141,27 +104,15 @@ func ComputeDiffInto(d *Diff, prev, next *Hierarchy, s *DiffScratch) *Diff {
 		pl, nl := prev.Level(k), next.Level(k)
 		pIs := func(id int) bool { return pl != nil && pl.IsNode(id) }
 		nIs := func(id int) bool { return nl != nil && nl.IsNode(id) }
-		el := s.getInts()
 		for _, id := range levelNodes(nl) {
 			if !pIs(id) {
-				el = append(el, id)
+				d.Elections[k] = append(d.Elections[k], id)
 			}
 		}
-		if len(el) > 0 {
-			d.Elections[k] = el
-		} else if el != nil {
-			s.ints = append(s.ints, el)
-		}
-		rj := s.getInts()
 		for _, id := range levelNodes(pl) {
 			if !nIs(id) {
-				rj = append(rj, id)
+				d.Rejections[k] = append(d.Rejections[k], id)
 			}
-		}
-		if len(rj) > 0 {
-			d.Rejections[k] = rj
-		} else if rj != nil {
-			s.ints = append(s.ints, rj)
 		}
 
 		// Link events.
@@ -176,26 +127,13 @@ func ComputeDiffInto(d *Diff, prev, next *Hierarchy, s *DiffScratch) *Diff {
 		if ng == nil {
 			ng = s.empty()
 		}
-		var mig, str []topology.LinkEvent
 		for _, ev := range s.edges.Diff(pg, ng) {
 			a, b := ev.Edge.Nodes()
 			if pIs(a) && pIs(b) && nIs(a) && nIs(b) {
-				if mig == nil {
-					mig = s.getEvs()
-				}
-				mig = append(mig, ev)
+				d.MigrationLinkEvents[k] = append(d.MigrationLinkEvents[k], ev)
 			} else {
-				if str == nil {
-					str = s.getEvs()
-				}
-				str = append(str, ev)
+				d.StructuralLinkEvents[k] = append(d.StructuralLinkEvents[k], ev)
 			}
-		}
-		if len(mig) > 0 {
-			d.MigrationLinkEvents[k] = mig
-		}
-		if len(str) > 0 {
-			d.StructuralLinkEvents[k] = str
 		}
 	}
 
@@ -244,9 +182,13 @@ func ComputeDiffInto(d *Diff, prev, next *Hierarchy, s *DiffScratch) *Diff {
 
 // Empty reports whether the diff contains no changes at all.
 func (d *Diff) Empty() bool {
-	return len(d.Elections) == 0 && len(d.Rejections) == 0 &&
-		len(d.MigrationLinkEvents) == 0 && len(d.StructuralLinkEvents) == 0 &&
-		len(d.Memberships) == 0 && len(d.StateDeltas) == 0
+	for k := range d.Elections {
+		if len(d.Elections[k]) > 0 || len(d.Rejections[k]) > 0 ||
+			len(d.MigrationLinkEvents[k]) > 0 || len(d.StructuralLinkEvents[k]) > 0 {
+			return false
+		}
+	}
+	return len(d.Memberships) == 0 && len(d.StateDeltas) == 0
 }
 
 // ancestorUp returns the level-k cluster of the level-(k-1) node u in

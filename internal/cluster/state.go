@@ -1,7 +1,5 @@
 package cluster
 
-import "sort"
-
 // ALCA state-occupancy tracking (paper Fig. 3 and §5.3.2).
 //
 // The ALCA state of a level-k node is the number of its level-(k-1)
@@ -19,11 +17,12 @@ import "sort"
 // hierarchy snapshots.
 type StateTracker struct {
 	samples int
-	// occ[m][s] counts observations of level-m nodes (m >= 1) in state s.
-	occ map[int]map[int]int
+	// occ[m][s] counts observations of level-m nodes (m >= 1) in state
+	// s; occ[m] is nil until level m has been observed.
+	occ [][]int
 	// deltaHist[d] counts state changes of magnitude d between
 	// consecutive snapshots among persistent heads.
-	deltaHist map[int]int
+	deltaHist []int
 	// transitions counts all state changes; unitTransitions those with
 	// |Δ| == 1.
 	transitions     int
@@ -31,11 +30,15 @@ type StateTracker struct {
 }
 
 // NewStateTracker returns an empty tracker.
-func NewStateTracker() *StateTracker {
-	return &StateTracker{
-		occ:       map[int]map[int]int{},
-		deltaHist: map[int]int{},
+func NewStateTracker() *StateTracker { return &StateTracker{} }
+
+// bump increments xs[i], growing xs as needed.
+func bump(xs []int, i int) []int {
+	if i >= len(xs) {
+		xs = append(xs, make([]int, i+1-len(xs))...)
 	}
+	xs[i]++
+	return xs
 }
 
 // Observe accumulates the state occupancy of one hierarchy snapshot.
@@ -47,13 +50,14 @@ func (t *StateTracker) Observe(h *Hierarchy) {
 			continue
 		}
 		m := k + 1 // node level whose states these are
-		dist := t.occ[m]
-		if dist == nil {
-			dist = map[int]int{}
-			t.occ[m] = dist
+		if m >= len(t.occ) {
+			t.occ = append(t.occ, make([][]int, m+1-len(t.occ))...)
+		}
+		if t.occ[m] == nil {
+			t.occ[m] = []int{}
 		}
 		for _, c := range h.Levels[k+1].Nodes {
-			dist[lvl.StateOf(c)]++
+			t.occ[m] = bump(t.occ[m], lvl.StateOf(c))
 		}
 	}
 }
@@ -65,7 +69,7 @@ func (t *StateTracker) ObserveDiff(d *Diff) {
 		if delta < 0 {
 			delta = -delta
 		}
-		t.deltaHist[delta]++
+		t.deltaHist = bump(t.deltaHist, delta)
 		t.transitions++
 		if delta == 1 {
 			t.unitTransitions++
@@ -80,10 +84,7 @@ func (t *StateTracker) Samples() int { return t.samples }
 // ascending.
 func (t *StateTracker) Levels() []int {
 	var out []int
-	for m := 1; ; m++ {
-		if _, ok := t.occ[m]; !ok {
-			break
-		}
+	for m := 1; m < len(t.occ) && t.occ[m] != nil; m++ {
 		out = append(out, m)
 	}
 	return out
@@ -92,39 +93,37 @@ func (t *StateTracker) Levels() []int {
 // P1 returns the time-averaged probability that a level-m node is in
 // ALCA state 1, and the number of observations it is based on.
 func (t *StateTracker) P1(m int) (p float64, n int) {
-	return t.pState(m, 1)
-}
-
-// PState returns the time-averaged probability that a level-m node is
-// in the given state.
-func (t *StateTracker) PState(m, state int) (p float64, n int) {
-	return t.pState(m, state)
-}
-
-func (t *StateTracker) pState(m, state int) (float64, int) {
-	dist := t.occ[m]
+	dist := t.dist(m)
 	total := 0
-	for _, s := range keysSorted(dist) {
-		total += dist[s]
+	for _, c := range dist {
+		total += c
 	}
-	if total == 0 {
-		return 0, 0
+	if total == 0 || len(dist) < 2 {
+		return 0, total
 	}
-	return float64(dist[state]) / float64(total), total
+	return float64(dist[1]) / float64(total), total
 }
 
 // MeanState returns the time-averaged ALCA state of level-m nodes.
 func (t *StateTracker) MeanState(m int) float64 {
-	dist := t.occ[m]
 	total, sum := 0, 0
-	for _, s := range keysSorted(dist) {
-		total += dist[s]
-		sum += s * dist[s]
+	for s, c := range t.dist(m) {
+		total += c
+		sum += s * c
 	}
 	if total == 0 {
 		return 0
 	}
 	return float64(sum) / float64(total)
+}
+
+// dist returns the state histogram of level-m nodes (nil when level m
+// was never observed).
+func (t *StateTracker) dist(m int) []int {
+	if m < 0 || m >= len(t.occ) {
+		return nil
+	}
+	return t.occ[m]
 }
 
 // QDist evaluates Eq. (15a) for a level-k cluster (k >= 2) from the
@@ -186,32 +185,8 @@ func (t *StateTracker) UnitTransitionFraction() (frac float64, total int) {
 	return float64(t.unitTransitions) / float64(t.transitions), t.transitions
 }
 
-// DeltaHistogram returns a copy of the |Δstate| histogram.
-func (t *StateTracker) DeltaHistogram() map[int]int {
-	out := make(map[int]int, len(t.deltaHist))
-	for _, k := range keysSorted(t.deltaHist) {
-		out[k] = t.deltaHist[k]
-	}
-	return out
-}
-
-// OccupancyHistogram returns a copy of the state histogram for
-// level-m nodes.
-func (t *StateTracker) OccupancyHistogram(m int) map[int]int {
-	out := make(map[int]int, len(t.occ[m]))
-	for _, k := range keysSorted(t.occ[m]) {
-		out[k] = t.occ[m][k]
-	}
-	return out
-}
-
-// keysSorted returns the keys of m in ascending order: the only way
-// map contents may enter an order-sensitive computation.
-func keysSorted[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+// DeltaHistogram returns a copy of the |Δstate| histogram, indexed by
+// |Δ|.
+func (t *StateTracker) DeltaHistogram() []int {
+	return append([]int(nil), t.deltaHist...)
 }

@@ -200,9 +200,10 @@ func BuildTable(idx *Index, n int) *Table {
 	return t
 }
 
-// Load returns entries served per node.
-func (t *Table) Load() map[int]int {
-	load := map[int]int{}
+// Load returns, indexed by node ID, the number of entries each node
+// serves (0 for a node serving none).
+func (t *Table) Load() []int {
+	load := make([]int, len(t.Assignments)) // servers are node IDs < n
 	for _, sa := range t.Assignments {
 		for _, row := range sa.Servers {
 			for _, s := range row {

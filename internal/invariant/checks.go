@@ -308,8 +308,8 @@ func checkDiffNodes(s *Snapshot) error {
 	for k := 1; k < maxLevels(s); k++ {
 		pN := hierLevelNodes(ph, k)
 		nN := hierLevelNodes(nh, k)
-		el := d.Elections[k]
-		rj := d.Rejections[k]
+		el := row(d.Elections, k)
+		rj := row(d.Rejections, k)
 		i, j, ei, ri := 0, 0, 0, 0
 		for i < len(pN) || j < len(nN) {
 			switch {
@@ -355,8 +355,8 @@ func checkDiffLinks(s *Snapshot) error {
 		pl, nl := ph.Level(k), nh.Level(k)
 		pg := hierLevelGraph(pl)
 		ng := hierLevelGraph(nl)
-		mig := d.MigrationLinkEvents[k]
-		str := d.StructuralLinkEvents[k]
+		mig := row(d.MigrationLinkEvents, k)
+		str := row(d.StructuralLinkEvents, k)
 		if pg != nil && ng != nil && len(mig) == 0 && len(str) == 0 && pg.Equal(ng) {
 			continue // fast path: identical graphs, no events — consistent
 		}
@@ -629,6 +629,14 @@ func denseCount(s []int32) int {
 }
 
 // ---------------------------------------------------------------- shared
+
+// row returns rows[k], or nil when the diff holds no row for level k.
+func row[T any](rows [][]T, k int) []T {
+	if k < len(rows) {
+		return rows[k]
+	}
+	return nil
+}
 
 func hierLevelNodes(h *cluster.Hierarchy, k int) []int {
 	if l := h.Level(k); l != nil {

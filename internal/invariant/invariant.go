@@ -224,12 +224,17 @@ func Dump(s *Snapshot) string {
 	dumpHier(&b, "next", s.Next.Hier)
 	if d := s.Diff; d != nil {
 		el, rj, mig, str := 0, 0, 0, 0
-		maxL := maxLevels(s)
-		for k := 1; k <= maxL; k++ {
-			el += len(d.Elections[k])
-			rj += len(d.Rejections[k])
-			mig += len(d.MigrationLinkEvents[k])
-			str += len(d.StructuralLinkEvents[k])
+		for _, xs := range d.Elections {
+			el += len(xs)
+		}
+		for _, xs := range d.Rejections {
+			rj += len(xs)
+		}
+		for _, evs := range d.MigrationLinkEvents {
+			mig += len(evs)
+		}
+		for _, evs := range d.StructuralLinkEvents {
+			str += len(evs)
 		}
 		fmt.Fprintf(&b, "  diff: elections=%d rejections=%d miglinks=%d strlinks=%d memberships=%d statedeltas=%d\n",
 			el, rj, mig, str, len(d.Memberships), len(d.StateDeltas))

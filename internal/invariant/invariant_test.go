@@ -160,7 +160,7 @@ func TestEachCheckFires(t *testing.T) {
 		s := snapshotOf(st, sel)
 		s.Prev = st
 		d := cluster.ComputeDiff(st.Hier, st.Hier)
-		d.Elections = map[int][]int{1: {99}}
+		d.Elections[1] = []int{99}
 		s.Diff = d
 		assertFired(t, s, "diff-reconcile-nodes")
 	})
@@ -174,8 +174,7 @@ func TestEachCheckFires(t *testing.T) {
 		s := snapshotOf(next, sel)
 		s.Prev = prev
 		d := cluster.ComputeDiff(prev.Hier, next.Hier)
-		d.MigrationLinkEvents = map[int][]topology.LinkEvent{}
-		d.StructuralLinkEvents = map[int][]topology.LinkEvent{}
+		d.MigrationLinkEvents, d.StructuralLinkEvents = nil, nil
 		s.Diff = d
 		if prevG, nextG := prev.Hier.Levels[1].Graph, next.Hier.Levels[1].Graph; prevG.Equal(nextG) {
 			t.Skip("level-1 graphs identical; topology change did not propagate")

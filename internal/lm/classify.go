@@ -67,73 +67,67 @@ func EventClasses() []EventClass {
 	return out
 }
 
-// ClassCounts maps level k -> event class -> count for one tick.
-type ClassCounts map[int]map[EventClass]int
+// ClassCounts holds, indexed by level k, the count of each event class
+// at level k. Row 0 is always zero: every class concerns a level k >= 1.
+type ClassCounts [][numEventClasses]int
 
-// add increments one cell.
-func (c ClassCounts) add(level int, class EventClass, n int) {
+// add increments one cell, growing c to reach level.
+func (c *ClassCounts) add(level int, class EventClass, n int) {
 	if n == 0 {
 		return
 	}
-	m := c[level]
-	if m == nil {
-		m = map[EventClass]int{}
-		c[level] = m
+	if level >= len(*c) {
+		*c = append(*c, make(ClassCounts, level+1-len(*c))...)
 	}
-	m[class] += n
+	(*c)[level][class] += n
 }
 
-// Merge accumulates other into c.
-func (c ClassCounts) Merge(other ClassCounts) {
-	//lint:ignore maprange commutative integer accumulation; the result is order-free
-	for level, m := range other {
-		//lint:ignore maprange commutative integer accumulation; the result is order-free
-		for class, n := range m {
-			c.add(level, class, n)
+// Levels returns the levels that hold a nonzero count, ascending.
+func (c ClassCounts) Levels() []int {
+	var out []int
+	for k, row := range c {
+		if row != [numEventClasses]int{} {
+			out = append(out, k)
 		}
 	}
+	return out
 }
 
 // Total returns the sum over all levels and classes.
 func (c ClassCounts) Total() int {
 	t := 0
-	//lint:ignore maprange commutative integer sum; the result is order-free
-	for _, m := range c {
-		//lint:ignore maprange commutative integer sum; the result is order-free
-		for _, n := range m {
+	for _, row := range c {
+		for _, n := range row {
 			t += n
 		}
 	}
 	return t
 }
 
-// ClassifyReorg classifies one tick's reorganization triggers.
+// ClassifyReorg classifies one tick's reorganization triggers and adds
+// them into c.
 //
 // Class levels follow the paper's convention: classes i/ii at level k
 // concern level-k links; classes iii–vi at level k concern gain/loss
 // of level-k status; class vii at level k concerns election of a
 // level-(k+1) neighbor.
-func ClassifyReorg(prevH, nextH *cluster.Hierarchy, d *cluster.Diff) ClassCounts {
-	out := ClassCounts{}
-
-	// Walk the levels in ascending order: the diff records events for
-	// levels 1..maxL-1.
-	maxL := max(len(prevH.Levels), len(nextH.Levels))
+func ClassifyReorg(c *ClassCounts, prevH, nextH *cluster.Hierarchy, d *cluster.Diff) {
+	// The diff records events for levels 1..len(d.Elections)-1.
 
 	// i / ii: cluster-migration link events among persistent level-k
 	// nodes where an endpoint is a level-(k+1) node (those are the
 	// changes that alter level-(k+1) membership and so trigger
 	// handoff).
-	for k := 1; k < maxL; k++ {
-		for _, ev := range d.MigrationLinkEvents[k] {
+	for k, evs := range d.MigrationLinkEvents {
+		for _, ev := range evs {
 			a, b := ev.Edge.Nodes()
 			if ev.Up {
 				if isLevelNode(nextH, k+1, a) || isLevelNode(nextH, k+1, b) {
-					out.add(k, EventLinkUp, 1)
+					c.add(k, EventLinkUp, 1)
 				}
 			} else {
 				if isLevelNode(prevH, k+1, a) || isLevelNode(prevH, k+1, b) {
-					out.add(k, EventLinkDown, 1)
+					c.add(k, EventLinkDown, 1)
 				}
 			}
 		}
@@ -142,50 +136,39 @@ func ClassifyReorg(prevH, nextH *cluster.Hierarchy, d *cluster.Diff) ClassCounts
 	// iii / v: elections. The election of v at level k is recursive
 	// (v) when one of v's current electors was itself elected at level
 	// k-1 in the same tick; otherwise it is migration-driven (iii).
-	for k := 1; k < maxL; k++ {
-		elected := d.Elections[k]
-		if len(elected) == 0 {
-			continue
-		}
-		newlyElectedBelow := toSet(d.Elections[k-1])
-		for _, v := range elected {
-			if k >= 2 && electorIn(nextH, k-1, v, newlyElectedBelow) {
-				out.add(k, EventRecursiveElec, 1)
+	for k := 1; k < len(d.Elections); k++ {
+		for _, v := range d.Elections[k] {
+			if k >= 2 && electorIn(nextH, k-1, v, d.Elections[k-1]) {
+				c.add(k, EventRecursiveElec, 1)
 			} else {
-				out.add(k, EventElection, 1)
+				c.add(k, EventElection, 1)
 			}
 		}
 	}
 
 	// iv / vi: rejections, symmetric with the elector's own rejection.
-	for k := 1; k < maxL; k++ {
-		rejected := d.Rejections[k]
-		if len(rejected) == 0 {
-			continue
-		}
-		rejectedBelow := toSet(d.Rejections[k-1])
-		for _, v := range rejected {
-			if k >= 2 && electorIn(prevH, k-1, v, rejectedBelow) {
-				out.add(k, EventRecursiveRej, 1)
+	for k := 1; k < len(d.Rejections); k++ {
+		for _, v := range d.Rejections[k] {
+			if k >= 2 && electorIn(prevH, k-1, v, d.Rejections[k-1]) {
+				c.add(k, EventRecursiveRej, 1)
 			} else {
-				out.add(k, EventRejection, 1)
+				c.add(k, EventRejection, 1)
 			}
 		}
 	}
 
 	// vii: each election at level k+1 is an event for every level-k
 	// neighbor of the new clusterhead.
-	for k1 := 2; k1 < maxL; k1++ {
+	for k1 := 2; k1 < len(d.Elections); k1++ {
 		k := k1 - 1
 		lvl := nextH.Level(k)
 		if lvl == nil || lvl.Graph == nil {
 			continue
 		}
 		for _, u := range d.Elections[k1] {
-			out.add(k, EventNeighborElec, len(lvl.Graph.Neighbors(u)))
+			c.add(k, EventNeighborElec, len(lvl.Graph.Neighbors(u)))
 		}
 	}
-	return out
 }
 
 func isLevelNode(h *cluster.Hierarchy, k, id int) bool {
@@ -195,30 +178,19 @@ func isLevelNode(h *cluster.Hierarchy, k, id int) bool {
 
 // electorIn reports whether any node electing v at election level
 // eLevel (i.e. among level-eLevel nodes choosing their level-(eLevel+1)
-// head) is contained in set.
-func electorIn(h *cluster.Hierarchy, eLevel, v int, set map[int]bool) bool {
-	if len(set) == 0 {
+// head) is in the ascending ID list ids.
+func electorIn(h *cluster.Hierarchy, eLevel, v int, ids []int) bool {
+	if len(ids) == 0 {
 		return false
 	}
 	lvl := h.Level(eLevel)
 	if lvl == nil || !lvl.Elected() {
 		return false
 	}
-	for _, u := range lvl.Nodes {
-		if u != v && set[u] && lvl.HeadOf(u) == v {
+	for _, u := range ids {
+		if u != v && lvl.HeadOf(u) == v {
 			return true
 		}
 	}
 	return false
-}
-
-func toSet(xs []int) map[int]bool {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := make(map[int]bool, len(xs))
-	for _, x := range xs {
-		s[x] = true
-	}
-	return s
 }

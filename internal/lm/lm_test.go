@@ -578,12 +578,14 @@ func TestClassifyMigrationLink(t *testing.T) {
 	h1 := plain(g1, []int{1, 2, 5, 6})
 	h2 := plain(g2, []int{1, 2, 5, 6})
 	d := cluster.ComputeDiff(h1, h2)
-	cc := ClassifyReorg(h1, h2, d)
+	var cc ClassCounts
+	ClassifyReorg(&cc, h1, h2, d)
 	if cc[1][EventLinkUp] != 1 {
 		t.Fatalf("class i count = %d (%v)", cc[1][EventLinkUp], cc)
 	}
 	dRev := cluster.ComputeDiff(h2, h1)
-	ccRev := ClassifyReorg(h2, h1, dRev)
+	var ccRev ClassCounts
+	ClassifyReorg(&ccRev, h2, h1, dRev)
 	if ccRev[1][EventLinkDown] != 1 {
 		t.Fatalf("class ii count = %d (%v)", ccRev[1][EventLinkDown], ccRev)
 	}
@@ -595,26 +597,30 @@ func TestClassifyElectionAndRejection(t *testing.T) {
 	h1 := plain(g1, []int{1, 2, 3, 4})
 	h2 := plain(g2, []int{1, 2, 3, 4})
 	d := cluster.ComputeDiff(h1, h2)
-	cc := ClassifyReorg(h1, h2, d)
+	var cc ClassCounts
+	ClassifyReorg(&cc, h1, h2, d)
 	if cc[1][EventElection] == 0 {
 		t.Fatalf("no class iii election: %v", cc)
 	}
 	dRev := cluster.ComputeDiff(h2, h1)
-	ccRev := ClassifyReorg(h2, h1, dRev)
+	var ccRev ClassCounts
+	ClassifyReorg(&ccRev, h2, h1, dRev)
 	if ccRev[1][EventRejection] == 0 {
 		t.Fatalf("no class iv rejection: %v", ccRev)
 	}
 }
 
-func TestClassCountsMergeAndTotal(t *testing.T) {
-	a := ClassCounts{}
+func TestClassCountsAddAndTotal(t *testing.T) {
+	var a ClassCounts
 	a.add(1, EventElection, 2)
-	b := ClassCounts{}
-	b.add(1, EventElection, 3)
-	b.add(2, EventLinkUp, 1)
-	a.Merge(b)
-	if a[1][EventElection] != 5 || a[2][EventLinkUp] != 1 {
-		t.Fatalf("merge wrong: %v", a)
+	a.add(1, EventElection, 3)
+	a.add(3, EventLinkUp, 1)
+	a.add(4, EventLinkDown, 0)
+	if a[1][EventElection] != 5 || a[3][EventLinkUp] != 1 || len(a) != 4 {
+		t.Fatalf("add wrong: %v", a)
+	}
+	if got := a.Levels(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("levels = %v, want [1 3]", got)
 	}
 	if a.Total() != 6 {
 		t.Fatalf("total = %d", a.Total())

@@ -219,13 +219,7 @@ func runE1(w io.Writer, sc Scale) error {
 // --- E2: Fig. 2 GLS grid ---
 
 func runE2(w io.Writer, sc Scale) error {
-	cfg := simnet.Config{N: 200, Seed: 7}
-	region := cfg.Region()
-	src := rng.NewRoot(7).Stream("static-layout")
-	pos := make([]geom.Vec, 200)
-	for i := range pos {
-		pos[i] = region.Sample(src)
-	}
+	pos, _, region := staticLayout(200, 7)
 	grid := gls.NewGrid(region, 100)
 	idx := gls.NewIndex(grid, pos)
 	v := 63 % len(pos)
@@ -240,7 +234,6 @@ func runE2(w io.Writer, sc Scale) error {
 	tbl := gls.BuildTable(idx, len(pos))
 	load := tbl.Load()
 	max, total := 0, 0
-	//lint:ignore maprange commutative sum and max; the result is order-free
 	for _, c := range load {
 		total += c
 		if c > max {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/analytic"
 	"repro/internal/cluster"
@@ -119,11 +118,7 @@ func runE10(w io.Writer, sc Scale) error {
 	}
 	fmt.Fprintf(w, "E10 (§5.2): reorganization trigger classes, events/s at N=%d over %.0fs\n", cfg.N, r.Duration)
 	tw := NewTable("k", "i:link-up", "ii:link-down", "iii:elec", "iv:rej", "v:rec-elec", "vi:rec-rej", "vii:nbr-elec")
-	levels := make([]int, 0, len(r.Classes))
-	for k := range r.Classes {
-		levels = append(levels, k)
-	}
-	sort.Ints(levels)
+	levels := r.Classes.Levels()
 	for _, k := range levels {
 		cells := []any{k}
 		for _, c := range lm.EventClasses() {

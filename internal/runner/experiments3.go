@@ -9,12 +9,10 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gls"
 	"repro/internal/lm"
-	"repro/internal/mobility"
 	"repro/internal/netml"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/spatial"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -94,14 +92,8 @@ func runE17(w io.Writer, sc Scale) error {
 	for _, n := range sc.Ns {
 		// Static snapshot per N: queries probe the LM structure; their
 		// cost model needs no mobility.
-		cfg := simnet.Config{N: n, Seed: uint64(1700 + n)}
-		region := cfg.Region()
-		src := rng.NewRoot(cfg.Seed).Stream("static-layout")
-		pos := make([]geom.Vec, n)
-		for i := range pos {
-			pos[i] = region.Sample(src)
-		}
-		g := topology.BuildUnitDiskBrute(pos, 100)
+		seed := uint64(1700 + n)
+		pos, g, region := staticLayout(n, seed)
 		all := make([]int, n)
 		for i := range all {
 			all[i] = i
@@ -113,7 +105,7 @@ func runE17(w io.Writer, sc Scale) error {
 		hop := topology.NewEuclideanHops(pos, 100, 1.3)
 
 		gen := workload.MustNewGenerator(workload.Config{Rate: 0.05, PacketsPerSession: 20},
-			rng.NewRoot(cfg.Seed).Stream("workload"))
+			rng.NewRoot(seed).Stream("workload"))
 		var st workload.Stats
 		for tick := 0; tick < 60; tick++ {
 			gen.Tick(1.0, h, ids, sel, hop, &st)
@@ -122,7 +114,7 @@ func runE17(w io.Writer, sc Scale) error {
 		// GLS query cost on the same layout for comparison.
 		grid := gls.NewGrid(region, 100)
 		idx := gls.NewIndex(grid, pos)
-		qsrc := rng.NewRoot(cfg.Seed).Stream("gls-queries")
+		qsrc := rng.NewRoot(seed).Stream("gls-queries")
 		var glsSum float64
 		var glsN int
 		for i := 0; i < 200; i++ {
@@ -188,81 +180,44 @@ func runE19(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "E19 (extension): LM entry-transfer latency by level at N=%d,\n", n)
 	fmt.Fprintf(w, "%.0f ms per hop, transfers forwarded hop-by-hop with rerouting.\n", perHop*1000)
 
-	cfg := simnet.Config{N: n, Seed: 1900, Duration: sc.Duration, Warmup: sc.Warmup}
-	region := cfg.Region()
-	root := rng.NewRoot(cfg.Seed)
-	model := mobility.NewWaypoint(region, 10, root.Stream("mobility"))
-	pos := model.Init(n)
-	grid := spatial.NewGridForDisc(region, 100, n)
-	for i, p := range pos {
-		grid.Insert(i, p)
+	s, err := simnet.NewStepper(simnet.Config{N: n, Seed: 1900, Duration: sc.Duration, Warmup: sc.Warmup})
+	if err != nil {
+		return err
 	}
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i
-	}
-	tr := cluster.NewIdentityTracker()
-	ccfg := cluster.Config{ForceTopAt: 12}
-	sel := lm.NewSelector(nil)
-
-	link := topology.NewUnitDisk(100)
-	graph := link.BuildInto(nil, n, pos, grid, nil, nil)
-	h, ids := cluster.BuildWithIdentities(graph, topology.GiantComponent(graph, nodes), ccfg, nil, nil, tr, 0)
-	table := sel.BuildTable(h, ids)
-
+	cfg := s.Config()
 	engine := sim.NewEngine()
-	nw := netml.New(engine, graph, perHop, 0)
+	nw := netml.New(engine, s.Graph(), perHop, 0)
 
-	latency := map[int]*stats.Welford{}
-	hops := map[int]*stats.Welford{}
-	var failures int
-	engine.Ticker(1, 1, "scan", func(e *sim.Engine) {
-		now := e.Now()
-		model.AdvanceTo(now, pos)
-		for i, p := range pos {
-			grid.Update(i, p)
+	var latency, hops stats.PerLevel // per level: ms and hop count
+	engine.Ticker(cfg.ScanInterval, cfg.ScanInterval, "scan", func(e *sim.Engine) {
+		prev := s.Table()
+		s.Step()
+		nw.Rebind(s.Graph())
+		if e.Now() <= cfg.Warmup {
+			return
 		}
-		g2 := link.BuildInto(nil, n, pos, grid, nil, nil)
-		nw.Rebind(g2)
-		h2, ids2 := cluster.BuildWithIdentities(g2, topology.GiantComponent(g2, nodes), ccfg, h, ids, tr, now)
-		t2 := sel.UpdateTable(table, h, ids, h2, ids2)
-		if now > cfg.Warmup {
-			for _, td := range lm.DiffTables(table, t2) {
-				if td.OldServer < 0 || td.NewServer < 0 {
-					continue
-				}
-				level := td.Level
-				nw.Send(td.OldServer, td.NewServer, func(d netml.Delivery) {
-					if !d.OK {
-						failures++
-						return
-					}
-					if latency[level] == nil {
-						latency[level] = &stats.Welford{}
-						hops[level] = &stats.Welford{}
-					}
-					latency[level].Add(d.Latency * 1000) // ms
-					hops[level].Add(float64(d.Hops))
-				})
+		for _, td := range lm.DiffTables(prev, s.Table()) {
+			if td.OldServer < 0 || td.NewServer < 0 {
+				continue
 			}
+			level := td.Level
+			nw.Send(td.OldServer, td.NewServer, func(d netml.Delivery) {
+				if !d.OK {
+					return
+				}
+				latency.Add(level, d.Latency*1000) // ms
+				hops.Add(level, float64(d.Hops))
+			})
 		}
-		graph, h, ids, table = g2, h2, ids2, t2
 	})
 	engine.RunUntil(cfg.Warmup + cfg.Duration)
 
 	tw := NewTable("k", "transfers", "mean hops", "latency (ms)")
-	maxK := 0
-	//lint:ignore maprange max over keys; the result is order-free
-	for k := range latency {
-		if k > maxK {
-			maxK = k
+	for k := 1; k <= latency.Max(); k++ {
+		if l := latency.Level(k); l.N() > 0 {
+			h := hops.Level(k)
+			tw.Rowf(k, l.N(), h.Mean(), l.Mean())
 		}
-	}
-	for k := 1; k <= maxK; k++ {
-		if latency[k] == nil || latency[k].N() == 0 {
-			continue
-		}
-		tw.Rowf(k, latency[k].N(), hops[k].Mean(), latency[k].Mean())
 	}
 	fmt.Fprint(w, tw.String())
 	sent, delivered, failed := nw.Stats()

@@ -79,12 +79,6 @@ type Config struct {
 	// location updates. Default 0.8; negative means exactly 0
 	// (all updates).
 	QueryFraction float64
-	// Diurnal modulates the arrival rate sinusoidally with the given
-	// depth in [0, 1]; 0 (default) is a flat Poisson process.
-	Diurnal float64
-	// DiurnalPeriod is the modulation period in wall seconds.
-	// Default 60.
-	DiurnalPeriod float64
 
 	// Shards is the number of request queues/workers. Default 4.
 	Shards int
@@ -131,7 +125,6 @@ func fdef(v, def float64) float64 {
 func (c Config) withDefaults() Config {
 	c.Rate = fdef(c.Rate, 1000)
 	c.QueryFraction = fdef(c.QueryFraction, 0.8)
-	c.DiurnalPeriod = fdef(c.DiurnalPeriod, 60)
 	c.Pace = fdef(c.Pace, 0.005)
 	c.UnavailWindow = fdef(c.UnavailWindow, 0.002)
 	if c.Shards == 0 {
@@ -152,9 +145,6 @@ func (c Config) validate() error {
 	}
 	if c.QueryFraction > 1 {
 		return fmt.Errorf("serve: QueryFraction must be <= 1 (got %v)", c.QueryFraction)
-	}
-	if c.Diurnal < 0 || c.Diurnal > 1 {
-		return fmt.Errorf("serve: Diurnal must be in [0, 1] (got %v)", c.Diurnal)
 	}
 	if c.Shards < 1 {
 		return fmt.Errorf("serve: Shards must be >= 1 (got %d)", c.Shards)
@@ -314,7 +304,7 @@ func (s *Server) Serve() (*Results, error) {
 		go s.worker(s.shards[i])
 	}
 	s.genWG.Add(1)
-	go s.generate(start)
+	go s.generate()
 
 	// Engine loop: ticks advance under the write lock; Pace wall
 	// seconds of serving time between ticks.
@@ -386,10 +376,10 @@ func Run(cfg Config) (*Results, error) {
 // generate is the open-loop client population: Poisson bursts at a
 // fixed cadence, dispatched to shard queues by destination. Runs until
 // the engine loop closes stopGen.
-func (s *Server) generate(start time.Time) {
+func (s *Server) generate() {
 	defer s.genWG.Done()
 	const interval = 2 * time.Millisecond
-	arr := workload.Arrivals{Rate: s.cfg.Rate, Diurnal: s.cfg.Diurnal, Period: s.cfg.DiurnalPeriod}
+	arr := workload.Arrivals{Rate: s.cfg.Rate}
 	src := rng.NewRoot(s.cfg.Seed).Stream("serve-arrivals")
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -399,8 +389,7 @@ func (s *Server) generate(start time.Time) {
 			return
 		case <-tick.C:
 		}
-		t := time.Since(start).Seconds()
-		n := arr.Count(src, t, interval.Seconds())
+		n := arr.Count(src, interval.Seconds())
 		if n == 0 {
 			continue
 		}

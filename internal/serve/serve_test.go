@@ -171,7 +171,6 @@ func TestServeConfigValidate(t *testing.T) {
 	cases := []serve.Config{
 		{Sim: sim, Rate: -5},
 		{Sim: sim, QueryFraction: 2},
-		{Sim: sim, Diurnal: 1.5},
 		{Sim: sim, Shards: -1},
 		{Sim: sim, QueueDepth: -1},
 		{Sim: sim, Batch: -1},

@@ -161,6 +161,7 @@ func TestSteadyStateTickAllocs(t *testing.T) {
 		{"sticky", Config{N: 256, Elector: cluster.StickyLCA{}}, 64},
 		{"debounced", Config{N: 256, Elector: &cluster.DebouncedLCA{Grace: 10, LevelScale: 1.9}}, 64},
 		{"hops", Config{N: 256, SampleHops: 1}, 64},
+		{"tracked-stats", Config{N: 256, TrackStates: true, TrackClasses: true}, 64},
 		{"n2048", Config{N: 2048}, 384},
 	}
 	for _, tc := range cases {

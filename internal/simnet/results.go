@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
@@ -46,11 +45,10 @@ type stateRun struct {
 
 func newStateRun(cfg Config, region geom.Disc) *stateRun {
 	return &stateRun{
-		cfg:     cfg,
-		region:  region,
-		states:  cluster.NewStateTracker(),
-		classes: lm.ClassCounts{},
-		hopRng:  rng.NewRoot(cfg.Seed).Stream("hop-sampling"),
+		cfg:    cfg,
+		region: region,
+		states: cluster.NewStateTracker(),
+		hopRng: rng.NewRoot(cfg.Seed).Stream("hop-sampling"),
 	}
 }
 
@@ -294,21 +292,14 @@ func (r *Results) Summary() string {
 			k, r.PhiRateByLevel[k], r.GammaRateByLevel[k], r.FMigByLevel[k],
 			at(r.NodesByLevel, k), at(r.EdgesByLevel, k))
 	}
-	if len(r.Classes) > 0 {
-		levels := make([]int, 0, len(r.Classes))
-		for k := range r.Classes {
-			levels = append(levels, k)
-		}
-		sort.Ints(levels)
-		for _, k := range levels {
-			s += fmt.Sprintf("  reorg classes k=%d:", k)
-			for _, c := range lm.EventClasses() {
-				if n := r.Classes[k][c]; n > 0 {
-					s += fmt.Sprintf(" %s=%d", c, n)
-				}
+	for _, k := range r.Classes.Levels() {
+		s += fmt.Sprintf("  reorg classes k=%d:", k)
+		for _, c := range lm.EventClasses() {
+			if n := r.Classes[k][c]; n > 0 {
+				s += fmt.Sprintf(" %s=%d", c, n)
 			}
-			s += "\n"
 		}
+		s += "\n"
 	}
 	return s
 }

@@ -234,7 +234,7 @@ func (lp *looper) step(now float64) {
 			st.states.ObserveDiff(lp.diff)
 		}
 		if cfg.TrackClasses {
-			st.classes.Merge(lm.ClassifyReorg(lp.hier, newHier, lp.diff))
+			lm.ClassifyReorg(&st.classes, lp.hier, newHier, lp.diff)
 		}
 		st.countClusterLinkEvents(lp.hier, lp.idents, newHier, newIdents)
 		spMeasure.Stop()

@@ -78,19 +78,12 @@ func (t *Tracer) Record(ev simnet.ObsEvent) {
 		}
 	}
 	if d := ev.Diff; d != nil {
-		//lint:ignore maprange commutative integer sum; the result is order-free
-		for _, e := range d.Elections {
-			rec.Elections += len(e)
-		}
-		//lint:ignore maprange commutative integer sum; the result is order-free
-		for _, r := range d.Rejections {
-			rec.Rejections += len(r)
+		for k := range d.Elections {
+			rec.Elections += len(d.Elections[k])
+			rec.Rejections += len(d.Rejections[k])
+			rec.ClusterLinkUp += len(d.MigrationLinkEvents[k])
 		}
 		rec.Memberships = len(d.Memberships)
-		//lint:ignore maprange commutative integer sum; the result is order-free
-		for _, evs := range d.MigrationLinkEvents {
-			rec.ClusterLinkUp += len(evs)
-		}
 	}
 	if err := t.enc.Encode(&rec); err != nil {
 		t.err = err

@@ -1,38 +1,18 @@
 package workload
 
-import (
-	"math"
+import "repro/internal/rng"
 
-	"repro/internal/rng"
-)
-
-// Arrivals converts a base event rate into per-interval Poisson counts,
-// with optional diurnal (sinusoidal) modulation — the open-loop request
-// process the serve runtime drives its synthetic client population
-// with. The zero modulation fields give a flat (homogeneous) process.
+// Arrivals converts a base event rate into per-interval Poisson counts
+// — the open-loop request process the serve runtime drives its
+// synthetic client population with.
 type Arrivals struct {
 	// Rate is the mean event rate per second.
 	Rate float64
-	// Diurnal is the modulation depth in [0, 1]: the instantaneous
-	// rate swings between Rate·(1-Diurnal) and Rate·(1+Diurnal).
-	Diurnal float64
-	// Period is the modulation period in seconds.
-	Period float64
 }
 
-// RateAt returns the instantaneous rate at time t.
-func (a Arrivals) RateAt(t float64) float64 {
-	if a.Diurnal <= 0 || a.Period <= 0 {
-		return a.Rate
-	}
-	return a.Rate * (1 + a.Diurnal*math.Sin(2*math.Pi*t/a.Period))
-}
-
-// Count draws the Poisson event count for the interval [t, t+dt),
-// integrating the modulated rate at the interval midpoint (exact for a
-// flat process; midpoint-accurate for dt << Period).
-func (a Arrivals) Count(src *rng.Source, t, dt float64) int {
-	mean := a.RateAt(t+dt/2) * dt
+// Count draws the Poisson event count for an interval of dt seconds.
+func (a Arrivals) Count(src *rng.Source, dt float64) int {
+	mean := a.Rate * dt
 	if mean <= 0 {
 		return 0
 	}

@@ -47,9 +47,9 @@ else
 fi
 
 echo "== model zoo (cross-model invariant matrix, race)"
-# Mirrors the CI modelzoo job: the lossy link model passes the
-# every-tick battery and its repeat-run byte-identity, and the zoo unit
-# suites hold.
+# The cross-model suites under -race (CI runs them in its race job):
+# the lossy link model passes the every-tick battery and its repeat-run
+# byte-identity, and the zoo unit suites hold.
 go test -race -run 'TestZoo|TestGaussMarkov|TestManhattan|TestHotspot' -count=1 ./internal/mobility || fail=1
 go test -race -run 'TestLogShadow' -count=1 ./internal/topology || fail=1
 go test -race -run 'TestLogShadow|TestLinkConfigValidation' -count=1 ./internal/simnet || fail=1
